@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import energy as energy_mod
-from .discretization import DiscreteOperators
-from .model import PlateConfig, SourceCertificate, damping_gain
+from .discretization import DiscreteOperators, bilinear_form
+from .model import PlateConfig, SourceCertificate, damping_gains
 
 
 class BarrierError(RuntimeError):
@@ -190,11 +190,10 @@ def decay_rate_at_energy(E_level: float, bc: BarrierConstants) -> float:
 # ---------------------------------------------------------------------------
 
 def lyapunov_value(u, v, eps: float, ops: DiscreteOperators, cfg: PlateConfig,
-                   cert: SourceCertificate) -> float:
-    """V_eps = Etot + eps (v, u)_{L2}."""
+                   cert: SourceCertificate):
+    """V_eps = Etot + eps (v, u)_{L2} of one state, or per row of a stack."""
     _, etot = energy_mod.total_energy(u, v, ops, cfg, cert)
-    cross = float(np.asarray(v) @ ops.M @ np.asarray(u))
-    return etot + eps * cross
+    return etot + eps * bilinear_form(ops.M, v, u)
 
 
 def sandwich_for_eps(eps: float, lam: float, c: float) -> tuple[float, float]:
@@ -224,22 +223,17 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     gamma = damping_growth_exponent(q_eff) if q_eff >= 1 else 0.0
     b_exp = balance_exponent(max(q_eff, 1))
 
-    # collect per-snapshot quantities
-    rows = []
-    for traj in trajectories:
-        led = traj.ledger
-        for i in range(len(traj)):
-            u, v = traj.us[i], traj.vs[i]
-            sp2 = ops.l2_norm_sq(v)
-            rho = float(np.sqrt(max(sp2, 0.0)))
-            ddot = damping_gain(rho, cfg) * sp2          # (D u_t, u_t)
-            du_u = damping_gain(rho, cfg) * float(v @ ops.M @ u)
-            flow_u = -cfg.beta * float(u @ ops.Dy @ u)    # (N(u), u)
-            flow_ut = -cfg.beta * float(u @ ops.Dy @ v)   # (N(u), u_t)
-            rows.append((sp2, ddot, du_u, flow_u, flow_ut,
-                         led.E[i], led.Pi0[i], ops.bending_norm_sq(u)))
-    arr = np.array(rows)
-    sp2, ddot, du_u, flow_u, flow_ut, E, pi0, bend2 = arr.T
+    us = np.concatenate([traj.us for traj in trajectories])
+    vs = np.concatenate([traj.vs for traj in trajectories])
+    E = np.concatenate([traj.ledger.E for traj in trajectories])
+    pi0 = np.concatenate([traj.ledger.Pi0 for traj in trajectories])
+    sp2 = ops.l2_norm_sq(vs)
+    gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
+    ddot = gain * sp2                                   # (D u_t, u_t)
+    du_u = gain * bilinear_form(ops.M, vs, us)
+    flow_u = -cfg.beta * bilinear_form(ops.Dy, us, us)  # (N(u), u)
+    flow_ut = -cfg.beta * bilinear_form(ops.Dy, us, vs)  # (N(u), u_t)
+    bend2 = ops.bending_norm_sq(us)
 
     # (A1)-type velocity control
     if cfg.b0 > 0.0:
@@ -340,12 +334,9 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
     if eps is None:
         eps = decay_rate_at_energy(E0, bc)
 
-    V = np.empty(m)
-    ddot = np.empty(m)
-    for i in range(m):
-        V[i] = lyapunov_value(traj.us[i], traj.vs[i], eps, ops, cfg, cert)
-        sp2 = ops.l2_norm_sq(traj.vs[i])
-        ddot[i] = damping_gain(float(np.sqrt(max(sp2, 0.0))), cfg) * sp2
+    V = lyapunov_value(traj.us, traj.vs, eps, ops, cfg, cert)
+    sp2 = ops.l2_norm_sq(traj.vs)
+    ddot = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2
 
     t = traj.times
     dV = np.gradient(V, t)

@@ -139,9 +139,11 @@ class QuadGrid:
     def eval_coeffs(self, coeffs, which: str = "val") -> np.ndarray:
         """Nodal values of the field (or a derivative) on the (nx, ny) grid.
 
-        which: 'val', 'dx', 'dy', 'dxx', 'dyy', 'dxy'.
+        which: 'val', 'dx', 'dy', 'dxx', 'dyy', 'dxy'.  A stack of
+        coefficient vectors (m, n) gives a stack of grids (m, nx, ny).
         """
-        a = np.asarray(coeffs, dtype=float).reshape(self.basis.Mx, self.basis.Ny)
+        a = np.asarray(coeffs, dtype=float)
+        a = a.reshape(a.shape[:-1] + (self.basis.Mx, self.basis.Ny))
         fx, fy = {
             "val": (self.sx, self.ly),
             "dx": (self.dsx, self.ly),
@@ -160,8 +162,10 @@ class QuadGrid:
         w = self.weights_2d() * values
         return (self.sx @ w @ self.ly.T).ravel()
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights_2d() * values))
+    def integrate(self, values: np.ndarray):
+        """Quadrature of nodal values (nx, ny), or per grid of a stack (m, nx, ny)."""
+        flat = values.reshape(values.shape[:-2] + (-1,))
+        return np.vecdot(flat, self.weights_2d().ravel())
 
     def basis_tables(self) -> dict[str, np.ndarray]:
         """Full per-basis nodal tables (n, nx, ny); intended for oracle tests."""
@@ -291,7 +295,8 @@ class DiscreteOperators:
 
     mu/phi hold the generalized eigendecomposition K phi = M phi diag(mu)
     with phi^T M phi = I; lambda_min = mu[0] is the coercivity constant of
-    the stiffness form over the mass form.
+    the stiffness form over the mass form.  The norms take one coefficient
+    vector (n,) or a snapshot stack (m, n), giving one value per row.
     """
 
     basis: Basis
@@ -310,30 +315,34 @@ class DiscreteOperators:
     def n(self) -> int:
         return self.basis.n
 
-    def l2_norm_sq(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.M @ v)
+    def l2_norm_sq(self, v):
+        return bilinear_form(self.M, v, v)
 
-    def bending_norm_sq(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(u @ self.K @ u)
+    def bending_norm_sq(self, u):
+        return bilinear_form(self.K, u, u)
 
-    def state_norm_sq(self, u, v) -> float:
+    def state_norm_sq(self, u, v):
         """Squared phase-space norm ||u||_{2,*}^2 + ||v||_0^2."""
         return self.bending_norm_sq(u) + self.l2_norm_sq(v)
 
     def modal_coords(self, u) -> np.ndarray:
         """Coefficients of u in the M-orthonormal stiffness eigenbasis."""
-        return self.phi.T @ (self.M @ np.asarray(u, dtype=float))
+        return np.matvec(self.phi.T, np.matvec(self.M, u))
 
-    def fractional_norm_sq(self, u, order: float) -> float:
+    def fractional_norm_sq(self, u, order: float):
         """Spectral surrogate for ||u||_{order}^2, order in [0, 2].
 
         Defined as sum mu_i^(order/2) c_i^2 with c the modal coordinates:
         order 0 recovers the L2 norm, order 2 the bending norm.
         """
         c = self.modal_coords(u)
-        return float(np.sum(self.mu ** (order / 2.0) * c * c))
+        return np.sum(self.mu ** (order / 2.0) * c * c, axis=-1)
+
+
+def bilinear_form(A: np.ndarray, x, y):
+    """x^T A y for vectors (n,), or row by row for stacks (m, n); each row
+    runs the single-vector products, so it has the same bits."""
+    return np.vecdot(np.vecmat(x, A), y)
 
 
 def build_operators(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> DiscreteOperators:

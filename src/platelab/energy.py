@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscreteOperators
+from .discretization import DiscreteOperators, bilinear_form
 from .model import PlateConfig, SourceCertificate
 
 
@@ -70,46 +70,49 @@ def potential_split_pad(cfg: PlateConfig) -> tuple[float, str]:
     return cfg.alpha ** 2 / 4.0, "alpha^2/4 (delta = 0; nonnegativity not guaranteed)"
 
 
-def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig) -> float:
-    """Pi(u); the source integral uses the analytic antiderivative at nodes."""
-    u = np.asarray(u, dtype=float)
+def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
+    """Pi(u) of one state (n,), or per row of a snapshot stack (m, n); the
+    source integral uses the analytic antiderivative at nodes."""
     grid = ops.grid
-    ux_sq = float(u @ ops.Gx @ u)
+    ux_sq = bilinear_form(ops.Gx, u, u)
     out = -0.5 * cfg.alpha * ux_sq + 0.25 * cfg.delta * ux_sq ** 2
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
         vals = grid.eval_coeffs(u, "val")
-        nodal = np.zeros_like(vals)
+        nodal = cfg.source.antiderivative(vals)
         if cfg.kappa != 0.0:
-            nodal = nodal + 0.5 * cfg.kappa * np.maximum(vals, 0.0) ** 2
-        if not cfg.source.is_zero:
-            nodal = nodal + cfg.source.antiderivative(vals)
-        out += grid.integrate(nodal)
+            nodal += 0.5 * cfg.kappa * np.maximum(vals, 0.0) ** 2
+        out = out + grid.integrate(nodal)
     return out
 
 
 def split_potential(u, ops: DiscreteOperators, cfg: PlateConfig,
-                    cert: SourceCertificate) -> tuple[float, float]:
+                    cert: SourceCertificate):
     """(Pi0, Pi1) with Pi0 + Pi1 = Pi exactly and Pi0 >= 0 asserted.
 
+    Takes one state or a snapshot stack, like `potential_energy`.
     Raises EnergyError when Pi0 comes out negative beyond roundoff,
     which signals that the certified (c, b) are insufficient and need
     refitting with larger constants.
     """
+    return split_from_potential(potential_energy(u, ops, cfg), u, ops, cfg, cert)
+
+
+def split_from_potential(pi, u, ops: DiscreteOperators, cfg: PlateConfig,
+                         cert: SourceCertificate):
+    """`split_potential` for a Pi already evaluated at u; checks every row."""
     pad, _ = potential_split_pad(cfg)
-    u = np.asarray(u, dtype=float)
-    pi = potential_energy(u, ops, cfg)
     pi1 = -cert.c * ops.l2_norm_sq(u) - (cert.b * cfg.dom.area + pad)
     pi0 = pi - pi1
-    if pi0 < -1e-9 * (1.0 + abs(pi)):
+    if np.any(pi0 < -1e-9 * (1.0 + np.abs(pi))):
         raise EnergyError(
-            f"Pi0 = {pi0:.6g} < 0: certified (c, b) = ({cert.c}, {cert.b}) "
+            f"Pi0 = {np.min(pi0):.6g} < 0: certified (c, b) = ({cert.c}, {cert.b}) "
             "are insufficient; refit the source certificate with larger constants")
     return pi0, pi1
 
 
 def total_energy(u, v, ops: DiscreteOperators, cfg: PlateConfig,
-                 cert: SourceCertificate) -> tuple[float, float]:
-    """(E, Etot): positive energy and total energy of a state."""
+                 cert: SourceCertificate):
+    """(E, Etot): positive energy and total energy of a state or a stack."""
     kin = 0.5 * ops.l2_norm_sq(v)
     bend = 0.5 * ops.bending_norm_sq(u)
     pi0, pi1 = split_potential(u, ops, cfg, cert)
@@ -202,11 +205,11 @@ def sandwich_constants(ops: DiscreteOperators, cfg: PlateConfig,
 def fit_sandwich_constant(states, ops: DiscreteOperators, cfg: PlateConfig,
                           cert: SourceCertificate, eta_tilde: float = 0.25) -> SandwichConstants:
     """Empirical alternative: sup over sample states of |Pi1| - eta~ (a + Pi0)."""
-    worst = 0.0
-    for u in states:
-        pi0, pi1 = split_potential(u, ops, cfg, cert)
-        worst = max(worst, abs(pi1) - eta_tilde * (ops.bending_norm_sq(u) + pi0))
-    return SandwichConstants(eta_tilde=eta_tilde, C=worst, mode="fitted")
+    us = np.asarray(states, dtype=float)
+    pi0, pi1 = split_potential(us, ops, cfg, cert)
+    excess = np.abs(pi1) - eta_tilde * (ops.bending_norm_sq(us) + pi0)
+    return SandwichConstants(eta_tilde=eta_tilde, C=max(0.0, float(np.max(excess))),
+                             mode="fitted")
 
 
 def sandwich_bounds(E: float, sc: SandwichConstants) -> tuple[float, float]:

@@ -67,12 +67,6 @@ class Trajectory:
     def state(self, i: int) -> State:
         return State(self.us[i].copy(), self.vs[i].copy(), float(self.times[i]))
 
-    def state_norm_sq(self, ops: DiscreteOperators) -> np.ndarray:
-        out = np.empty(len(self.times))
-        for i in range(len(self.times)):
-            out[i] = ops.state_norm_sq(self.us[i], self.vs[i])
-        return out
-
 
 class SolverCache:
     """Per-(config, dt) factorisation reused across steps."""
@@ -315,18 +309,10 @@ def _flush_partial(path, times, us, vs, ops, plan) -> None:
 
 
 def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:
-    m = len(times)
-    kin = np.empty(m)
-    bend = np.empty(m)
-    pi = np.empty(m)
-    pi0 = np.empty(m)
-    pi1 = np.empty(m)
-    for i in range(m):
-        kin[i] = 0.5 * ops.l2_norm_sq(vs[i])
-        bend[i] = 0.5 * ops.bending_norm_sq(us[i])
-        pi[i] = energy_mod.potential_energy(us[i], ops, cfg)
-        p0, p1 = energy_mod.split_potential(us[i], ops, cfg, cert)
-        pi0[i], pi1[i] = p0, p1
+    kin = 0.5 * ops.l2_norm_sq(vs)
+    bend = 0.5 * ops.bending_norm_sq(us)
+    pi = energy_mod.potential_energy(us, ops, cfg)
+    pi0, pi1 = energy_mod.split_from_potential(pi, us, ops, cfg, cert)
     E = kin + bend + pi0
     Etot = E + pi1
     residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])

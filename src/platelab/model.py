@@ -186,6 +186,11 @@ def damping_gain(s: float, cfg: PlateConfig) -> float:
     return acc
 
 
+def damping_gains(speeds: np.ndarray, cfg: PlateConfig) -> np.ndarray:
+    """g at each of an array of speeds >= 0, by the Horner order of damping_gain."""
+    return np.polyval(cfg.damping_coeffs[::-1], speeds)
+
+
 def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
     """Tested damping D(v): g(||v||_0) M v.  Monotone since all b_j >= 0."""
     v = np.asarray(v, dtype=float)
@@ -269,13 +274,13 @@ def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
 
 
 def _weighted_gram(grid: QuadGrid, nodal_weight: np.ndarray) -> np.ndarray:
-    """Gram (w phi_i, phi_j) with nodal weight w, via factored tables."""
-    C = grid.weights_2d() * nodal_weight
-    U = np.einsum("ma,na->mna", grid.sx, grid.sx)
-    V = np.einsum("kb,qb->kqb", grid.ly, grid.ly)
-    T = np.einsum("mna,ab,kqb->mknq", U, C, V)
-    n = grid.basis.n
-    return T.reshape(n, n)
+    """Gram (w phi_i, phi_j) with nodal weight w: two matmuls, over the
+    products sin(m x) sin(m' x), then over P_k(y) P_k'(y)."""
+    Mx, Ny = grid.basis.Mx, grid.basis.Ny
+    sxx = (grid.sx[:, None, :] * grid.sx[None, :, :]).reshape(Mx * Mx, -1)
+    lyy = (grid.ly[:, None, :] * grid.ly[None, :, :]).reshape(Ny * Ny, -1)
+    T = (sxx @ (grid.weights_2d() * nodal_weight)) @ lyy.T     # [(m, m'), (k, k')]
+    return T.reshape(Mx, Mx, Ny, Ny).transpose(0, 2, 1, 3).reshape(grid.basis.n, -1)
 
 
 # ---------------------------------------------------------------------------

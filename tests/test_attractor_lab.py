@@ -43,6 +43,41 @@ class TestSweep:
         rep = dissipativity_sweep(ops12, cfg, plan)
         assert rep.verdict == "FAIL"
 
+    @staticmethod
+    def preset(name, dom):
+        from platelab import presets
+        from platelab.discretization import make_operators
+
+        cfg, (mx, ny), oversample, _, _ = presets.make(name)
+        return cfg, make_operators(mx, ny, dom, oversample)
+
+    def test_point_attractor_passes(self, dom):
+        # every bound decays toward zero, so their relative spread is
+        # large, but each tested ball ends inside the smallest one
+        cfg, ops = self.preset("point", dom)
+        plan = SweepPlan(radii=(1.0, 5.0, 25.0), samples_per_radius=1, T=20.0)
+        rep = dissipativity_sweep(ops, cfg, plan)
+        assert rep.spread > 0.25
+        assert rep.R0 < 1.0
+        assert rep.verdict == "PASS"
+
+    def test_conservative_plate_fails(self, dom):
+        # undamped: each tail bound stays near its initial radius
+        cfg, ops = self.preset("conservative", dom)
+        plan = SweepPlan(radii=(1.0, 5.0, 25.0), samples_per_radius=1, T=5.0)
+        rep = dissipativity_sweep(ops, cfg, plan)
+        assert rep.R0 >= 1.0
+        assert rep.verdict == "FAIL"
+
+    def test_worker_count_never_changes_output(self, ops12):
+        cfg = cfg_with(**DAMPED)
+        plan = SweepPlan(radii=(0.5, 2.0), samples_per_radius=2, T=2.0,
+                         dt=4e-3, snapshot_every=10, seed=3)
+        serial = dissipativity_sweep(ops12, cfg, plan, threads=1)
+        pooled = dissipativity_sweep(ops12, cfg, plan, threads=2)
+        for field in ("tail_sups", "radius_bounds", "R0", "spread", "verdict"):
+            assert getattr(serial, field) == getattr(pooled, field), field
+
     def test_zero_radius_stays_bounded(self, ops12):
         cfg = cfg_with(alpha=0.0, delta=1.0, beta=0.0, kappa=0.0,
                        damping_coeffs=(1.0, 0.0))
@@ -166,6 +201,49 @@ class TestCorrelationDimension:
         traj = Trajectory(times=times, us=us, vs=vs, ledger=None, meta={})
         rep = correlation_dimension(traj, ops12)
         assert all(est == 0.0 for est in rep.estimates)
+
+
+class TestGrassbergerProcaccia:
+    @staticmethod
+    def orbit(n_points, embed=4, seed=0):
+        """Noisy quasi-periodic curve, one frequency per coordinate."""
+        t = np.linspace(0.0, 60.0, n_points)
+        rng = np.random.default_rng(seed)
+        cols = [np.cos((1.0 + 0.37 * j) * t + j) for j in range(embed)]
+        return np.stack(cols, axis=1) + 1e-3 * rng.standard_normal((n_points, embed))
+
+    def test_estimate_matches_broadcast_oracle(self):
+        from platelab.attractor_lab import _gp_estimate, _ls_slope
+
+        X = self.orbit(600)
+        theiler = 20
+        # every pair distance at once, then the pairs > theiler rows apart
+        D = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
+        i, j = np.triu_indices(len(X), k=theiler + 1)
+        dists = D[i, j]
+        pos = dists[dists > 0]
+        rs = np.geomspace(np.quantile(pos, 0.02), np.quantile(pos, 0.4), 12)
+        log_c = np.log([np.mean(dists < r) for r in rs])
+        oracle = max(0.0, _ls_slope(np.log(rs), log_c))
+        assert oracle > 0.5
+        assert _gp_estimate(X, theiler, 1.0) == pytest.approx(oracle, rel=1e-5)
+
+    def test_peak_memory_linear_in_pairs(self, ops12):
+        import tracemalloc
+
+        n_points = 2000
+        c = self.orbit(n_points, embed=ops12.n)
+        us = c @ ops12.phi.T
+        traj = Trajectory(times=np.linspace(0.0, 1.0, n_points), us=us,
+                          vs=np.zeros_like(us), ledger=None, meta={})
+        tracemalloc.start()
+        try:
+            correlation_dimension(traj, ops12, tail_fraction=1.0,
+                                  min_points=n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n_points ** 2
 
 
 class TestRegularity:

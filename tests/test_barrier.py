@@ -250,6 +250,16 @@ class TestDecayAudit:
         audit = bar.decay_audit(traj, ops12, cfg, cert, bc)
         assert audit.violations == 0
 
+    def test_lhs_matches_per_snapshot_lyapunov(self, ops12, fitted_setup):
+        # the audit evaluates V_eps on the whole snapshot stack at once
+        cfg, cert, traj, bc = fitted_setup
+        audit = bar.decay_audit(traj, ops12, cfg, cert, bc)
+        V = np.array([bar.lyapunov_value(u, v, audit.eps, ops12, cfg, cert)
+                      for u, v in zip(traj.us, traj.vs)])
+        ref = np.gradient(V, traj.times) + audit.eps * V
+        np.testing.assert_allclose(audit.lhs, ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
     def test_oversized_eps_flagged(self, ops12, fitted_setup):
         cfg, cert, traj, bc = fitted_setup
         # force an eps far beyond 1/sigma: the bracket must turn positive

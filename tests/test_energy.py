@@ -221,3 +221,68 @@ class TestPhaseNormConsistency:
         two_way = a_direct + v_direct
         matrix = ops3.state_norm_sq(u, v)
         assert abs(two_way - matrix) < 1e-10 * max(1.0, matrix)
+
+
+class TestSnapshotStacks:
+    """The norms and energies of a snapshot stack (m, n) are computed in one
+    call; each row must agree with the single-state call on that row."""
+
+    @pytest.fixture(scope="class")
+    def general(self, ops12):
+        from platelab import presets
+        from platelab.integrator import SimPlan, run
+
+        cfg, _, _, _, initial = presets.make("general")
+        cert = certify_source(cfg)
+        traj = run(ops12, cfg, SimPlan(dt=1e-3, T=0.5, snapshot_every=10, seed=3),
+                   initial, cert)
+        return cfg, cert, traj
+
+    def test_ledger_matches_per_snapshot_calls(self, ops12, general):
+        cfg, cert, traj = general
+        led = traj.ledger
+        rows = [(potential_energy(u, ops12, cfg), *split_potential(u, ops12, cfg, cert),
+                 *total_energy(u, v, ops12, cfg, cert)) for u, v in zip(traj.us, traj.vs)]
+        pi, pi0, pi1, E, etot = np.array(rows).T
+        for column, ref in ((led.Pi, pi), (led.Pi0, pi0), (led.Pi1, pi1),
+                            (led.E, E), (led.Etot, etot)):
+            np.testing.assert_allclose(column, ref, rtol=1e-12, atol=0.0)
+
+    def test_rows_bit_identical_to_single_calls(self, ops12, general):
+        cfg, cert, traj = general
+        us, vs = traj.us, traj.vs
+        stacked = {
+            "l2": ops12.l2_norm_sq(vs),
+            "bending": ops12.bending_norm_sq(us),
+            "state": ops12.state_norm_sq(us, vs),
+            "modal": ops12.modal_coords(us),
+            "Pi": potential_energy(us, ops12, cfg),
+            "Pi0": split_potential(us, ops12, cfg, cert)[0],
+            "Etot": total_energy(us, vs, ops12, cfg, cert)[1],
+        }
+        for i in (0, len(traj) // 2, len(traj) - 1):
+            u, v = us[i], vs[i]
+            single = {
+                "l2": ops12.l2_norm_sq(v),
+                "bending": ops12.bending_norm_sq(u),
+                "state": ops12.state_norm_sq(u, v),
+                "modal": ops12.modal_coords(u),
+                "Pi": potential_energy(u, ops12, cfg),
+                "Pi0": split_potential(u, ops12, cfg, cert)[0],
+                "Etot": total_energy(u, v, ops12, cfg, cert)[1],
+            }
+            for name, value in single.items():
+                assert np.array_equal(stacked[name][i], value), name
+
+    def test_negative_pi0_in_any_row_raises(self, ops12):
+        # a certificate with c = b = 0 cannot cover the negative source
+        # integral of a large displacement; one bad row fails the stack
+        from platelab.model import SourceCertificate
+
+        cfg = cfg_with(source=SourceSpec(kind="cubic_minus_load", load=1.0))
+        weak = SourceCertificate(ok=True, c=0.0, b=0.0)
+        u_bad = np.zeros(ops12.n)
+        u_bad[0] = 0.5
+        stack = np.array([np.zeros(ops12.n), u_bad])
+        with pytest.raises(EnergyError):
+            split_potential(stack, ops12, cfg, weak)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platelab.model import (ModelError, PlateConfig, SourceSpec,
+from platelab.model import (ModelError, PlateConfig, SourceSpec, _weighted_gram,
                             berger_coefficient, certify_source, damping_gain,
-                            damping_load, force_jacobian, force_load,
-                            nonconservative_load, solve_stationary)
+                            damping_gains, damping_load, force_jacobian,
+                            force_load, nonconservative_load, solve_stationary)
 from platelab.energy import potential_energy
 
 from conftest import random_coeffs
@@ -27,6 +27,12 @@ class TestDampingGain:
     def test_polynomial_value(self):
         cfg = cfg_with(damping_coeffs=(1.0, 0.0, 2.0))
         assert damping_gain(3.0, cfg) == 1.0 + 2.0 * 9.0
+
+    def test_array_form_matches_scalar_bits(self):
+        cfg = cfg_with(damping_coeffs=(0.5, 0.0, 1.0, 0.25))
+        speeds = np.linspace(0.0, 7.0, 29)
+        expected = [damping_gain(float(s), cfg) for s in speeds]
+        assert np.array_equal(damping_gains(speeds, cfg), expected)
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ModelError):
@@ -209,6 +215,14 @@ class TestStationary:
         res = solve_stationary(cfg, ops12, guess)
         balance = ops12.K @ res.u - force_load(res.u, ops12, cfg)
         assert np.linalg.norm(balance) == pytest.approx(res.residual, abs=1e-15)
+
+    def test_weighted_gram_matches_direct_quadrature(self, ops12, rng):
+        grid = ops12.grid
+        w = rng.standard_normal((grid.x_nodes.size, grid.y_nodes.size))
+        phi = grid.basis_tables()["phi"]
+        direct = np.einsum("iab,ab,jab->ij", phi, grid.weights_2d() * w, phi)
+        assert np.max(np.abs(_weighted_gram(grid, w) - direct)) \
+            <= 1e-13 * np.max(np.abs(direct))
 
     def test_jacobian_matches_finite_differences(self, ops12):
         cfg = cfg_with(alpha=0.5, delta=1.0, kappa=2.0, beta=0.7,
