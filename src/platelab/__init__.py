@@ -11,7 +11,7 @@ from .model import (PlateConfig, SourceSpec, State, berger_coefficient,
 from .energy import (EnergyLedger, energy_identity_residual, interpolation_gap,
                      poincare_ratio, potential_energy, sandwich_constants,
                      split_potential, total_energy)
-from .integrator import SimPlan, Trajectory, initial_state, run, step
+from .integrator import SimPlan, Trajectory, initial_state, run, run_ensemble, step
 from .barrier import (BarrierConstants, balance_function, balancing_check,
                       damping_growth_exponent, decay_audit, decay_rate_at_energy,
                       fit_barrier_constants, lyapunov_value, solve_barrier_scale,

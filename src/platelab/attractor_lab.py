@@ -1,20 +1,19 @@
 """Long-time-behavior experiments: absorption, pair squeezing, dimension.
 
 Every driver is deterministic given its seed, aggregates results in a
-fixed order (so worker count never changes output), and reports verdicts
+fixed order, and reports verdicts
 plus the fitted constants that produced them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import DiscreteOperators
-from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run
+from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
 from .model import (PlateConfig, SourceCertificate, certify_source,
                     damping_gains, force_load, solve_stationary)
 
@@ -46,6 +45,9 @@ class SweepPlan:
             raise ExperimentError(f"radii must be nonnegative and increasing: {self.radii}")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ExperimentError(f"tail_fraction must lie in (0,1): {self.tail_fraction}")
+        if self.samples_per_radius < 1:
+            raise ExperimentError(
+                f"samples_per_radius must be >= 1, got {self.samples_per_radius}")
 
     def sim_plan(self, seed: int) -> SimPlan:
         return SimPlan(dt=self.dt, T=self.T, snapshot_every=self.snapshot_every,
@@ -71,41 +73,51 @@ def _tail_norm_sup(traj: Trajectory, ops: DiscreteOperators, tail_fraction: floa
     return float(np.max(norms[mask]))
 
 
-def _sweep_worker(args):
-    ops, cfg, plan, radius_idx, sample_idx = args
-    seed = _sample_seed(plan.seed, radius_idx, sample_idx)
-    radius = plan.radii[radius_idx]
-    try:
-        traj = run(ops, cfg, plan.sim_plan(seed), ("random", radius))
-    except IntegratorError as exc:
-        return radius_idx, sample_idx, None, str(exc)
-    return radius_idx, sample_idx, _tail_norm_sup(traj, ops, plan.tail_fraction), ""
+def _random_start(ops, cfg, base_seed: int, radius: float, radius_idx: int,
+                  sample_idx: int):
+    return initial_state(("random", radius), ops, cfg,
+                         _sample_seed(base_seed, radius_idx, sample_idx))
+
+
+def _finished(results: list) -> list[Trajectory]:
+    """The trajectories of run_ensemble, or its first failure in member order."""
+    for res in results:
+        if isinstance(res, IntegratorError):
+            raise res
+    return results
 
 
 def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
                         threads: int = 1) -> SweepReport:
     """Tail sup of the phase-space norm per initial radius.
 
+    All radius x sample members advance in this process as one ensemble;
+    threads is accepted for compatibility and ignored.  A member whose
+    step fails counts as a blow-up, and so does every member when the
+    integrator cannot be set up.
+
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or
     their largest, R0, is below the smallest positive initial radius, so
     every tested ball ends inside the smallest one (a point attractor).
     """
-    jobs = [(ops, cfg, plan, i, j)
-            for i in range(len(plan.radii)) for j in range(plan.samples_per_radius)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(j) for j in jobs]
+    members = [(i, j) for i in range(len(plan.radii))
+               for j in range(plan.samples_per_radius)]
+    starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
+    try:
+        results = run_ensemble(ops, cfg, plan.sim_plan(plan.seed), starts)
+    except IntegratorError:
+        # the set-up failed (time step too large, source not certified):
+        # no member can be advanced
+        results = [None] * len(members)
 
     sups = [[math.nan] * plan.samples_per_radius for _ in plan.radii]
     blowups = []
-    for radius_idx, sample_idx, sup, msg in results:
-        if sup is None:
-            blowups.append((radius_idx, sample_idx))
+    for (radius_idx, sample_idx), res in zip(members, results):
+        if isinstance(res, Trajectory):
+            sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
         else:
-            sups[radius_idx][sample_idx] = sup
+            blowups.append((radius_idx, sample_idx))
     bounds = [max(row) if not any(map(math.isnan, row)) else math.inf for row in sups]
     finite = [b for b in bounds if math.isfinite(b)]
     if blowups or not finite:
@@ -140,11 +152,12 @@ def absorbing_time(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
     sample that never settles inside reports +inf and its trajectory is
     retained in the report.
     """
+    starts = [_random_start(ops, cfg, plan.seed, radius, 0, j)
+              for j in range(plan.samples_per_radius)]
+    trajs = _finished(run_ensemble(ops, cfg, plan.sim_plan(plan.seed), starts))
     entries = []
     retained = []
-    for j in range(plan.samples_per_radius):
-        seed = _sample_seed(plan.seed, 0, j)
-        traj = run(ops, cfg, plan.sim_plan(seed), ("random", radius))
+    for j, traj in enumerate(trajs):
         norms = np.sqrt(ops.state_norm_sq(traj.us, traj.vs))
         inside = norms <= R0
         if inside.all():
@@ -192,10 +205,7 @@ def quasistability_pair(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     rule declines to certify.
     """
     cert = cert or certify_source(cfg)
-    s1 = initial_state(y1, ops, cfg, plan.seed)
-    s2 = initial_state(y2, ops, cfg, plan.seed)
-    t1 = run(ops, cfg, plan, s1, cert)
-    t2 = run(ops, cfg, plan, s2, cert)
+    t1, t2 = _finished(run_ensemble(ops, cfg, plan, [y1, y2], cert))
     times = t1.times
     m = len(times)
     du = t1.us - t2.us
@@ -376,7 +386,7 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     us, vs = traj.us[half], traj.vs[half]
     sp2 = ops.l2_norm_sq(vs)
     gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
-    rhs = (np.array([force_load(u, ops, cfg) for u in us]) - us @ ops.K
+    rhs = (force_load(us, ops, cfg) - us @ ops.K
            - gain[:, None] * (vs @ ops.M))
     sv = ops.bending_norm_sq(vs)
     sa = ops.l2_norm_sq(np.linalg.solve(ops.M, rhs.T).T)
@@ -430,13 +440,12 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
     if cfg.b0 <= 0.0:
         return StationaryReport(samples=[], verdict="SKIPPED",
                                 note="b_0 = 0: damping degenerate at rest")
-    cert = certify_source(cfg)
+    seeds = [_sample_seed(plan.seed, 7, j) for j in range(samples)]
+    starts = [initial_state(("random", radius), ops, cfg, seed) for seed in seeds]
+    sim = SimPlan(dt=plan.dt, T=plan.T, snapshot_every=plan.snapshot_every, seed=plan.seed)
+    trajs = _finished(run_ensemble(ops, cfg, sim, starts, certify_source(cfg)))
     out = []
-    for j in range(samples):
-        seed = _sample_seed(plan.seed, 7, j)
-        traj = run(ops, cfg, SimPlan(dt=plan.dt, T=plan.T,
-                                     snapshot_every=plan.snapshot_every, seed=seed),
-                   ("random", radius), cert)
+    for seed, traj in zip(seeds, trajs):
         uT, vT = traj.us[-1], traj.vs[-1]
         speed = math.sqrt(max(ops.l2_norm_sq(vT), 0.0))
         res = solve_stationary(cfg, ops, uT, tol=newton_tol)

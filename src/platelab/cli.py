@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="config file path")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="ignored: the sweep advances its samples as one ensemble")
         sp.add_argument("--plots", action="store_true", help="emit SVG plots")
         sp.add_argument("--overwrite", action="store_true",
                         help="allow writing into a non-empty output directory")
@@ -129,21 +129,23 @@ def cmd_simulate(args) -> int:
 def _sweep_plan(parsed: ParsedConfig) -> attractor_lab.SweepPlan:
     floats = lambda raw: tuple(float(t) for t in raw.split())
     sec = parsed.sections
-    return attractor_lab.SweepPlan(
-        radii=section_get(sec, "sweep", "radii", floats, (1.0, 5.0, 25.0)),
-        samples_per_radius=section_get(sec, "sweep", "samples_per_radius", int, 3),
-        T=section_get(sec, "sweep", "t", float, 80.0),
-        tail_fraction=section_get(sec, "sweep", "tail_fraction", float, 0.5),
-        seed=parsed.plan.seed,
-        dt=section_get(sec, "sweep", "dt", float, 2e-3),
-        snapshot_every=section_get(sec, "sweep", "snapshot_every", int, 10))
+    try:
+        return attractor_lab.SweepPlan(
+            radii=section_get(sec, "sweep", "radii", floats, (1.0, 5.0, 25.0)),
+            samples_per_radius=section_get(sec, "sweep", "samples_per_radius", int, 3),
+            T=section_get(sec, "sweep", "t", float, 80.0),
+            tail_fraction=section_get(sec, "sweep", "tail_fraction", float, 0.5),
+            seed=parsed.plan.seed,
+            dt=section_get(sec, "sweep", "dt", float, 2e-3),
+            snapshot_every=section_get(sec, "sweep", "snapshot_every", int, 10))
+    except attractor_lab.ExperimentError as exc:
+        raise ConfigError([f"[sweep]: {exc}"]) from exc
 
 
 def cmd_sweep(args) -> int:
     parsed, ops, out, chash = _prepare(args, "sweep")
     plan = _sweep_plan(parsed)
-    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, plan,
-                                               threads=max(1, args.threads))
+    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, plan)
     rows = []
     for i, r in enumerate(report.radii):
         for j, sup in enumerate(report.tail_sups[i]):

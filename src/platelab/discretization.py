@@ -124,6 +124,13 @@ class QuadGrid:
     ly: np.ndarray = field(repr=False)
     dly: np.ndarray = field(repr=False)
     d2ly: np.ndarray = field(repr=False)
+    # outer product of the 1-D weights, built once (read-only)
+    _w2d: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w2d = np.outer(self.x_weights, self.y_weights)
+        w2d.setflags(write=False)
+        object.__setattr__(self, "_w2d", w2d)
 
     @property
     def weight_sum(self) -> float:
@@ -134,7 +141,7 @@ class QuadGrid:
         return self.x_nodes.size * self.y_nodes.size
 
     def weights_2d(self) -> np.ndarray:
-        return np.outer(self.x_weights, self.y_weights)
+        return self._w2d
 
     def eval_coeffs(self, coeffs, which: str = "val") -> np.ndarray:
         """Nodal values of the field (or a derivative) on the (nx, ny) grid.
@@ -157,15 +164,16 @@ class QuadGrid:
     def project(self, values: np.ndarray) -> np.ndarray:
         """Inner products (values, phi_i) for all basis functions.
 
-        `values` has shape (nx, ny); returns a length-n load vector.
+        `values` has shape (nx, ny); returns a length-n load vector.  A
+        stack of grids (m, nx, ny) gives a stack of load vectors (m, n).
         """
-        w = self.weights_2d() * values
-        return (self.sx @ w @ self.ly.T).ravel()
+        w = self._w2d * values
+        return (self.sx @ w @ self.ly.T).reshape(values.shape[:-2] + (-1,))
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal values (nx, ny), or per grid of a stack (m, nx, ny)."""
         flat = values.reshape(values.shape[:-2] + (-1,))
-        return np.vecdot(flat, self.weights_2d().ravel())
+        return np.vecdot(flat, self._w2d.ravel())
 
     def basis_tables(self) -> dict[str, np.ndarray]:
         """Full per-basis nodal tables (n, nx, ny); intended for oracle tests."""

@@ -77,10 +77,15 @@ def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
     ux_sq = bilinear_form(ops.Gx, u, u)
     out = -0.5 * cfg.alpha * ux_sq + 0.25 * cfg.delta * ux_sq ** 2
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
+        # at most two grid-sized arrays: the nodal values, then reused in
+        # place for the stay term, and the antiderivative
         vals = grid.eval_coeffs(u, "val")
         nodal = cfg.source.antiderivative(vals)
         if cfg.kappa != 0.0:
-            nodal += 0.5 * cfg.kappa * np.maximum(vals, 0.0) ** 2
+            np.maximum(vals, 0.0, out=vals)
+            vals *= vals
+            vals *= 0.5 * cfg.kappa
+            nodal += vals
         out = out + grid.integrate(nodal)
     return out
 

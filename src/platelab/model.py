@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import DiscreteOperators, DomainSpec, QuadGrid
+from .discretization import DiscreteOperators, DomainSpec, QuadGrid, bilinear_form
 
 
 class ModelError(ValueError):
@@ -63,7 +63,10 @@ class SourceSpec:
         if self.kind == "zero":
             return np.zeros_like(s)
         if self.kind == "cubic_minus_load":
-            return s ** 3 - self.load
+            out = s * s             # products: pow takes a slow path on negative bases
+            out *= s
+            out -= self.load
+            return out
         return self._spline()(s)
 
     def f_prime(self, s):
@@ -80,7 +83,12 @@ class SourceSpec:
         if self.kind == "zero":
             return np.zeros_like(s)
         if self.kind == "cubic_minus_load":
-            return s ** 4 / 4.0 - self.load * s
+            out = s * s             # s (s^3/4 - load), in place: one new array
+            out *= s
+            out /= 4.0
+            out -= self.load
+            out *= s
+            return out
         anti = self._spline().antiderivative()
         return anti(s) - anti(0.0)
 
@@ -154,7 +162,8 @@ class PlateConfig:
 
 @dataclass
 class State:
-    """Phase-space point: modal displacement u, velocity v, clock t."""
+    """Phase-space point: modal displacement u, velocity v, clock t; or a
+    member stack of them, u and v of shape (S, n), at the common clock t."""
 
     u: np.ndarray
     v: np.ndarray
@@ -180,15 +189,22 @@ def damping_gain(s: float, cfg: PlateConfig) -> float:
     """g(s) = sum_j b_j s^j for s >= 0; nondecreasing, g(0) = b_0."""
     if s < 0:
         raise ModelError(f"damping gain argument must be >= 0, got {s}")
-    acc = 0.0
-    for b in reversed(cfg.damping_coeffs):
-        acc = acc * s + b
-    return acc
+    return horner(cfg.damping_coeffs, s)
 
 
 def damping_gains(speeds: np.ndarray, cfg: PlateConfig) -> np.ndarray:
-    """g at each of an array of speeds >= 0, by the Horner order of damping_gain."""
-    return np.polyval(cfg.damping_coeffs[::-1], speeds)
+    """g at each of an array of speeds >= 0, with damping_gain's bits."""
+    return horner(cfg.damping_coeffs, speeds)
+
+
+def horner(coeffs, x):
+    """sum_j coeffs[j] x^j for x >= 0, a float or an array (coeffs nonempty),
+    in Horner order; a zero coefficient adds nothing, which for x >= 0 and
+    coeffs >= 0 changes no bit."""
+    *low, acc = coeffs
+    for b in reversed(low):
+        acc = acc * x + b if b else acc * x
+    return acc
 
 
 def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
@@ -202,23 +218,23 @@ def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.
 # force load
 # ---------------------------------------------------------------------------
 
-def berger_coefficient(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> float:
-    """Effective axial coefficient alpha - delta ||u_x||_0^2."""
-    u = np.asarray(u, dtype=float)
-    return cfg.alpha - cfg.delta * float(u @ ops.Gx @ u)
+def berger_coefficient(u, ops: DiscreteOperators, cfg: PlateConfig):
+    """Effective axial coefficient alpha - delta ||u_x||_0^2, per row of a stack."""
+    return cfg.alpha - cfg.delta * bilinear_form(ops.Gx, u, u)
 
 
 def _pointwise_load(u, ops: DiscreteOperators, cfg: PlateConfig,
                     grid: QuadGrid) -> np.ndarray:
     """(kappa u^+ + f0(u), phi_i) via nodal evaluation, with overflow check."""
     vals = grid.eval_coeffs(u, "val")
-    nodal = np.zeros_like(vals)
-    if cfg.kappa != 0.0:
-        nodal = nodal + cfg.kappa * np.maximum(vals, 0.0)
-    if not cfg.source.is_zero:
-        nodal = nodal + cfg.source.f(vals)
+    if cfg.source.is_zero:
+        nodal = cfg.kappa * np.maximum(vals, 0.0)
+    else:
+        nodal = cfg.source.f(vals)
+        if cfg.kappa != 0.0:
+            nodal += cfg.kappa * np.maximum(vals, 0.0)
     if not np.all(np.isfinite(nodal)):
-        ii, jj = np.argwhere(~np.isfinite(nodal))[0]
+        ii, jj = np.argwhere(~np.isfinite(nodal))[0][-2:]
         raise ModelError(
             "source evaluation overflowed at node "
             f"(x={grid.x_nodes[ii]:.6g}, y={grid.y_nodes[jj]:.6g})")
@@ -231,15 +247,16 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
 
     F(u) = -[(alpha - delta ||u_x||^2) u_xx + kappa u^+ + f0(u) + beta u_y];
     the Berger term is integrated by parts onto Gx (the boundary term
-    vanishes on the short edges where phi = 0).
+    vanishes on the short edges where phi = 0).  Takes one state (n,) or a
+    member stack (S, n); each row has the bits of the single-state call.
     """
     grid = grid or ops.grid
     u = np.asarray(u, dtype=float)
-    out = berger_coefficient(u, ops, cfg) * (ops.Gx @ u)
+    out = berger_coefficient(u, ops, cfg)[..., None] * np.matvec(ops.Gx, u)
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        out = out - _pointwise_load(u, ops, cfg, grid)
+        out -= _pointwise_load(u, ops, cfg, grid)
     if cfg.beta != 0.0:
-        out = out - cfg.beta * (ops.Dy.T @ u)
+        out -= cfg.beta * np.vecmat(u, ops.Dy)
     return out
 
 

@@ -78,6 +78,35 @@ class TestSweep:
         for field in ("tail_sups", "radius_bounds", "R0", "spread", "verdict"):
             assert getattr(serial, field) == getattr(pooled, field), field
 
+    def test_failed_member_is_a_blowup(self, dom):
+        # undamped flutter: the radius-150 member's fixed point stops
+        # converging; the radius-0.5 member keeps the bits it has alone
+        from platelab.discretization import make_operators
+
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(0.0, 0.0))
+        base = dict(samples_per_radius=1, T=2.0, dt=0.02, snapshot_every=5)
+        rep = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.5, 150.0), **base))
+        alone = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.5,), **base))
+        assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
+        assert rep.tail_sups[0] == alone.tail_sups[0]
+
+    def test_setup_failure_blows_up_every_member(self, dom):
+        # buckling load alpha = 3 puts a mode at stiffness -2; dt = 3 is too
+        # large for it, so the integrator cannot even be set up
+        from platelab.discretization import make_operators
+        from platelab.integrator import IntegratorError
+
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(alpha=3.0, delta=1.0, damping_coeffs=(1.0, 0.0))
+        plan = SweepPlan(radii=(1.0, 2.0), samples_per_radius=2, T=6.0, dt=3.0,
+                         snapshot_every=1)
+        with pytest.raises(IntegratorError, match="time step too large"):
+            run(ops, cfg, plan.sim_plan(0), ("random", 1.0))
+        rep = dissipativity_sweep(ops, cfg, plan)
+        assert rep.blowups == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert rep.verdict == "FAIL"
+
     def test_zero_radius_stays_bounded(self, ops12):
         cfg = cfg_with(alpha=0.0, delta=1.0, beta=0.0, kappa=0.0,
                        damping_coeffs=(1.0, 0.0))
@@ -98,6 +127,8 @@ class TestSweep:
             SweepPlan(radii=(3.0, 1.0))
         with pytest.raises(ExperimentError):
             SweepPlan(tail_fraction=1.5)
+        with pytest.raises(ExperimentError):
+            SweepPlan(samples_per_radius=0)
 
 
 class TestAbsorbingTime:

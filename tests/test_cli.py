@@ -143,6 +143,12 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_bad_sweep_section_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "[sweep]\nsamples_per_radius = 0\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                     "--threads", "1"]) == 2
+        assert "samples_per_radius must be >= 1" in capsys.readouterr().err
+
     def test_sweep_verdict_fail_exit_code(self, tmp_path):
         # undamped with a flow term: growth, no single ultimate bound
         text = """

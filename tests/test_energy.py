@@ -274,6 +274,21 @@ class TestSnapshotStacks:
             for name, value in single.items():
                 assert np.array_equal(stacked[name][i], value), name
 
+    def test_potential_holds_at_most_two_grids(self, ops12, general):
+        # the nodal values and the antiderivative, with no temporaries
+        import tracemalloc
+
+        cfg, _, _ = general
+        us = np.random.default_rng(1).standard_normal((2000, ops12.n))
+        grid_bytes = us.shape[0] * ops12.grid.n_nodes * 8
+        tracemalloc.start()
+        try:
+            potential_energy(us, ops12, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * grid_bytes
+
     def test_negative_pi0_in_any_row_raises(self, ops12):
         # a certificate with c = b = 0 cannot cover the negative source
         # integral of a large displacement; one bad row fails the stack

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
-                                 initial_state, run, solve_midpoint_speed, step)
+                                 initial_state, run, run_ensemble, solve_midpoint_speed,
+                                 step)
 from platelab.model import PlateConfig, SourceSpec, damping_gain
+from platelab.reporting import load_trajectory
 
 
 def cfg_with(**kw):
@@ -119,6 +121,21 @@ class TestSpeedSolve:
         undamped_norm = float(np.linalg.norm(r / (cache.base + 0.5)))
         assert rho < undamped_norm  # overdamping shrinks the speed
 
+    def test_stack_rows_match_single_solves(self, ops12):
+        # each row stops at its own tolerance, so a row of the stacked solve
+        # has the bits of the single solve, with or without a warm start
+        cfg = cfg_with(damping_coeffs=(0.5, 0.0, 10.0))
+        cache = SolverCache(ops12, cfg, 1e-2)
+        rng = np.random.default_rng(5)
+        R = rng.standard_normal((5, ops12.n)) * np.array([[0.1], [1.0], [50.0], [0.0], [3.0]])
+        guess = np.array([0.0, 1.0, 2.0, 0.5, 1e3])
+        stacked = solve_midpoint_speed(R, cache, guess=guess)
+        for r, g, rho in zip(R, guess, stacked):
+            assert solve_midpoint_speed(r, cache, guess=g) == rho
+            recomputed = float(np.linalg.norm(r / (cache.base + damping_gain(rho, cfg))))
+            assert rho == pytest.approx(recomputed, rel=1e-12, abs=0.0)
+        assert stacked[3] == 0.0
+
 
 class TestRun:
     def test_zero_horizon_single_snapshot(self, ops12):
@@ -156,6 +173,79 @@ class TestRun:
         cfg = cfg_with(beta=1.0, damping_coeffs=(0.0, 0.0))
         traj = run(ops12, cfg, SimPlan(dt=1e-2, T=0.2), ("mode", 1, 0, 0.5))
         assert len(traj) > 1
+
+
+GENERAL = dict(delta=1.0, beta=1.0, kappa=2.0, damping_coeffs=(0.5, 0.0, 1.0),
+               source=SourceSpec(kind="cubic_minus_load", load=1.0))
+LEDGER_FIELDS = ("t", "kinetic", "bending", "Pi", "Pi0", "Pi1", "E", "Etot",
+                 "damping_integral", "flux_integral", "identity_residual")
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.us, b.us) and np.array_equal(a.vs, b.vs)
+    for name in LEDGER_FIELDS:
+        assert np.array_equal(getattr(a.ledger, name), getattr(b.ledger, name)), name
+
+
+class TestEnsemble:
+    """run_ensemble advances a member stack; every member keeps its own bits."""
+
+    @pytest.fixture(scope="class")
+    def members(self, ops12):
+        cfg = cfg_with(**GENERAL)
+        starts = [initial_state(("random", r), ops12, cfg, seed)
+                  for r in (1.0, 5.0, 25.0) for seed in (3, 4)]
+        return cfg, SimPlan(dt=2e-3, T=0.2, snapshot_every=7), starts
+
+    def test_member_bits_independent_of_batch(self, ops12, members):
+        cfg, plan, starts = members
+        alone = [run_ensemble(ops12, cfg, plan, [x])[0] for x in starts]
+        for batch in ([0, 1], [5, 2], list(range(6)), [3, 0, 5, 1, 4, 2]):
+            out = run_ensemble(ops12, cfg, plan, [starts[i] for i in batch])
+            for i, traj in zip(batch, out):
+                assert_same_bits(traj, alone[i])
+
+    def test_run_is_the_one_member_case(self, ops12, members):
+        cfg, plan, starts = members
+        assert_same_bits(run(ops12, cfg, plan, starts[4]),
+                         run_ensemble(ops12, cfg, plan, [starts[4]])[0])
+
+    def test_failing_member_leaves_the_others_unchanged(self, dom, tmp_path):
+        # undamped flutter at a large amplitude: the fixed point stops
+        # converging at step 40 of 60, while the small members carry on
+        from platelab.discretization import make_operators
+
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(0.0, 0.0))
+        plan = SimPlan(dt=0.02, T=1.2, snapshot_every=5)
+        small = [("mode", 1, 0, 0.5), ("mode", 2, 1, 0.3)]
+        boom = ("mode", 1, 0, 20.0)
+        with pytest.raises(IntegratorError):
+            run(ops, cfg, plan, boom)
+        out = run_ensemble(ops, cfg, plan, [small[0], boom, small[1]],
+                           flush_paths=[None, tmp_path / "boom.json", None])
+        assert isinstance(out[1], IntegratorError)
+        assert "did not converge" in str(out[1])
+        partial = load_trajectory(tmp_path / "boom.json")
+        assert 1 < partial["n_snapshots"] < len(out[0].times)
+        for x, traj in zip(small, (out[0], out[2])):
+            assert_same_bits(traj, run(ops, cfg, plan, x))
+
+    def test_step_records_member_failures(self, ops12):
+        cfg = cfg_with(**GENERAL)
+        plan = SimPlan(dt=1e-2, T=1.0)
+        good = initial_state(("random", 1.0), ops12, cfg, 1)
+        U = np.array([good.u, np.full(ops12.n, np.nan), good.u])
+        V = np.array([good.v, np.zeros(ops12.n), good.v])
+        failures = {}
+        out = step(State(U, V), ops12, cfg, plan, failures=failures)
+        assert list(failures) == [1] and "non-finite" in failures[1]
+        assert np.all(np.isnan(out.u[1]))
+        alone = step(good, ops12, cfg, plan)
+        assert np.array_equal(out.u[0], alone.u) and np.array_equal(out.u[2], alone.u)
+        with pytest.raises(IntegratorError, match="non-finite"):
+            step(State(U, V), ops12, cfg, plan)
 
 
 class TestInitialConditions:
