@@ -5,7 +5,7 @@ sweep + barrier on `general`, pairs on a b0 > 0 variant, dimension on
 `point`/`periodic`/`chaotic`, stationary on `gradient`.  Writes one
 output directory per experiment under out/attractor_suite/.
 
-Usage: python scripts/run_attractor_suite.py [outdir] [--threads N]
+Usage: python scripts/run_attractor_suite.py [outdir]
 """
 
 import argparse
@@ -16,7 +16,7 @@ from platelab.cli import main
 from platelab.presets import config_text
 
 
-def run(outdir: str, threads: int) -> int:
+def run(outdir: str) -> int:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     worst = 0
@@ -26,8 +26,7 @@ def run(outdir: str, threads: int) -> int:
         cfg_path = out / f"{name}.cfg"
         cfg_path.write_text(config_text(preset) + extra_sections, encoding="utf-8")
         rc = main([name.split("_")[0], "--config", str(cfg_path),
-                   "--out", str(out / name), "--overwrite",
-                   "--threads", str(threads), *args])
+                   "--out", str(out / name), "--overwrite", *args])
         print(f"[{name}] exit {rc}")
         worst = max(worst, rc)
 
@@ -45,6 +44,5 @@ def run(outdir: str, threads: int) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="out/attractor_suite")
-    ap.add_argument("--threads", type=int, default=2)
     ns = ap.parse_args()
-    sys.exit(run(ns.outdir, ns.threads))
+    sys.exit(run(ns.outdir))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attractor_lab, barrier as barrier_mod, energy as energy_mod
-from .config import ConfigError, ParsedConfig, parse_config, section_get
+from .config import ConfigError, parse_config
 from .discretization import DiscretizationError, DomainSpec, make_operators
 from .integrator import IntegratorError, SimPlan, initial_state, run
 from .model import ModelError, certify_source
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="config file path")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="ignored: the sweep advances its samples as one ensemble")
         sp.add_argument("--plots", action="store_true", help="emit SVG plots")
         sp.add_argument("--overwrite", action="store_true",
                         help="allow writing into a non-empty output directory")
@@ -91,10 +89,6 @@ def _prepare(args, subcommand: str):
     return parsed, ops, out_dir, manifest.config_hash
 
 
-def _ledger_rows(ledger):
-    return list(ledger.rows())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -104,7 +98,7 @@ def cmd_simulate(args) -> int:
     traj = run(ops, parsed.cfg, parsed.plan, parsed.initial,
                flush_path=out / "trajectory_partial.json")
     write_csv(out / "ledger.csv", energy_mod.LEDGER_COLUMNS,
-              _ledger_rows(traj.ledger), chash)
+              list(traj.ledger.rows()), chash)
     save_trajectory(out / "trajectory.json", traj, chash)
     summary = {
         "config_hash": chash,
@@ -126,25 +120,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_plan(parsed: ParsedConfig) -> attractor_lab.SweepPlan:
-    floats = lambda raw: tuple(float(t) for t in raw.split())
-    sec = parsed.sections
-    try:
-        return attractor_lab.SweepPlan(
-            radii=section_get(sec, "sweep", "radii", floats, (1.0, 5.0, 25.0)),
-            samples_per_radius=section_get(sec, "sweep", "samples_per_radius", int, 3),
-            T=section_get(sec, "sweep", "t", float, 80.0),
-            tail_fraction=section_get(sec, "sweep", "tail_fraction", float, 0.5),
-            seed=parsed.plan.seed,
-            dt=section_get(sec, "sweep", "dt", float, 2e-3),
-            snapshot_every=section_get(sec, "sweep", "snapshot_every", int, 10))
-    except attractor_lab.ExperimentError as exc:
-        raise ConfigError([f"[sweep]: {exc}"]) from exc
-
-
 def cmd_sweep(args) -> int:
     parsed, ops, out, chash = _prepare(args, "sweep")
-    plan = _sweep_plan(parsed)
+    sw = parsed.values["sweep"]
+    plan = attractor_lab.SweepPlan(
+        radii=sw["radii"], samples_per_radius=sw["samples_per_radius"], T=sw["t"],
+        tail_fraction=sw["tail_fraction"], seed=parsed.plan.seed, dt=sw["dt"],
+        snapshot_every=sw["snapshot_every"])
     report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, plan)
     rows = []
     for i, r in enumerate(report.radii):
@@ -177,15 +159,10 @@ def cmd_barrier(args) -> int:
     if not args.config:
         raise ConfigError(["barrier needs --config (or --toy)"])
     parsed, ops, out, chash = _prepare(args, "barrier")
-    sec = parsed.sections
-    fit_T = section_get(sec, "barrier", "fit_t", float, 20.0)
-    fit_dt = section_get(sec, "barrier", "fit_dt", float, 2e-3)
-    every = section_get(sec, "barrier", "snapshot_every", int, 5)
-    floats = lambda raw: tuple(float(t) for t in raw.split())
-    levels = section_get(sec, "barrier", "levels", floats, (1.0, 10.0, 100.0))
-
+    bar = parsed.values["barrier"]
     cert = certify_source(parsed.cfg)
-    fit_plan = SimPlan(dt=fit_dt, T=fit_T, snapshot_every=every, seed=parsed.plan.seed)
+    fit_plan = SimPlan(dt=bar["fit_dt"], T=bar["fit_t"],
+                       snapshot_every=bar["snapshot_every"], seed=parsed.plan.seed)
     traj = run(ops, parsed.cfg, fit_plan, parsed.initial, cert)
     bc = barrier_mod.fit_barrier_constants([traj], ops, parsed.cfg, cert)
     balance = barrier_mod.balancing_check(bc.gamma, bc.b)
@@ -195,7 +172,7 @@ def cmd_barrier(args) -> int:
     e_grid = [E0 * f for f in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
     sig_table = [barrier_mod.solve_barrier_scale(E, bc) for E in e_grid]
     eps_table = [1.0 / s for s in sig_table]
-    bounds = {fmt_float(R): barrier_mod.ultimate_bound(bc, R) for R in levels}
+    bounds = {fmt_float(R): barrier_mod.ultimate_bound(bc, R) for R in bar["levels"]}
 
     write_json(out / "barrier_report.json", {
         "config_hash": chash,
@@ -245,21 +222,15 @@ def _barrier_toy(args) -> int:
 
 def cmd_pairs(args) -> int:
     parsed, ops, out, chash = _prepare(args, "pairs")
-    sec = parsed.sections
-    n_pairs = section_get(sec, "pairs", "n_pairs", int, 5)
-    gap = section_get(sec, "pairs", "gap", float, 1e-3)
-    radius = section_get(sec, "pairs", "radius", float, 1.0)
-    T = section_get(sec, "pairs", "t", float, 40.0)
-    dt = section_get(sec, "pairs", "dt", float, 2e-3)
-    every = section_get(sec, "pairs", "snapshot_every", int, 5)
-
+    pairs = parsed.values["pairs"]
     cert = certify_source(parsed.cfg)
     results = []
     rows = []
-    for k in range(n_pairs):
+    for k in range(pairs["n_pairs"]):
         seed = parsed.plan.seed + 1000 * k
-        plan = SimPlan(dt=dt, T=T, snapshot_every=every, seed=seed)
-        y1, y2 = make_nearby_pair(ops, parsed.cfg, radius, gap, seed)
+        plan = SimPlan(dt=pairs["dt"], T=pairs["t"],
+                       snapshot_every=pairs["snapshot_every"], seed=seed)
+        y1, y2 = make_nearby_pair(ops, parsed.cfg, pairs["radius"], pairs["gap"], seed)
         stats = attractor_lab.quasistability_pair(ops, parsed.cfg, plan, y1, y2, cert)
         results.append(stats)
         for i in range(len(stats.times)):
@@ -299,17 +270,9 @@ def make_nearby_pair(ops, cfg, radius: float, gap: float, seed: int):
 
 def cmd_dimension(args) -> int:
     parsed, ops, out, chash = _prepare(args, "dimension")
-    sec = parsed.sections
-    ints = lambda raw: tuple(int(t) for t in raw.split())
-    embed_dims = section_get(sec, "dimension", "embed_dims", ints, (2, 4, 8))
-    theiler = section_get(sec, "dimension", "theiler", int, 20)
-    min_points = section_get(sec, "dimension", "min_points", int, 2000)
-    tail = section_get(sec, "dimension", "tail_fraction", float, 0.5)
-
     traj = run(ops, parsed.cfg, parsed.plan, parsed.initial)
-    report = attractor_lab.correlation_dimension(
-        traj, ops, embed_dims=embed_dims, theiler=theiler,
-        tail_fraction=tail, min_points=min_points)
+    report = attractor_lab.correlation_dimension(traj, ops,
+                                                 **parsed.values["dimension"])
     write_json(out / "dimension_report.json", {
         "config_hash": chash,
         "embed_dims": list(report.embed_dims),
@@ -327,19 +290,12 @@ def cmd_dimension(args) -> int:
 
 def cmd_stationary(args) -> int:
     parsed, ops, out, chash = _prepare(args, "stationary")
-    sec = parsed.sections
-    samples = section_get(sec, "stationary", "samples", int, 10)
-    radius = section_get(sec, "stationary", "radius", float, 2.0)
-    T = section_get(sec, "stationary", "t", float, 60.0)
-    dt = section_get(sec, "stationary", "dt", float, 2e-3)
-    every = section_get(sec, "stationary", "snapshot_every", int, 25)
-    speed_tol = section_get(sec, "stationary", "speed_tol", float, 1e-4)
-    dist_tol = section_get(sec, "stationary", "dist_tol", float, 1e-3)
-
-    plan = SimPlan(dt=dt, T=T, snapshot_every=every, seed=parsed.plan.seed)
+    st = parsed.values["stationary"]
+    plan = SimPlan(dt=st["dt"], T=st["t"], snapshot_every=st["snapshot_every"],
+                   seed=parsed.plan.seed)
     report = attractor_lab.stationary_convergence(
-        ops, parsed.cfg, plan, samples=samples, radius=radius,
-        speed_tol=speed_tol, dist_tol=dist_tol)
+        ops, parsed.cfg, plan, samples=st["samples"], radius=st["radius"],
+        speed_tol=st["speed_tol"], dist_tol=st["dist_tol"])
     write_json(out / "stationary_report.json", {
         "config_hash": chash,
         "verdict": report.verdict,
@@ -351,9 +307,7 @@ def cmd_stationary(args) -> int:
         } for s in report.samples],
     })
     print(f"stationary: {report.verdict} {report.note}")
-    if report.verdict == "FAIL":
-        return EXIT_VERDICT
-    return EXIT_OK
+    return EXIT_VERDICT if report.verdict == "FAIL" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Strict key/value config parsing for the CLI.
 
-Sections and keys are whitelisted; unknown entries are rejected and all
-invariant violations are reported together, not first-failure.  The
-physical parameters (alpha, delta, beta, kappa, damping, source) carry
-no silent defaults: a config must state them.  Numerics and experiment
-sections have documented defaults (see docs/config.md).
+`SCHEMA` lists every section and key a config may hold, with its
+converter, default (read from the plan class that owns it, if any),
+one-line doc (docs/config.md is checked against it) and range check.
+`parse_config` rejects unknown entries, converts and checks every key,
+and reports all problems at once in one ConfigError, before a command
+writes any output.  The physical parameters (alpha, delta, beta, kappa,
+damping, source) carry no silent defaults: a config must state them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
+from .attractor_lab import SweepPlan
 from .discretization import DiscretizationError, DomainSpec
 from .integrator import SimPlan
 from .model import ModelError, PlateConfig, SourceSpec, certify_source
@@ -24,22 +28,113 @@ class ConfigError(ValueError):
         super().__init__("config invalid:\n  - " + "\n  - ".join(self.problems))
 
 
-_SCHEMA = {
-    "domain": {"l", "sigma"},
-    "plate": {"alpha", "delta", "beta", "kappa", "damping", "source", "load",
-              "source_table_s", "source_table_f", "allow_undamped"},
-    "basis": {"mx", "ny", "oversample"},
-    "sim": {"dt", "t", "snapshot_every", "fp_tol", "fp_maxiter", "seed", "initial"},
-    "sweep": {"radii", "samples_per_radius", "t", "tail_fraction", "dt",
-              "snapshot_every"},
-    "pairs": {"n_pairs", "gap", "radius", "t", "dt", "snapshot_every"},
-    "dimension": {"embed_dims", "theiler", "min_points", "tail_fraction"},
-    "stationary": {"samples", "radius", "t", "dt", "snapshot_every",
-                   "speed_tol", "dist_tol"},
-    "barrier": {"fit_t", "fit_dt", "snapshot_every", "levels"},
-}
+class Key(NamedTuple):
+    conv: Callable[[str], Any]
+    default: Any            # None: no default, the key is read only when stated
+    doc: str
+    check: tuple | None = None  # (predicate, "must be ...") on the converted value
+    required: bool = False  # missing is a problem; the default lets parsing go on
 
-_REQUIRED_PLATE = ("alpha", "delta", "beta", "kappa", "damping", "source")
+
+def _tuple_of(conv):
+    return lambda raw: tuple(conv(tok) for tok in raw.split())
+
+
+def _boolean(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _parse_initial(spec: str) -> tuple:
+    kind, *args = spec.split()
+    if kind == "mode":
+        return ("mode", int(args[0]), int(args[1]), float(args[2]))
+    if kind in ("random", "stationary_kick"):
+        return (kind, float(args[0]))
+    raise ValueError(f"unknown initial-condition tag {kind!r}")
+
+
+_COUNT = (lambda x: x >= 1, "must be >= 1")
+_NONNEG = (lambda x: x >= 0, "must be >= 0")
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+_FRACTION = (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
+_RADII = (lambda r: min(r, default=-1) >= 0 and list(r) == sorted(r),
+          "must be one or more nonnegative, increasing radii")
+_DIMS = (lambda d: min(d, default=0) >= 1, "must be one or more integers >= 1")
+
+SCHEMA: dict[str, dict[str, Key]] = {
+    "domain": {
+        "l": Key(float, DomainSpec.l, "half-width of the strip in y, l > 0"),
+        "sigma": Key(float, DomainSpec.sigma, "Poisson ratio, 0 < sigma < 1/2"),
+    },
+    "plate": {
+        "alpha": Key(float, PlateConfig.alpha, "axial prestress (any sign)", required=True),
+        "delta": Key(float, PlateConfig.delta, "stretching stiffness, >= 0", required=True),
+        "beta": Key(float, PlateConfig.beta, "flow parameter (any sign)", required=True),
+        "kappa": Key(float, PlateConfig.kappa, "stay coefficient, >= 0", required=True),
+        "damping": Key(_tuple_of(float), PlateConfig.damping_coeffs, "b_0 ... b_q",
+                       required=True),
+        "source": Key(str, SourceSpec.kind, "zero, cubic_minus_load or custom",
+                      required=True),
+        "load": Key(float, None, "cubic_minus_load only: f0(s) = s^3 - load"),
+        "source_table_s": Key(_tuple_of(float), None, "custom only: spline knots"),
+        "source_table_f": Key(_tuple_of(float), None, "custom only: spline values"),
+        "allow_undamped": Key(_boolean, False, "allow all-zero damping (controls)"),
+    },
+    "basis": {
+        "mx": Key(int, 8, "x modes", _COUNT),
+        "ny": Key(int, 8, "y modes", _COUNT),
+        "oversample": Key(int, 3, "quadrature oversampling",
+                          (lambda x: x >= 2, "must be >= 2")),
+    },
+    "sim": {
+        "dt": Key(float, SimPlan.dt, "time step", _POSITIVE),
+        "t": Key(float, SimPlan.T, "horizon", _NONNEG),
+        "snapshot_every": Key(int, SimPlan.snapshot_every, "steps per snapshot", _COUNT),
+        "fp_tol": Key(float, SimPlan.fp_tol, "fixed-point tolerance", _POSITIVE),
+        "fp_maxiter": Key(int, SimPlan.fp_maxiter, "fixed-point iteration cap"),
+        "seed": Key(int, SimPlan.seed, "random seed; --seed overrides it"),
+        "initial": Key(_parse_initial, ("mode", 1, 0, 0.5), "initial condition"),
+    },
+    "sweep": {
+        "radii": Key(_tuple_of(float), SweepPlan.radii, "initial radii", _RADII),
+        "samples_per_radius": Key(int, SweepPlan.samples_per_radius, "samples", _COUNT),
+        "t": Key(float, SweepPlan.T, "horizon per sample", _NONNEG),
+        "dt": Key(float, SweepPlan.dt, "time step", _POSITIVE),
+        "snapshot_every": Key(int, SweepPlan.snapshot_every, "steps per snapshot", _COUNT),
+        "tail_fraction": Key(float, SweepPlan.tail_fraction, "ultimate part of [0, T]",
+                             _FRACTION),
+    },
+    "pairs": {
+        "n_pairs": Key(int, 5, "number of pairs", _COUNT),
+        "gap": Key(float, 1e-3, "phase-space distance of each pair"),
+        "radius": Key(float, 1.0, "norm of the base state"),
+        "t": Key(float, 40.0, "horizon", _NONNEG),
+        "dt": Key(float, 2e-3, "time step", _POSITIVE),
+        "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
+    },
+    "dimension": {
+        "embed_dims": Key(_tuple_of(int), (2, 4, 8), "embedding dimensions", _DIMS),
+        "theiler": Key(int, 20, "snapshot gap excluded from pair counts"),
+        "min_points": Key(int, 2000, "minimum tail snapshots"),
+        "tail_fraction": Key(float, 0.5, "portion of the [sim] run analysed"),
+    },
+    "stationary": {
+        "samples": Key(int, 10, "number of trajectories", _COUNT),
+        "radius": Key(float, 2.0, "norm of the random initial states"),
+        "t": Key(float, 60.0, "horizon", _NONNEG),
+        "dt": Key(float, 2e-3, "time step", _POSITIVE),
+        "snapshot_every": Key(int, 25, "steps per snapshot", _COUNT),
+        "speed_tol": Key(float, 1e-4, "bound on the final velocity norm"),
+        "dist_tol": Key(float, 1e-3, "bound on the distance to the equilibrium"),
+    },
+    "barrier": {
+        "fit_t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),
+        "fit_dt": Key(float, 2e-3, "time step of that trajectory", _POSITIVE),
+        "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
+        "levels": Key(_tuple_of(float), (1.0, 10.0, 100.0),
+                      "initial levels of the ultimate bound"),
+    },
+}
 
 
 @dataclass
@@ -50,21 +145,10 @@ class ParsedConfig:
     mx: int
     ny: int
     oversample: int
-    sections: dict = field(default_factory=dict)
+    sections: dict = field(default_factory=dict)   # section -> key -> raw string
     text: str = ""
     source_certificate: dict = field(default_factory=dict)
-
-
-def _parse_initial(spec: str) -> tuple:
-    parts = spec.split()
-    kind = parts[0]
-    if kind == "mode":
-        return ("mode", int(parts[1]), int(parts[2]), float(parts[3]))
-    if kind == "random":
-        return ("random", float(parts[1]))
-    if kind == "stationary_kick":
-        return ("stationary_kick", float(parts[1]))
-    raise ValueError(f"unknown initial-condition tag {kind!r}")
+    values: dict = field(default_factory=dict)     # section -> key -> typed value
 
 
 def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedConfig:
@@ -81,109 +165,70 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from exc
 
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            problems.append(f"unknown section [{section}]")
-            continue
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                problems.append(f"unknown key {key!r} in [{section}]")
-
-    def get(section, key, conv, default=None, required=False):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            try:
-                return conv(raw)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"[{section}] {key} = {raw!r}: {exc}")
-                return default
-        if required:
-            problems.append(f"[{section}] missing required key {key!r} "
-                            "(physical parameters have no silent defaults)")
-        return default
-
-    floats = lambda raw: tuple(float(tok) for tok in raw.split())
-    ints = lambda raw: tuple(int(tok) for tok in raw.split())
-    boolean = lambda raw: raw.strip().lower() in ("1", "true", "yes", "on")
-
+    problems += [f"unknown section [{s}]" for s in cp.sections() if s not in SCHEMA]
     if not cp.has_section("plate"):
         problems.append("missing required section [plate]")
+    values = {}    # a missing or bad key takes its default, so later checks still run
+    for section, keys in SCHEMA.items():
+        stated = cp[section] if cp.has_section(section) else {}
+        problems += [f"unknown key {k!r} in [{section}]" for k in stated if k not in keys]
+        values[section] = out = {}
+        for key, row in keys.items():
+            out[key] = row.default
+            if key not in stated:
+                if row.required:
+                    problems.append(f"[{section}] missing required key {key!r} "
+                                    "(physical parameters have no silent defaults)")
+                continue
+            raw = stated[key]
+            try:
+                value = row.conv(raw)
+            except (TypeError, ValueError, IndexError) as exc:
+                problems.append(f"[{section}] {key} = {raw!r}: {exc}")
+                continue
+            if row.check and not row.check[0](value):
+                problems.append(f"[{section}] {key} {row.check[1]}, got {value}")
+                continue
+            out[key] = value
 
-    l = get("domain", "l", float, 1.0)
-    sigma = get("domain", "sigma", float, 0.3)
-    alpha = get("plate", "alpha", float, 0.0, required=True)
-    delta = get("plate", "delta", float, 0.0, required=True)
-    beta = get("plate", "beta", float, 0.0, required=True)
-    kappa = get("plate", "kappa", float, 0.0, required=True)
-    damping = get("plate", "damping", floats, (1.0, 0.0), required=True)
-    source_kind = get("plate", "source", str, "zero", required=True)
-    load = get("plate", "load", float, 0.0)
-    allow_undamped = get("plate", "allow_undamped", boolean, False)
-
+    plate = values["plate"]
     source = SourceSpec()
     try:
-        if source_kind == "cubic_minus_load":
-            if not cp.has_option("plate", "load"):
+        if plate["source"] == "cubic_minus_load":
+            if plate["load"] is None:
                 problems.append("[plate] source = cubic_minus_load requires `load`")
-            source = SourceSpec(kind="cubic_minus_load", load=load or 0.0)
-        elif source_kind == "custom":
-            ts = get("plate", "source_table_s", floats, ())
-            tf = get("plate", "source_table_f", floats, ())
-            if len(ts or ()) != len(tf or ()):
+            source = SourceSpec(kind="cubic_minus_load", load=plate["load"] or 0.0)
+        elif plate["source"] == "custom":
+            ts, tf = plate["source_table_s"] or (), plate["source_table_f"] or ()
+            if len(ts) != len(tf):
                 problems.append("[plate] source tables must have equal length")
-            source = SourceSpec(kind="custom", table_s=ts or (), table_f=tf or ())
-        elif source_kind != "zero":
-            problems.append(f"[plate] unknown source {source_kind!r}")
+            source = SourceSpec(kind="custom", table_s=ts, table_f=tf)
+        elif plate["source"] != "zero":
+            problems.append(f"[plate] unknown source {plate['source']!r}")
     except ModelError as exc:
         problems.append(str(exc))
 
     try:
-        dom = DomainSpec(l=l, sigma=sigma)
+        dom = DomainSpec(**values["domain"])
     except DiscretizationError as exc:
         problems.append(str(exc))
         dom = DomainSpec()
 
-    cfg = PlateConfig(alpha=alpha or 0.0, delta=delta or 0.0, beta=beta or 0.0,
-                      kappa=kappa or 0.0, damping_coeffs=tuple(damping or (1.0, 0.0)),
+    cfg = PlateConfig(alpha=plate["alpha"], delta=plate["delta"], beta=plate["beta"],
+                      kappa=plate["kappa"], damping_coeffs=plate["damping"],
                       source=source, dom=dom)
-    cfg_problems = cfg.violations()
-    if allow_undamped:
-        cfg_problems = [p for p in cfg_problems if "all zero" not in p]
-    for p in cfg_problems:
-        tag = (" (the damping gain must satisfy b_0 + b_q > 0; set "
-               "allow_undamped for control experiments)") if "all zero" in p else ""
-        problems.append(p + tag)
+    for p in cfg.violations():
+        if "all zero" in p:
+            if plate["allow_undamped"]:
+                continue
+            p += (" (the damping gain must satisfy b_0 + b_q > 0; set "
+                  "allow_undamped for control experiments)")
+        problems.append(p)
 
-    mx = get("basis", "mx", int, 8)
-    ny = get("basis", "ny", int, 8)
-    oversample = get("basis", "oversample", int, 3)
-    if mx is not None and mx < 1:
-        problems.append(f"[basis] mx must be >= 1, got {mx}")
-    if ny is not None and ny < 1:
-        problems.append(f"[basis] ny must be >= 1, got {ny}")
-    if oversample is not None and oversample < 2:
-        problems.append(f"[basis] oversample must be >= 2, got {oversample}")
-
-    seed = get("sim", "seed", int, 0)
-    if seed_override is not None:
-        seed = seed_override
-    plan = None
-    try:
-        plan = SimPlan(dt=get("sim", "dt", float, 1e-3),
-                       T=get("sim", "t", float, 1.0),
-                       snapshot_every=get("sim", "snapshot_every", int, 1),
-                       fp_tol=get("sim", "fp_tol", float, 1e-11),
-                       fp_maxiter=get("sim", "fp_maxiter", int, 60),
-                       seed=seed)
-    except ValueError as exc:
-        problems.append(str(exc))
-
-    initial = ("mode", 1, 0, 0.5)
-    if cp.has_option("sim", "initial"):
-        try:
-            initial = _parse_initial(cp.get("sim", "initial"))
-        except (ValueError, IndexError) as exc:
-            problems.append(f"[sim] initial: {exc}")
+    sim = values["sim"]
+    plan = SimPlan(dt=sim["dt"], T=sim["t"], snapshot_every=sim["snapshot_every"],
+                   fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
+                   seed=sim["seed"] if seed_override is None else seed_override)
 
     # runtime validation of the source assumption; certificate goes into
     # the manifest of every run
@@ -195,20 +240,16 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
         if not cert.ok:
             problems.append(f"source violates the dissipativity bound: "
                             f"{cert.message} (witness s = {cert.witness})")
-
-    sections = {}
-    for name in ("sweep", "pairs", "dimension", "stationary", "barrier"):
-        if cp.has_section(name):
-            sections[name] = dict(cp[name])
     if problems:
         raise ConfigError(problems)
-    return ParsedConfig(cfg=cfg, plan=plan, initial=initial, mx=mx, ny=ny,
-                        oversample=oversample, sections=sections, text=text,
-                        source_certificate=cert_info)
+    basis = values["basis"]
+    return ParsedConfig(cfg=cfg, plan=plan, initial=sim["initial"], mx=basis["mx"],
+                        ny=basis["ny"], oversample=basis["oversample"],
+                        sections={name: dict(cp[name]) for name in cp.sections()},
+                        text=text, source_certificate=cert_info, values=values)
 
 
 def section_get(sections: dict, name: str, key: str, conv, default):
+    """Convert one raw value of ParsedConfig.sections, or return default."""
     raw = sections.get(name, {}).get(key)
-    if raw is None:
-        return default
-    return conv(raw)
+    return default if raw is None else conv(raw)

@@ -78,10 +78,6 @@ class Basis:
     def n(self) -> int:
         return self.Mx * self.Ny
 
-    def index_pairs(self) -> list[tuple[int, int]]:
-        """(m, k) for every basis index, matching the m-major ordering."""
-        return [(m, k) for m in range(1, self.Mx + 1) for k in range(self.Ny)]
-
     def evaluate(self, coeffs, x, y):
         """Evaluate sum_i coeffs[i] phi_i at arbitrary points (broadcasting)."""
         coeffs = np.asarray(coeffs, dtype=float)

@@ -149,13 +149,6 @@ class PlateConfig:
             out.append("damping coefficients are all zero (b_0 + b_q must not vanish)")
         return out
 
-    def require_valid(self, allow_undamped: bool = False) -> None:
-        problems = self.violations()
-        if allow_undamped:
-            problems = [p for p in problems if "all zero" not in p]
-        if problems:
-            raise ModelError("; ".join(problems))
-
     def with_(self, **kw) -> "PlateConfig":
         return replace(self, **kw)
 
@@ -175,10 +168,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t)
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,7 @@ dt = 0.005
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{sub}_{tag}"
-            rc = main([sub, "--config", str(cfg_path), "--out", str(out),
-                       "--threads", "1"])
+            rc = main([sub, "--config", str(cfg_path), "--out", str(out)])
             assert rc in (0, 4)
             outs.append(out)
         for fname in files:

@@ -1,13 +1,15 @@
 """Config parsing, CLI subcommands, output formats, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from platelab.cli import main
-from platelab.config import ConfigError, parse_config
-from platelab.presets import config_text
+from platelab.config import SCHEMA, ConfigError, parse_config
+from platelab.presets import config_text, make, preset_names
 from platelab.reporting import fmt_float, load_trajectory, to_json
 
 
@@ -99,6 +101,41 @@ source = zero
         parsed = parse_config(write_cfg(tmp_path, MINIMAL), seed_override=99)
         assert parsed.plan.seed == 99
 
+    def test_plate_and_experiment_problems_listed_together(self, tmp_path):
+        text = MINIMAL.replace("delta = 1.0", "delta = -1.0") + "[sweep]\ndt = -1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        joined = "\n".join(err.value.problems)
+        assert "delta" in joined and "[sweep] dt" in joined
+
+    def test_docs_match_schema(self, tmp_path):
+        """docs/config.md lists every schema key, under its section, with the
+        table's doc line and default, and lists no other key; its example
+        blocks form a valid config."""
+        text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
+        documented, section = {}, None
+        for line in "".join(blocks).splitlines():
+            if head := re.match(r"\[(\w+)\]", line):
+                section = head[1]
+            elif line.strip():
+                row = re.fullmatch(r"(\w+) = [^#]+# (.*) \((required|no default|"
+                                   r"default (.*))\)", line)
+                assert row, line
+                documented[section, row[1]] = row.groups()[1:]
+        table = {(sec, key): k for sec, keys in SCHEMA.items() for key, k in keys.items()}
+        assert set(documented) == set(table)
+        for name, (doc, tag, raw) in documented.items():
+            key = table[name]
+            assert doc == key.doc, name
+            if key.required:
+                assert tag == "required", name
+            elif key.default is None:
+                assert tag == "no default", name
+            else:
+                assert raw is not None and key.conv(raw) == key.default, name
+        parse_config(write_cfg(tmp_path, "".join(blocks)))
+
 
 SMALL_SIM = MINIMAL + """
 [basis]
@@ -145,9 +182,25 @@ class TestSubcommands:
 
     def test_bad_sweep_section_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL + "[sweep]\nsamples_per_radius = 0\n")
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
-                     "--threads", "1"]) == 2
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 2
         assert "samples_per_radius must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sweep", "t", "abc"),
+        ("sweep", "dt", "-1"),
+        ("pairs", "dt", "0"),
+        ("dimension", "embed_dims", ""),
+        ("pairs", "n_pairs", "0"),         # an empty experiment would pass vacuously
+        ("stationary", "samples", "0"),    # ... or fail with an empty note
+        ("sweep", "radii", ""),            # ... or fail with R0 = inf
+    ])
+    def test_bad_experiment_value_exits_before_output(self, tmp_path, capsys,
+                                                      section, key, value):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SMALL_SIM + f"[{section}]\n{key} = {value}\n")
+        assert main([section, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_verdict_fail_exit_code(self, tmp_path):
         # undamped with a flow term: growth, no single ultimate bound
@@ -170,8 +223,7 @@ t = 20
 dt = 0.005
 """
         cfg = write_cfg(tmp_path, text)
-        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
-                   "--threads", "1"])
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
         assert rc == 4
         report = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())
         assert report["verdict"] == "FAIL"
@@ -345,11 +397,15 @@ class TestReporting:
         assert parsed["s"] == "x\"y\n"
 
     def test_preset_configs_parse(self, tmp_path):
-        from platelab.presets import preset_names
         for name in preset_names():
             parsed = parse_config(write_cfg(tmp_path, config_text(name),
                                             f"{name}.cfg"))
-            assert parsed.cfg is not None
+            cfg, basis, oversample, plan, initial = make(name)
+            assert parsed.cfg == cfg, name
+            assert (parsed.mx, parsed.ny) == basis, name
+            assert parsed.oversample == oversample, name
+            assert parsed.plan == plan, name
+            assert parsed.initial == initial, name
 
     def test_trajectory_container_round_trip(self, tmp_path):
         import platelab as pl
