@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import DiscreteOperators
+from .discretization import DiscreteOperators, block_matvec
 from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
 from .model import (PlateConfig, SourceCertificate, certify_source,
                     damping_gains, force_load, solve_stationary)
@@ -377,7 +377,7 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     """Bound ||u_t||_{2,*} and the reconstructed ||u_tt||_0 on the tail.
 
     The acceleration comes from the equation itself:
-    u_tt = M^{-1} (load - K u - g(||v||) M v).  The verdict is PASS when
+    u_tt = M^{-1} (load - K u) - g(||v||) v, M diagonal.  The verdict is PASS when
     both sups are finite and extending the window from the last quarter
     to the last half moves them by no more than 20%.
     """
@@ -386,10 +386,10 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     us, vs = traj.us[half], traj.vs[half]
     sp2 = ops.l2_norm_sq(vs)
     gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
-    rhs = (force_load(us, ops, cfg) - us @ ops.K
-           - gain[:, None] * (vs @ ops.M))
+    acc = (force_load(us, ops, cfg) - block_matvec(ops.k_blocks, us)) / ops.m_diag
+    acc -= gain[:, None] * vs
     sv = ops.bending_norm_sq(vs)
-    sa = ops.l2_norm_sq(np.linalg.solve(ops.M, rhs.T).T)
+    sa = ops.l2_norm_sq(acc)
     quarter = traj.times[half] >= 0.75 * t_end
     svh, sah = float(np.max(sv)), float(np.max(sa))
     svq, saq = float(np.max(sv[quarter])), float(np.max(sa[quarter]))

@@ -193,7 +193,7 @@ def lyapunov_value(u, v, eps: float, ops: DiscreteOperators, cfg: PlateConfig,
                    cert: SourceCertificate):
     """V_eps = Etot + eps (v, u)_{L2} of one state, or per row of a stack."""
     _, etot = energy_mod.total_energy(u, v, ops, cfg, cert)
-    return etot + eps * bilinear_form(ops.M, v, u)
+    return etot + eps * np.vecdot(ops.m_diag * v, u)
 
 
 def sandwich_for_eps(eps: float, lam: float, c: float) -> tuple[float, float]:
@@ -230,9 +230,9 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     sp2 = ops.l2_norm_sq(vs)
     gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
     ddot = gain * sp2                                   # (D u_t, u_t)
-    du_u = gain * bilinear_form(ops.M, vs, us)
-    flow_u = -cfg.beta * bilinear_form(ops.Dy, us, us)  # (N(u), u)
-    flow_ut = -cfg.beta * bilinear_form(ops.Dy, us, vs)  # (N(u), u_t)
+    du_u = gain * np.vecdot(ops.m_diag * vs, us)
+    flow_u = -cfg.beta * bilinear_form(ops.dy_blocks, us, us)  # (N(u), u)
+    flow_ut = -cfg.beta * bilinear_form(ops.dy_blocks, us, vs)  # (N(u), u_t)
     bend2 = ops.bending_norm_sq(us)
 
     # (A1)-type velocity control

@@ -36,13 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="config file path")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--plots", action="store_true", help="emit SVG plots")
         sp.add_argument("--overwrite", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
 
     for name in ("simulate", "sweep", "pairs", "dimension", "stationary"):
-        common(sub.add_parser(name))
+        sp = sub.add_parser(name)
+        common(sp)
+        if name in ("simulate", "sweep", "pairs"):      # the subcommands that draw
+            sp.add_argument("--plots", action="store_true", help="emit SVG plots")
     bp = sub.add_parser("barrier")
     common(bp, config_required=False)
     bp.add_argument("--toy", action="store_true",
@@ -333,8 +335,8 @@ def cmd_selftest(_args) -> int:
     e1[0] = 1.0
     sin2 = grid.integrate(grid.eval_coeffs(e1, "val") ** 2)
     check("int sin^2 x = pi*l", abs(sin2 - math.pi) < 1e-12)
-    check("mass[sin x] = pi*l", abs(ops.M[0, 0] - math.pi) < 1e-12)
-    check("a(sin x, sin x) = pi*l", abs(ops.K[0, 0] - math.pi) < 1e-12)
+    check("mass[sin x] = pi*l", abs(ops.m_diag[0] - math.pi) < 1e-12)
+    check("a(sin x, sin x) = pi*l", abs(ops.k_blocks[0, 0, 0] - math.pi) < 1e-12)
 
     # 1-DOF implicit-midpoint oscillator against the exact Cayley map:
     # u1 = ((1-a) u0 + dt v0)/(1+a), v1 = ((1-a) v0 - w^2 dt u0)/(1+a),

@@ -1,7 +1,7 @@
 """Strict key/value config parsing for the CLI.
 
 `SCHEMA` lists every section and key a config may hold, with its
-converter, default (read from the plan class that owns it, if any),
+converter, default (read from the plan class or function that owns it),
 one-line doc (docs/config.md is checked against it) and range check.
 `parse_config` rejects unknown entries, converts and checks every key,
 and reports all problems at once in one ConfigError, before a command
@@ -12,11 +12,12 @@ damping, source) carry no silent defaults: a config must state them.
 from __future__ import annotations
 
 import configparser
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .attractor_lab import SweepPlan
+from .attractor_lab import SweepPlan, correlation_dimension, stationary_convergence
 from .discretization import DiscretizationError, DomainSpec
 from .integrator import SimPlan
 from .model import ModelError, PlateConfig, SourceSpec, certify_source
@@ -60,6 +61,10 @@ _FRACTION = (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
 _RADII = (lambda r: min(r, default=-1) >= 0 and list(r) == sorted(r),
           "must be one or more nonnegative, increasing radii")
 _DIMS = (lambda d: min(d, default=0) >= 1, "must be one or more integers >= 1")
+
+# the analysis functions own the [dimension] and [stationary] defaults
+_dim, _stat = ({k: p.default for k, p in inspect.signature(f).parameters.items()}
+               for f in (correlation_dimension, stationary_convergence))
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "domain": {
@@ -113,19 +118,19 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
     },
     "dimension": {
-        "embed_dims": Key(_tuple_of(int), (2, 4, 8), "embedding dimensions", _DIMS),
-        "theiler": Key(int, 20, "snapshot gap excluded from pair counts"),
-        "min_points": Key(int, 2000, "minimum tail snapshots"),
-        "tail_fraction": Key(float, 0.5, "portion of the [sim] run analysed"),
+        "embed_dims": Key(_tuple_of(int), _dim["embed_dims"], "embedding dimensions", _DIMS),
+        "theiler": Key(int, _dim["theiler"], "snapshot gap excluded from pair counts"),
+        "min_points": Key(int, _dim["min_points"], "minimum tail snapshots"),
+        "tail_fraction": Key(float, _dim["tail_fraction"], "portion of the [sim] run analysed"),
     },
     "stationary": {
-        "samples": Key(int, 10, "number of trajectories", _COUNT),
-        "radius": Key(float, 2.0, "norm of the random initial states"),
+        "samples": Key(int, _stat["samples"], "number of trajectories", _COUNT),
+        "radius": Key(float, _stat["radius"], "norm of the random initial states"),
         "t": Key(float, 60.0, "horizon", _NONNEG),
         "dt": Key(float, 2e-3, "time step", _POSITIVE),
         "snapshot_every": Key(int, 25, "steps per snapshot", _COUNT),
-        "speed_tol": Key(float, 1e-4, "bound on the final velocity norm"),
-        "dist_tol": Key(float, 1e-3, "bound on the distance to the equilibrium"),
+        "speed_tol": Key(float, _stat["speed_tol"], "bound on the final velocity norm"),
+        "dist_tol": Key(float, _stat["dist_tol"], "bound on the distance to the equilibrium"),
     },
     "barrier": {
         "fit_t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),

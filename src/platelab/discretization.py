@@ -19,11 +19,17 @@ Gauss-Legendre in y (exact for polynomials up to degree 2*ny - 1).
 All assembled matrices are therefore exact to roundoff for the bilinear
 forms of the model; the oversampling headroom is consumed by the
 pointwise nonlinearities (u^+, cubic sources).
+
+The sines are orthogonal in every x-integral, so M and Gx are diagonal and
+K and Dy couple only equal sine indices m.  They are stored that way, as
+diagonals and (Mx, Ny, Ny) stacks of per-sine blocks, and (K, M) is
+factorised block by block; dense (n, n) matrices are views built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -231,99 +237,78 @@ def quadrature_grid(basis: Basis, dom: DomainSpec, oversample: int = 3) -> QuadG
                     sx=sx, dsx=dsx, d2sx=d2sx, ly=ly, dly=dly, d2ly=d2ly)
 
 
-def _gram_x(grid: QuadGrid, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    return (fa * grid.x_weights) @ fb.T
+def block_matvec(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u for a block-diagonal A stored as its (Mx, Ny, Ny) blocks, for an
+    array u (n,) or row by row for a stack (m, n), each row with its
+    single-vector bits.  One dot per entry: on small blocks, faster than matvec."""
+    return np.vecdot(A, u.reshape(-1, A.shape[0], 1, A.shape[2])).reshape(u.shape)
 
 
-def _gram_y(grid: QuadGrid, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    return (fa * grid.y_weights) @ fb.T
+def block_vecmat(u: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """u^T A for a block stack A, like `block_matvec`."""
+    return np.vecmat(u.reshape(-1, A.shape[0], A.shape[1]), A).reshape(u.shape)
 
 
-def assemble_mass(basis: Basis, grid: QuadGrid) -> np.ndarray:
-    """L2 mass matrix M[i, j] = (phi_i, phi_j); symmetric positive definite."""
-    M = np.kron(_gram_x(grid, grid.sx, grid.sx), _gram_y(grid, grid.ly, grid.ly))
-    M = 0.5 * (M + M.T)
-    _require_spd(M, "mass matrix")
-    return M
+def bilinear_form(A: np.ndarray, x, y):
+    """x^T A y for a block stack A, per row of stacks x, y (m, n)."""
+    return np.vecdot(x, block_matvec(A, y))
 
 
-def assemble_stiffness(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> np.ndarray:
-    """Plate stiffness K[i, j] = a(phi_i, phi_j) with Poisson-ratio coupling.
-
-    Expanding the bilinear form gives
-        a(u, v) = int u_xx v_xx + u_yy v_yy
-                  + sigma (u_xx v_yy + u_yy v_xx) + 2 (1 - sigma) u_xy v_xy,
-    each term separable in x and y, so the assembly reduces to 1-D Grams.
-    """
-    sig = dom.sigma
-    X_ss = _gram_x(grid, grid.sx, grid.sx)
-    X_s2s2 = _gram_x(grid, grid.d2sx, grid.d2sx)
-    X_s2s = _gram_x(grid, grid.d2sx, grid.sx)
-    X_cc = _gram_x(grid, grid.dsx, grid.dsx)
-    Y_ll = _gram_y(grid, grid.ly, grid.ly)
-    Y_l2l2 = _gram_y(grid, grid.d2ly, grid.d2ly)
-    Y_ll2 = _gram_y(grid, grid.ly, grid.d2ly)
-    Y_l1l1 = _gram_y(grid, grid.dly, grid.dly)
-
-    K = (np.kron(X_s2s2, Y_ll)
-         + np.kron(X_ss, Y_l2l2)
-         + sig * (np.kron(X_s2s, Y_ll2) + np.kron(X_s2s.T, Y_ll2.T))
-         + 2.0 * (1.0 - sig) * np.kron(X_cc, Y_l1l1))
-    K = 0.5 * (K + K.T)
-    _require_spd(K, "stiffness matrix")
-    return K
+def block_dense(blocks: np.ndarray) -> np.ndarray:
+    """The dense block-diagonal (n, n) matrix of a block stack (Mx, Ny, Ny)."""
+    Mx, Ny, _ = blocks.shape
+    return np.einsum("mij,mp->mipj", blocks, np.eye(Mx)).reshape(Mx * Ny, -1)
 
 
-def assemble_derivative_grams(basis: Basis, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Gx[i, j] = (d_x phi_i, d_x phi_j) and Dy[i, j] = (d_y phi_i, phi_j)."""
-    Gx = np.kron(_gram_x(grid, grid.dsx, grid.dsx), _gram_y(grid, grid.ly, grid.ly))
-    Gx = 0.5 * (Gx + Gx.T)
-    Dy = np.kron(_gram_x(grid, grid.sx, grid.sx), _gram_y(grid, grid.dly, grid.ly))
-    return Gx, Dy
-
-
-def _require_spd(A: np.ndarray, name: str) -> None:
-    sym_defect = float(np.max(np.abs(A - A.T)))
-    if sym_defect > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
-        raise DiscretizationError(f"{name} is not symmetric (defect {sym_defect:.3e})")
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= 0:
-        raise DiscretizationError(
-            f"{name} is not positive definite (min eigenvalue {w[0]:.3e}); "
-            "quadrature/basis inconsistency")
+def block_eigh(blocks: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each pencil (A_m, D_m), D = diag(diag) cut into blocks, by
+    one batched eigh of D_m^(-1/2) A_m D_m^(-1/2): the eigenvalues (Mx, Ny),
+    ascending per block, and eigenvector blocks P with P_m^T D_m P_m = I."""
+    s = 1.0 / np.sqrt(diag.reshape(blocks.shape[:2]))
+    w, V = np.linalg.eigh(s[:, :, None] * blocks * s[:, None, :])
+    return w, s[:, :, None] * V
 
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Assembled operator set for one basis; immutable and thread-safe.
-
-    mu/phi hold the generalized eigendecomposition K phi = M phi diag(mu)
-    with phi^T M phi = I; lambda_min = mu[0] is the coercivity constant of
-    the stiffness form over the mass form.  The norms take one coefficient
-    vector (n,) or a snapshot stack (m, n), giving one value per row.
+    """Operator set for one basis, stored as the basis gives it: the diagonals
+    of M and Gx, and K and Dy[i, j] = (d_y phi_i, phi_j) as (Mx, Ny, Ny) sine
+    blocks.  mu (ascending) and phi_blocks solve K phi = M phi diag(mu) with
+    phi^T M phi = I; mu[j] belongs to column modal_order[j] of the blocks
+    (block-major numbering), and lambda_min = mu[0].  M, Gx, K, Dy and phi (columns in mu's order) are dense views
+    built on first access.  The norms take one vector (n,) or a stack (m, n).
     """
 
     basis: Basis
     grid: QuadGrid
     dom: DomainSpec
-    M: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
-    Gx: np.ndarray = field(repr=False)
-    Gy: np.ndarray = field(repr=False)
-    Dy: np.ndarray = field(repr=False)
+    m_diag: np.ndarray = field(repr=False)
+    gx_diag: np.ndarray = field(repr=False)
+    k_blocks: np.ndarray = field(repr=False)
+    dy_blocks: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
+    phi_blocks: np.ndarray = field(repr=False)
+    modal_order: np.ndarray = field(repr=False)
     lambda_min: float = 0.0
+
+    M = cached_property(lambda self: np.diag(self.m_diag))
+    Gx = cached_property(lambda self: np.diag(self.gx_diag))
+    K = cached_property(lambda self: block_dense(self.k_blocks))
+    Dy = cached_property(lambda self: block_dense(self.dy_blocks))
+    phi = cached_property(lambda self: block_dense(self.phi_blocks)[:, self.modal_order])
 
     @property
     def n(self) -> int:
         return self.basis.n
 
     def l2_norm_sq(self, v):
-        return bilinear_form(self.M, v, v)
+        return np.vecdot(self.m_diag * v, v)
+
+    def ux_norm_sq(self, u):
+        return np.vecdot(self.gx_diag * u, u)
 
     def bending_norm_sq(self, u):
-        return bilinear_form(self.K, u, u)
+        return bilinear_form(self.k_blocks, u, u)
 
     def state_norm_sq(self, u, v):
         """Squared phase-space norm ||u||_{2,*}^2 + ||v||_0^2."""
@@ -331,7 +316,13 @@ class DiscreteOperators:
 
     def modal_coords(self, u) -> np.ndarray:
         """Coefficients of u in the M-orthonormal stiffness eigenbasis."""
-        return np.matvec(self.phi.T, np.matvec(self.M, u))
+        return block_vecmat(self.m_diag * u, self.phi_blocks)[..., self.modal_order]
+
+    def from_modal(self, c) -> np.ndarray:
+        """The vector with modal coordinates c: phi c."""
+        b = np.empty_like(c, dtype=float)
+        b[..., self.modal_order] = c
+        return block_matvec(self.phi_blocks, b)
 
     def fractional_norm_sq(self, u, order: float):
         """Spectral surrogate for ||u||_{order}^2, order in [0, 2].
@@ -343,28 +334,42 @@ class DiscreteOperators:
         return np.sum(self.mu ** (order / 2.0) * c * c, axis=-1)
 
 
-def bilinear_form(A: np.ndarray, x, y):
-    """x^T A y for vectors (n,), or row by row for stacks (m, n); each row
-    runs the single-vector products, so it has the same bits."""
-    return np.vecdot(np.vecmat(x, A), y)
-
-
 def build_operators(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> DiscreteOperators:
-    """Assemble all Grams and the (K, M) eigendecomposition for one basis."""
-    import scipy.linalg
+    """Assemble the diagonals, the sine blocks and the (K, M) spectrum.
 
-    M = assemble_mass(basis, grid)
-    K = assemble_stiffness(basis, grid, dom)
-    Gx, Dy = assemble_derivative_grams(basis, grid)
-    Gy = np.kron(_gram_x(grid, grid.sx, grid.sx), _gram_y(grid, grid.dly, grid.dly))
-    Gy = 0.5 * (Gy + Gy.T)
-    mu, phi = scipy.linalg.eigh(K, M)
-    if mu[0] <= 0:
-        raise DiscretizationError(
-            f"smallest generalized eigenvalue is not positive: {mu[0]:.3e}")
-    return DiscreteOperators(basis=basis, grid=grid, dom=dom, M=M, K=K,
-                             Gx=Gx, Gy=Gy, Dy=Dy, mu=mu, phi=phi,
-                             lambda_min=float(mu[0]))
+    Each form is separable, a product of 1-D Grams, and the x-Grams of
+    sin(m x) and its derivatives are diagonal.  The stiffness form is
+        a(u, v) = int u_xx v_xx + u_yy v_yy
+                  + sigma (u_xx v_yy + u_yy v_xx) + 2 (1 - sigma) u_xy v_xy.
+    """
+    def x_diag(fa, fb):     # the diagonal (fa_m, fb_m) of an x-Gram, as (Mx, 1, 1)
+        return ((fa * fb) @ grid.x_weights)[:, None, None]
+
+    def y_gram(fa, fb):     # (fa_k, fb_j)
+        return (fa * grid.y_weights) @ fb.T
+
+    Y_ll, Y_ll2 = y_gram(grid.ly, grid.ly), y_gram(grid.ly, grid.d2ly)
+    xs, xc = x_diag(grid.sx, grid.sx), x_diag(grid.dsx, grid.dsx)
+    K = (x_diag(grid.d2sx, grid.d2sx) * Y_ll + xs * y_gram(grid.d2ly, grid.d2ly)
+         + dom.sigma * x_diag(grid.d2sx, grid.sx) * (Y_ll2 + Y_ll2.T)
+         + 2.0 * (1.0 - dom.sigma) * xc * y_gram(grid.dly, grid.dly))
+    K = 0.5 * (K + K.transpose(0, 2, 1))
+    m_diag = (xs[:, 0] * np.diag(Y_ll)).ravel()
+    if not np.all(m_diag > 0):
+        i = int(np.argmin(m_diag))
+        raise DiscretizationError(f"mass entry of mode (m, k) = ({i // basis.Ny + 1}, "
+                                  f"{i % basis.Ny}) is not positive: {m_diag[i]:.3e}")
+    mu_blocks, phi_blocks = block_eigh(K, m_diag)
+    if not mu_blocks[:, 0].min() > 0:
+        m = int(np.argmin(mu_blocks[:, 0]))
+        raise DiscretizationError(f"smallest eigenvalue of stiffness block m = {m + 1} "
+                                  f"is not positive: {mu_blocks[m, 0]:.3e}")
+    order = np.argsort(mu_blocks.ravel(), kind="stable")
+    return DiscreteOperators(basis=basis, grid=grid, dom=dom, m_diag=m_diag,
+                             gx_diag=(xc[:, 0] * np.diag(Y_ll)).ravel(), k_blocks=K,
+                             dy_blocks=xs * y_gram(grid.dly, grid.ly),
+                             mu=mu_blocks.ravel()[order], phi_blocks=phi_blocks,
+                             modal_order=order, lambda_min=float(mu_blocks.min()))
 
 
 def make_operators(Mx: int, Ny: int, dom: DomainSpec | None = None,
@@ -381,7 +386,7 @@ def embedding_constant(ops: DiscreteOperators, tol: float = 1e-10,
     """Largest value of ||u||_0^2 / a(u, u) and the vector achieving it.
 
     Equals 1 / lambda_min(K, M); computed here independently by inverse
-    iteration on (K, M) so it can cross-check the dense eigensolve.
+    iteration on the dense (K, M) so it can cross-check the block eigensolve.
     """
     import scipy.linalg
 

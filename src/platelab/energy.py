@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscreteOperators, bilinear_form
+from .discretization import DiscreteOperators
 from .model import PlateConfig, SourceCertificate
 
 
@@ -74,7 +74,7 @@ def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
     """Pi(u) of one state (n,), or per row of a snapshot stack (m, n); the
     source integral uses the analytic antiderivative at nodes."""
     grid = ops.grid
-    ux_sq = bilinear_form(ops.Gx, u, u)
+    ux_sq = ops.ux_norm_sq(u)
     out = -0.5 * cfg.alpha * ux_sq + 0.25 * cfg.delta * ux_sq ** 2
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
         # at most two grid-sized arrays: the nodal values, then reused in
@@ -143,7 +143,7 @@ def energy_identity_residual(ledger: EnergyLedger, s_index: int, t_index: int) -
 def poincare_ratio(u, ops: DiscreteOperators) -> float:
     """||u||_0^2 / ||u_x||_0^2; must stay below pi^2 on the whole space."""
     u = np.asarray(u, dtype=float)
-    den = float(u @ ops.Gx @ u)
+    den = float(ops.ux_norm_sq(u))
     if den <= 0.0:
         raise EnergyError("u has vanishing x-derivative (only u = 0 allows this)")
     ratio = ops.l2_norm_sq(u) / den
@@ -163,7 +163,7 @@ def interpolation_gap(u, ops: DiscreteOperators, s: float, eta: float,
         raise EnergyError(f"order s must lie in (0, 2], got {s}")
     u = np.asarray(u, dtype=float)
     low = ops.fractional_norm_sq(u, 2.0 - s)
-    ux_sq = float(u @ ops.Gx @ u)
+    ux_sq = float(ops.ux_norm_sq(u))
     return low - eta * (ops.bending_norm_sq(u) + ux_sq ** 2)
 
 

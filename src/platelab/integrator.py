@@ -8,11 +8,12 @@ u_m = (u0 + u1)/2, v_m = (v0 + v1)/2 satisfying
 
 The linear part (including the alpha u_xx term, which is linear) is
 solved exactly through the generalized eigendecomposition of
-(K - alpha Gx, M), factorised once per (config, dt) and reused; in
-modal coordinates every solve is diagonal.  The nonlocal damping is
-closed implicitly by a scalar root solve for rho = ||v_m||_0, and the
-remaining nonlinear loads (stretching, stays, source, flow term) are
-handled by an outer fixed-point iteration.
+(K - alpha Gx, M), factorised block by block (per sine index) once per
+(config, dt) and reused; the modal transforms are batched block
+products, and in modal coordinates every solve is diagonal.  The
+nonlocal damping is closed implicitly by a scalar root solve for
+rho = ||v_m||_0, and the remaining nonlinear loads (stretching, stays,
+source, flow term) are handled by an outer fixed-point iteration.
 
 On the purely linear conservative subsystem the scheme conserves the
 discrete quadratic energy exactly (up to roundoff); with nonlinearities
@@ -29,10 +30,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import energy as energy_mod
-from .discretization import DiscreteOperators, bilinear_form
+from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
+                             block_vecmat)
 from .model import (PlateConfig, SourceCertificate, State, certify_source,
                     damping_gain, damping_gains, force_load, horner, solve_stationary)
 
@@ -73,26 +74,24 @@ class Trajectory:
 
 
 class SolverCache:
-    """Per-(config, dt) factorisation reused across steps."""
+    """Per-(config, dt) factorisation reused across steps: the sine blocks of
+    K_lin = K - alpha Gx, their eigenvector blocks phi and, in the same
+    block-major order, the per-mode constants base."""
 
     def __init__(self, ops: DiscreteOperators, cfg: PlateConfig, dt: float):
         self.ops = ops
         self.cfg = cfg
         self.dt = dt
-        K_lin = ops.K - cfg.alpha * ops.Gx
-        mu, phi = scipy.linalg.eigh(K_lin, ops.M)
-        self.mu_lin = mu
-        self.phi = phi                      # phi^T M phi = I
-        self.phi_T = np.ascontiguousarray(phi.T)
-        self.phi_TM = phi.T @ ops.M
-        self.base = 2.0 / dt + 0.5 * dt * mu
+        gx = ops.gx_diag.reshape(ops.k_blocks.shape[:2])
+        self.K_lin = ops.k_blocks - cfg.alpha * gx[:, :, None] * np.eye(gx.shape[1])
+        mu, self.phi = block_eigh(self.K_lin, ops.m_diag)
+        self.base = 2.0 / dt + 0.5 * dt * mu.ravel()
         self.base0 = self.base + damping_gain(0.0, cfg)
         if np.any(self.base0 <= 0.0):
             raise IntegratorError(
                 "time step too large for the negative-stiffness modes "
                 f"(min base {self.base.min():.3e}); reduce dt")
-        self.K_lin = K_lin
-        # loads beyond K_lin: everything except the alpha Gx part
+        self.load_cfg = cfg.with_(alpha=0.0)     # alpha Gx is inside K_lin
         self.has_nl_load = (cfg.delta != 0.0 or cfg.kappa != 0.0
                             or cfg.beta != 0.0 or not cfg.source.is_zero)
         self.gain_constant = cfg.q_eff == 0   # g(s) = b_0: no scalar iteration
@@ -101,10 +100,7 @@ class SolverCache:
 
     def residual_load(self, u_m: np.ndarray) -> np.ndarray:
         """force_load minus the alpha-part already inside K_lin (row-wise on a stack)."""
-        out = force_load(u_m, self.ops, self.cfg)
-        if self.cfg.alpha != 0.0:
-            out -= self.cfg.alpha * np.matvec(self.ops.Gx, u_m)
-        return out
+        return force_load(u_m, self.ops, self.load_cfg)
 
 
 SPEED_MAXITER = 100
@@ -199,7 +195,7 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
         errors = {j: f"non-finite state at t = {state.t}" for j in rows if not finite[j]}
         rows = [j for j in rows if finite[j]]
         u0, v0 = U0[rows], V0[rows]
-    base_rhs = (2.0 / dt) * np.matvec(ops.M, v0) - np.matvec(cache.K_lin, u0)
+    base_rhs = (2.0 / dt) * (ops.m_diag * v0) - block_matvec(cache.K_lin, u0)
     u_m = u0 + h * v0
     v_m = v0
     # Newton's warm start: the speed at the start of the step
@@ -211,12 +207,12 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
         if not rows:
             break
         rhs = base_rhs + cache.residual_load(u_m) if cache.has_nl_load else base_rhs
-        r_modal = np.matvec(cache.phi_T, rhs)
+        r_modal = block_vecmat(rhs, cache.phi)
         rho = solve_midpoint_speed(r_modal, cache, guess=rho)
         denom = (cache.base0 if cache.gain_constant
                  else cache.base + damping_gains(rho, cfg)[:, None])
         w = r_modal / denom
-        v_new = np.matvec(cache.phi, w)
+        v_new = block_matvec(cache.phi, w)
         if any(relaxed):
             v_new = np.where(np.array(relaxed)[:, None],
                              RELAX * v_new + (1.0 - RELAX) * v_m, v_new)
@@ -293,10 +289,8 @@ def initial_state(spec, ops: DiscreteOperators, cfg: PlateConfig, seed: int = 0)
     if kind == "random":
         _, radius = spec
         rng = np.random.default_rng(seed)
-        cu = rng.standard_normal(n) / (1.0 + ops.mu)
-        cv = rng.standard_normal(n) / (1.0 + np.sqrt(ops.mu))
-        u = ops.phi @ cu
-        v = ops.phi @ cv
+        u = ops.from_modal(rng.standard_normal(n) / (1.0 + ops.mu))
+        v = ops.from_modal(rng.standard_normal(n) / (1.0 + np.sqrt(ops.mu)))
         nrm = np.sqrt(ops.state_norm_sq(u, v))
         if radius == 0.0 or nrm == 0.0:
             return State(np.zeros(n), np.zeros(n), 0.0)
@@ -304,9 +298,9 @@ def initial_state(spec, ops: DiscreteOperators, cfg: PlateConfig, seed: int = 0)
     if kind == "stationary_kick":
         _, kick = spec
         rng = np.random.default_rng(seed)
-        guess = ops.phi @ (rng.standard_normal(n) / (1.0 + ops.mu))
+        guess = ops.from_modal(rng.standard_normal(n) / (1.0 + ops.mu))
         res = solve_stationary(cfg, ops, guess)
-        v = ops.phi @ (rng.standard_normal(n) / (1.0 + np.sqrt(ops.mu)))
+        v = ops.from_modal(rng.standard_normal(n) / (1.0 + np.sqrt(ops.mu)))
         vn = np.sqrt(ops.l2_norm_sq(v))
         if vn > 0 and kick != 0.0:
             v *= kick / vn
@@ -370,7 +364,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         # -beta times the time integral of the second
         sp2 = ops.l2_norm_sq(st.v)
         return (damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2,
-                bilinear_form(ops.Dy, st.u, st.v))
+                bilinear_form(ops.dy_blocks, st.u, st.v))
 
     def record():
         nonlocal slot

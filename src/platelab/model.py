@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import DiscreteOperators, DomainSpec, QuadGrid, bilinear_form
+from .discretization import DiscreteOperators, DomainSpec, QuadGrid, block_vecmat
 
 
 class ModelError(ValueError):
@@ -200,7 +200,7 @@ def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.
     """Tested damping D(v): g(||v||_0) M v.  Monotone since all b_j >= 0."""
     v = np.asarray(v, dtype=float)
     speed = float(np.sqrt(max(ops.l2_norm_sq(v), 0.0)))
-    return damping_gain(speed, cfg) * (ops.M @ v)
+    return damping_gain(speed, cfg) * (ops.m_diag * v)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.
 
 def berger_coefficient(u, ops: DiscreteOperators, cfg: PlateConfig):
     """Effective axial coefficient alpha - delta ||u_x||_0^2, per row of a stack."""
-    return cfg.alpha - cfg.delta * bilinear_form(ops.Gx, u, u)
+    return cfg.alpha - cfg.delta * ops.ux_norm_sq(u)
 
 
 def _pointwise_load(u, ops: DiscreteOperators, cfg: PlateConfig,
@@ -241,18 +241,19 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
     """
     grid = grid or ops.grid
     u = np.asarray(u, dtype=float)
-    out = berger_coefficient(u, ops, cfg)[..., None] * np.matvec(ops.Gx, u)
+    gxu = ops.gx_diag * u       # Gx u, also giving ||u_x||^2 = (Gx u, u)
+    out = (cfg.alpha - cfg.delta * np.vecdot(gxu, u))[..., None] * gxu
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
         out -= _pointwise_load(u, ops, cfg, grid)
     if cfg.beta != 0.0:
-        out -= cfg.beta * np.vecmat(u, ops.Dy)
+        out -= cfg.beta * block_vecmat(u, ops.dy_blocks)
     return out
 
 
 def nonconservative_load(u: np.ndarray, ops: DiscreteOperators,
                          cfg: PlateConfig) -> np.ndarray:
     """Tested flow term (N(u), phi_i) = -beta (u_y, phi_i)."""
-    return -cfg.beta * (ops.Dy.T @ np.asarray(u, dtype=float))
+    return -cfg.beta * block_vecmat(np.asarray(u, dtype=float), ops.dy_blocks)
 
 
 def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
@@ -264,7 +265,7 @@ def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
     """
     grid = grid or ops.grid
     u = np.asarray(u, dtype=float)
-    gxu = ops.Gx @ u
+    gxu = ops.gx_diag * u
     J = berger_coefficient(u, ops, cfg) * ops.Gx - 2.0 * cfg.delta * np.outer(gxu, gxu)
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
         vals = grid.eval_coeffs(u, "val")

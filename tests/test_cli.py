@@ -305,6 +305,14 @@ theiler = 10
         svg = (out / "ledger.svg").read_text()
         assert svg.startswith("<svg") and "config_hash=" in svg
 
+    def test_plots_flag_only_where_plots_exist(self, capsys):
+        # barrier, dimension and stationary draw nothing, so argparse rejects it
+        for name in ("barrier", "dimension", "stationary"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--config", "x.cfg", "--plots"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --plots" in capsys.readouterr().err
+
     def test_conservative_preset_residual(self, tmp_path):
         text = config_text("conservative").replace("t = 680.0", "t = 80.0")
         cfg = write_cfg(tmp_path, text)

@@ -1,13 +1,18 @@
 """Basis, quadrature, and operator assembly against analytic integrals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from platelab.discretization import (DiscretizationError, DomainSpec,
-                                     assemble_mass, build_basis,
-                                     embedding_constant, make_operators,
-                                     quadrature_grid)
+from kron_reference import dense_operators
+from platelab.discretization import (DiscretizationError, DomainSpec, build_basis,
+                                     build_operators, embedding_constant,
+                                     make_operators, quadrature_grid)
+from platelab.integrator import SimPlan, SolverCache, run, step
+from platelab.model import PlateConfig, SourceSpec
 
 
 class TestBasis:
@@ -30,7 +35,7 @@ class TestBasis:
         basis = build_basis(3, 4, dom)
         assert basis.n == 12
         grid = quadrature_grid(basis, dom)
-        M = assemble_mass(basis, grid)
+        M = dense_operators(grid, dom.sigma)["M"]
         sign, logdet = np.linalg.slogdet(M)
         assert sign > 0 and np.isfinite(logdet)
 
@@ -203,3 +208,61 @@ class TestConsistency:
         tables = ops3.grid.basis_tables()
         direct = np.tensordot(u, tables["phi"], axes=(0, 0))
         assert np.allclose(direct, ops3.grid.eval_coeffs(u, "val"), atol=1e-13)
+
+
+class TestBlockForm:
+    DOM = DomainSpec(l=0.7, sigma=0.22)
+
+    @pytest.mark.parametrize("mx, ny", [(6, 5), (12, 9)])
+    def test_operators_match_kron_reference(self, mx, ny):
+        ops = make_operators(mx, ny, self.DOM)
+        ref = dense_operators(ops.grid, self.DOM.sigma)
+        for name in ("M", "K", "Gx", "Dy"):
+            err = np.max(np.abs(getattr(ops, name) - ref[name]))
+            assert err <= 1e-13 * np.max(np.abs(ref[name])), name
+
+    def test_spectrum_matches_dense_generalized_eigh(self):
+        ops = make_operators(8, 8, self.DOM)
+        ref = dense_operators(ops.grid, self.DOM.sigma)
+        mu = scipy.linalg.eigh(ref["K"], ref["M"], eigvals_only=True)
+        assert np.all(np.abs(ops.mu - mu) <= 1e-10 * mu)
+        assert np.all(np.diff(ops.mu) >= 0)
+        gram = ops.phi.T @ ops.M @ ops.phi
+        assert np.max(np.abs(gram - np.eye(ops.n))) < 1e-12
+        resid = ops.K @ ops.phi - ops.M @ ops.phi * ops.mu
+        assert np.max(np.abs(resid)) < 1e-10 * ops.mu[-1]
+
+    def test_modal_transforms_match_dense_phi(self, rng):
+        ops = make_operators(5, 4, self.DOM)
+        u = rng.standard_normal((3, ops.n))
+        c = rng.standard_normal((3, ops.n))
+        assert np.allclose(ops.modal_coords(u), u @ ops.M @ ops.phi, atol=1e-13)
+        assert np.allclose(ops.from_modal(c), c @ ops.phi.T, atol=1e-13)
+
+    def test_run_forms_no_dense_view(self):
+        ops = make_operators(4, 3, self.DOM)
+        cfg = PlateConfig(alpha=0.8, delta=1.0, beta=0.5, kappa=0.3,
+                          damping_coeffs=(0.2, 0.0, 0.4),
+                          source=SourceSpec("cubic_minus_load", load=0.5), dom=self.DOM)
+        plan = SimPlan(dt=1e-2, T=0.2)
+        traj = run(ops, cfg, plan, ("random", 1.0))
+        cache = SolverCache(ops, cfg, plan.dt)
+        step(traj.state(-1), ops, cfg, plan, cache)
+        assert not {"M", "K", "Gx", "Dy", "phi"} & vars(ops).keys()
+        for holder in (ops, cache):
+            for name, a in vars(holder).items():
+                assert not (isinstance(a, np.ndarray) and a.shape == (ops.n, ops.n)), name
+
+    def test_nonpositive_mass_entry_named(self, dom):
+        grid = quadrature_grid(build_basis(2, 2, dom), dom)
+        bad = dataclasses.replace(grid, y_weights=-grid.y_weights)
+        with pytest.raises(DiscretizationError, match="mass entry"):
+            build_operators(grid.basis, bad, dom)
+
+    def test_nonpositive_block_eigenvalue_named(self, dom):
+        # without x-derivatives the stiffness form sees only u_yy, which
+        # vanishes on the Legendre degrees 0 and 1
+        grid = quadrature_grid(build_basis(2, 3, dom), dom)
+        bad = dataclasses.replace(grid, dsx=0.0 * grid.dsx, d2sx=0.0 * grid.d2sx)
+        with pytest.raises(DiscretizationError, match="stiffness block m = 1"):
+            build_operators(grid.basis, bad, dom)

@@ -8,7 +8,7 @@ import pytest
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import PlateConfig, SourceSpec, damping_gain
+from platelab.model import PlateConfig, SourceSpec, damping_gain, force_load
 from platelab.reporting import load_trajectory
 
 
@@ -137,6 +137,17 @@ class TestSpeedSolve:
         assert stacked[3] == 0.0
 
 
+class TestSolverCache:
+    def test_residual_load_drops_the_alpha_part(self, ops12):
+        cfg = cfg_with(alpha=1.3, delta=0.7, beta=0.4, kappa=0.5,
+                       source=SourceSpec("cubic_minus_load", load=0.3))
+        cache = SolverCache(ops12, cfg, 1e-2)
+        U = np.random.default_rng(8).standard_normal((4, ops12.n))
+        expected = force_load(U, ops12, cfg) - cfg.alpha * U @ ops12.Gx
+        err = np.max(np.abs(cache.residual_load(U) - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
+
+
 class TestRun:
     def test_zero_horizon_single_snapshot(self, ops12):
         cfg = cfg_with(delta=1.0, damping_coeffs=(1.0, 0.0))
@@ -212,15 +223,16 @@ class TestEnsemble:
                          run_ensemble(ops12, cfg, plan, [starts[4]])[0])
 
     def test_failing_member_leaves_the_others_unchanged(self, dom, tmp_path):
-        # undamped flutter at a large amplitude: the fixed point stops
-        # converging at step 40 of 60, while the small members carry on
+        # anti-damped (b_0 < 0) flutter at a large amplitude: the energy
+        # grows until the fixed point stops converging (at step 54 of 60),
+        # while the small members carry on
         from platelab.discretization import make_operators
 
         ops = make_operators(3, 2, dom)
-        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(0.0, 0.0))
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
         plan = SimPlan(dt=0.02, T=1.2, snapshot_every=5)
         small = [("mode", 1, 0, 0.5), ("mode", 2, 1, 0.3)]
-        boom = ("mode", 1, 0, 20.0)
+        boom = ("mode", 1, 0, 15.0)
         with pytest.raises(IntegratorError):
             run(ops, cfg, plan, boom)
         out = run_ensemble(ops, cfg, plan, [small[0], boom, small[1]],

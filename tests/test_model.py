@@ -13,6 +13,7 @@ from platelab.model import (ModelError, PlateConfig, SourceSpec, _weighted_gram,
 from platelab.energy import potential_energy
 
 from conftest import random_coeffs
+from kron_reference import dense_operators
 
 
 def cfg_with(**kw):
@@ -92,10 +93,11 @@ class TestForceLoad:
     def test_flow_pairing_bound(self, ops12, rng):
         # |(F(u), u)| = |beta (u_y, u)| <= |beta| ||u||_1^2 for the flow-only config
         cfg = cfg_with(beta=0.8)
+        ref = dense_operators(ops12.grid, ops12.dom.sigma)
         for seed in range(20):
             u = random_coeffs(ops12, seed)
             pairing = float(force_load(u, ops12, cfg) @ u)
-            h1_sq = float(u @ (ops12.M + ops12.Gx + ops12.Gy) @ u)
+            h1_sq = float(u @ (ref["M"] + ref["Gx"] + ref["Gy"]) @ u)
             assert abs(pairing) <= abs(cfg.beta) * h1_sq * (1 + 1e-12)
 
     def test_negative_displacement_kills_stay_term(self, ops12):
