@@ -17,5 +17,6 @@ from .barrier import (BarrierConstants, balance_function, balancing_check,
                       fit_barrier_constants, lyapunov_value, solve_barrier_scale,
                       toy_constants, ultimate_bound)
 from .attractor_lab import (SweepPlan, absorbing_time, correlation_dimension,
-                            dissipativity_sweep, quasistability_pair,
-                            regularity_probe, stationary_convergence)
+                            dissipativity_sweep, make_nearby_pair,
+                            quasistability_pairs, regularity_probe,
+                            stationary_convergence)

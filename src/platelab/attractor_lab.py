@@ -14,7 +14,7 @@ import numpy as np
 
 from .discretization import DiscreteOperators, block_matvec
 from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
-from .model import (PlateConfig, SourceCertificate, certify_source,
+from .model import (PlateConfig, SourceCertificate, State, certify_source,
                     damping_gains, force_load, solve_stationary)
 
 
@@ -190,22 +190,35 @@ class PairStats:
     note: str = ""
 
 
-def quasistability_pair(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
-                        y1, y2, cert: SourceCertificate | None = None) -> PairStats:
-    """Fit sep(t) <= C e^{-omega t} sep(0) + d * sup_{s<=t} ||z(s)||_0^2.
+def make_nearby_pair(ops: DiscreteOperators, cfg: PlateConfig, radius: float,
+                     gap: float, seed: int):
+    """Random base state plus a random phase-space perturbation of norm gap."""
+    base = initial_state(("random", radius), ops, cfg, seed)
+    pert = initial_state(("random", gap), ops, cfg, seed + 1)
+    return base, State(base.u + pert.u, base.v + pert.v, base.t)
 
-    The lower-order seminorm is the plain L2 norm of the displacement
-    gap (the spectral order-0 surrogate).  Certification demands a fit
-    with omega > 0, zero pointwise violations, enough horizon for the
-    exponential part to actually decay (omega * T >= 2), and a
-    separation that keeps decaying exponentially over the late window
-    (or has already collapsed to 1e-6 of its initial value).
-    Degenerate-at-rest damping (b_0 = 0) typically stalls the
+
+def quasistability_pairs(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
+                         pairs, cert: SourceCertificate | None = None) -> list[PairStats]:
+    """Fit sep(t) <= C e^{-omega t} sep(0) + d * sup_{s<=t} ||z(s)||_0^2 per pair.
+
+    All pairs (y1, y2) advance as one ensemble; its first member failure,
+    in member order, is raised.  The lower-order seminorm is the plain L2
+    norm of the displacement gap (the spectral order-0 surrogate).
+    Certification demands a fit with omega > 0, zero pointwise
+    violations, enough horizon for the exponential part to actually decay
+    (omega * T >= 2), and a separation that keeps decaying exponentially
+    over the late window (or has already collapsed to 1e-6 of its initial
+    value).  Degenerate-at-rest damping (b_0 = 0) typically stalls the
     separation at a plateau, whose slower-than-exponential tail this
     rule declines to certify.
     """
-    cert = cert or certify_source(cfg)
-    t1, t2 = _finished(run_ensemble(ops, cfg, plan, [y1, y2], cert))
+    trajs = _finished(run_ensemble(ops, cfg, plan, [y for pair in pairs for y in pair],
+                                   cert))
+    return [_fit_pair(ops, t1, t2) for t1, t2 in zip(trajs[::2], trajs[1::2])]
+
+
+def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairStats:
     times = t1.times
     m = len(times)
     du = t1.us - t2.us
@@ -442,8 +455,7 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
                                 note="b_0 = 0: damping degenerate at rest")
     seeds = [_sample_seed(plan.seed, 7, j) for j in range(samples)]
     starts = [initial_state(("random", radius), ops, cfg, seed) for seed in seeds]
-    sim = SimPlan(dt=plan.dt, T=plan.T, snapshot_every=plan.snapshot_every, seed=plan.seed)
-    trajs = _finished(run_ensemble(ops, cfg, sim, starts, certify_source(cfg)))
+    trajs = _finished(run_ensemble(ops, cfg, plan, starts, certify_source(cfg)))
     out = []
     for seed, traj in zip(seeds, trajs):
         uT, vT = traj.us[-1], traj.vs[-1]

@@ -312,10 +312,6 @@ class DecayAudit:
     bracket_violations: int
     meta: dict = field(default_factory=dict)
 
-    @property
-    def bracket_ok(self) -> bool:
-        return self.bracket_violations == 0
-
 
 def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
                 cert: SourceCertificate, bc: BarrierConstants,
@@ -334,7 +330,7 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
     if eps is None:
         eps = decay_rate_at_energy(E0, bc)
 
-    V = lyapunov_value(traj.us, traj.vs, eps, ops, cfg, cert)
+    V = led.Etot + eps * np.vecdot(ops.m_diag * traj.vs, traj.us)
     sp2 = ops.l2_norm_sq(traj.vs)
     ddot = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2
 

@@ -215,8 +215,3 @@ def fit_sandwich_constant(states, ops: DiscreteOperators, cfg: PlateConfig,
     excess = np.abs(pi1) - eta_tilde * (ops.bending_norm_sq(us) + pi0)
     return SandwichConstants(eta_tilde=eta_tilde, C=max(0.0, float(np.max(excess))),
                              mode="fitted")
-
-
-def sandwich_bounds(E: float, sc: SandwichConstants) -> tuple[float, float]:
-    """(lower, upper) admissible range for Etot given E: 1/2 E - C, 2 E + C."""
-    return 0.5 * E - sc.C, 2.0 * E + sc.C

@@ -105,6 +105,7 @@ class SolverCache:
 
 SPEED_MAXITER = 100
 RELAX = 0.8     # fixed-point relaxation once a member's change grows
+STALL = 1024    # roundoff floor of the fixed-point change, in eps * ||(u_m, v_m)||
 
 
 def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
@@ -178,6 +179,9 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     Every member runs its own fixed-point iteration, relaxation switch and
     convergence test; a converged member is frozen while the others
     iterate, so each row has the same bits whatever rows share the stack.
+    A member converges when the change of its end state between two
+    iterations is at most plan.fp_tol in the phase-space norm, or stops
+    shrinking at its roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
     A member that fails (non-finite state, fixed point not converged,
     blow-up) raises IntegratorError, unless `failures` is a dict: then its
     message is stored under its row index, its row of the result is not
@@ -225,6 +229,13 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
         u_m, v_m = u_new, v_new
         change = change.tolist()
         done = [not c > plan.fp_tol for c in change]    # non-finite rows fail below
+        stalled = [i for i, (c, lc, d) in enumerate(zip(change, last, done))
+                   if not d and c >= lc]
+        if stalled:     # at its roundoff floor the change stops shrinking
+            floor = STALL * np.finfo(float).eps * np.sqrt(
+                ops.state_norm_sq(u_m[stalled], v_m[stalled]))
+            for i, f in zip(stalled, floor.tolist()):
+                done[i] = change[i] <= f < math.inf     # no floor from an overflow
         if all(done):
             settled.append((rows, u_m, v_m))
             rows = []

@@ -16,9 +16,9 @@ import pytest
 import platelab as pl
 from platelab import barrier as bar
 from platelab.attractor_lab import (SweepPlan, correlation_dimension,
-                                    dissipativity_sweep, quasistability_pair,
-                                    stationary_convergence)
-from platelab.cli import main, make_nearby_pair
+                                    dissipativity_sweep, make_nearby_pair,
+                                    quasistability_pairs, stationary_convergence)
+from platelab.cli import main
 from platelab.energy import sandwich_constants
 from platelab.integrator import SimPlan, run
 from platelab.model import PlateConfig, SourceSpec, certify_source, solve_stationary
@@ -210,11 +210,10 @@ def test_criterion_9_quasistability(ops12):
                       source=SourceSpec(kind="cubic_minus_load", load=1.0))
     cert = certify_source(cfg)
     plan = SimPlan(dt=2.5e-3, T=20.0, snapshot_every=5, seed=0)
+    pairs = [make_nearby_pair(ops12, cfg, 1.0, 1e-3, 300 + k) for k in range(5)]
     all_ok = True
     rates = []
-    for k in range(5):
-        y1, y2 = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 300 + k)
-        stats = quasistability_pair(ops12, cfg, plan, y1, y2, cert)
+    for (y1, y2), stats in zip(pairs, quasistability_pairs(ops12, cfg, plan, pairs, cert)):
         exact0 = ops12.state_norm_sq(y1.u - y2.u, y1.v - y2.v)
         all_ok &= (stats.certified and stats.fitted_rate > 0
                    and stats.violations == 0 and stats.separation[0] == exact0)

@@ -1,16 +1,17 @@
 """Experiment drivers: sweep, absorption, pairs, dimension, regularity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from platelab.attractor_lab import (ExperimentError, SweepPlan, absorbing_time,
-                                    correlation_dimension, dissipativity_sweep,
-                                    quasistability_pair, regularity_probe,
+from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan,
+                                    absorbing_time, correlation_dimension,
+                                    dissipativity_sweep, make_nearby_pair,
+                                    quasistability_pairs, regularity_probe,
                                     stationary_convergence)
-from platelab.cli import make_nearby_pair
-from platelab.integrator import SimPlan, Trajectory, run
+from platelab.integrator import IntegratorError, SimPlan, Trajectory, run
 from platelab.model import PlateConfig, SourceSpec
 
 
@@ -171,7 +172,7 @@ class TestQuasistability:
         cfg = cfg_with(**DAMPED)
         plan = SimPlan(dt=4e-3, T=5.0, snapshot_every=5, seed=0)
         y, _ = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 0)
-        stats = quasistability_pair(ops12, cfg, plan, y, y)
+        (stats,) = quasistability_pairs(ops12, cfg, plan, [(y, y)])
         assert stats.certified and stats.violations == 0
         assert np.max(stats.separation) == 0.0
 
@@ -179,7 +180,7 @@ class TestQuasistability:
         cfg = cfg_with(**DAMPED)
         plan = SimPlan(dt=4e-3, T=5.0, snapshot_every=5, seed=0)
         y1, y2 = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 3)
-        stats = quasistability_pair(ops12, cfg, plan, y1, y2)
+        (stats,) = quasistability_pairs(ops12, cfg, plan, [(y1, y2)])
         exact = ops12.state_norm_sq(y1.u - y2.u, y1.v - y2.v)
         assert stats.separation[0] == exact
 
@@ -187,7 +188,7 @@ class TestQuasistability:
         cfg = cfg_with(**DAMPED)
         plan = SimPlan(dt=2e-3, T=25.0, snapshot_every=5, seed=0)
         y1, y2 = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 17)
-        stats = quasistability_pair(ops12, cfg, plan, y1, y2)
+        (stats,) = quasistability_pairs(ops12, cfg, plan, [(y1, y2)])
         assert stats.certified
         assert stats.fitted_rate > 0
         assert stats.violations == 0
@@ -198,9 +199,40 @@ class TestQuasistability:
         cfg = cfg_with(**{**DAMPED, "damping_coeffs": (0.0, 0.0, 8.0)})
         plan = SimPlan(dt=2e-3, T=25.0, snapshot_every=5, seed=0)
         y1, y2 = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 23)
-        stats = quasistability_pair(ops12, cfg, plan, y1, y2)
+        (stats,) = quasistability_pairs(ops12, cfg, plan, [(y1, y2)])
         assert not stats.certified
         assert "not certified" in stats.note or stats.fitted_rate <= 0
+
+    def test_batch_matches_each_pair_alone(self, ops12):
+        cfg = cfg_with(**DAMPED)
+        plan = SimPlan(dt=4e-3, T=5.0, snapshot_every=5, seed=0)
+        y, _ = make_nearby_pair(ops12, cfg, 1.0, 1e-3, 0)
+        pairs = [make_nearby_pair(ops12, cfg, 1.0, 1e-3, 5), (y, y),
+                 make_nearby_pair(ops12, cfg, 2.0, 1e-2, 9)]
+        batch = quasistability_pairs(ops12, cfg, plan, pairs)
+        assert len(batch) == 3 and batch[1].note == "identical pair"
+        for pair, got in zip(pairs, batch):
+            (alone,) = quasistability_pairs(ops12, cfg, plan, [pair])
+            for f in dataclasses.fields(PairStats):
+                a, b = getattr(got, f.name), getattr(alone, f.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def test_diverging_pair_fails_the_batch_as_alone(self, dom):
+        # anti-damped flutter at a large amplitude stops converging within
+        # the horizon; its small batch mates do not
+        from platelab.discretization import make_operators
+
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
+        plan = SimPlan(dt=0.02, T=1.2, snapshot_every=5)
+        small = make_nearby_pair(ops, cfg, 0.5, 1e-3, 1)
+        boom = make_nearby_pair(ops, cfg, 40.0, 1e-3, 2)
+        with pytest.raises(IntegratorError) as alone:
+            quasistability_pairs(ops, cfg, plan, [boom])
+        assert "did not converge" in str(alone.value)
+        with pytest.raises(IntegratorError) as batch:
+            quasistability_pairs(ops, cfg, plan, [small, boom, small])
+        assert str(batch.value) == str(alone.value)
 
 
 class TestCorrelationDimension:
@@ -327,6 +359,14 @@ class TestStationaryConvergence:
         assert rep.verdict == "PASS"
         for s in rep.samples:
             assert s.final_speed <= 1e-4 and s.distance <= 1e-3
+
+    def test_plan_reaches_the_integrator(self, ops12):
+        # the fixed-point cap of the given plan holds: one iteration cannot
+        # converge on a nonlinear config
+        cfg = cfg_with(alpha=0.0, delta=1.0, kappa=2.0, damping_coeffs=(1.0, 0.0))
+        plan = SimPlan(dt=4e-3, T=0.2, snapshot_every=10, fp_maxiter=1)
+        with pytest.raises(IntegratorError, match="did not converge in 1 iterations"):
+            stationary_convergence(ops12, cfg, plan, samples=2, radius=1.0)
 
     def test_flow_term_skips(self, ops12):
         cfg = cfg_with(beta=1.0, delta=1.0, damping_coeffs=(1.0, 0.0))

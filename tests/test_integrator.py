@@ -8,7 +8,7 @@ import pytest
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import PlateConfig, SourceSpec, damping_gain, force_load
+from platelab.model import ModelError, PlateConfig, SourceSpec, damping_gain, force_load
 from platelab.reporting import load_trajectory
 
 
@@ -88,6 +88,32 @@ class TestStep:
         st = State(np.full(ops12.n, np.nan), np.zeros(ops12.n))
         with pytest.raises(IntegratorError):
             step(st, ops12, cfg, SimPlan(dt=1e-2, T=1.0))
+
+    def test_change_stalled_at_roundoff_converges(self, dom):
+        # anti-damped flutter grows to a state norm of several hundred; at
+        # step 35 the fixed-point change stops shrinking at 1.45e-11, above
+        # fp_tol but about 113 eps times the state norm: roundoff, not a
+        # failure to converge
+        from platelab.discretization import make_operators
+
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-4.0, 0.0))
+        plan = SimPlan(dt=0.02, T=0.74, fp_maxiter=2000)
+        traj = run(ops, cfg, plan, ("mode", 1, 0, 15.0))
+        assert len(traj) == 38
+        assert math.sqrt(ops.state_norm_sq(traj.us[35], traj.vs[35])) > 500.0
+
+    def test_overflowed_norm_sets_no_roundoff_floor(self, dom):
+        # a huge step on a strong cubic: the iterates diverge until the
+        # state norm overflows, which must not pass for a roundoff floor
+        from platelab.discretization import make_operators
+
+        ops = make_operators(2, 1, dom)
+        cfg = cfg_with(damping_coeffs=(1.0, 0.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=0.0))
+        st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
+        with pytest.raises(ModelError, match="overflowed"), np.errstate(all="ignore"):
+            step(st, ops, cfg, SimPlan(dt=0.5, T=10.0))
 
 
 class TestSpeedSolve:
