@@ -8,7 +8,7 @@ plus the fitted constants that produced them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,16 +31,16 @@ def _sample_seed(base: int, radius_idx: int, sample_idx: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepPlan:
-    radii: tuple[float, ...] = (1.0, 5.0, 25.0)
-    samples_per_radius: int = 3
+class SweepPlan(SimPlan):
     T: float = 80.0
-    tail_fraction: float = 0.5
-    seed: int = 0
     dt: float = 2e-3
     snapshot_every: int = 10
+    radii: tuple[float, ...] = (1.0, 5.0, 25.0)
+    samples_per_radius: int = 3
+    tail_fraction: float = 0.5
 
     def __post_init__(self):
+        super().__post_init__()
         if not all(r >= 0 for r in self.radii) or list(self.radii) != sorted(self.radii):
             raise ExperimentError(f"radii must be nonnegative and increasing: {self.radii}")
         if not 0.0 < self.tail_fraction < 1.0:
@@ -50,8 +50,7 @@ class SweepPlan:
                 f"samples_per_radius must be >= 1, got {self.samples_per_radius}")
 
     def sim_plan(self, seed: int) -> SimPlan:
-        return SimPlan(dt=self.dt, T=self.T, snapshot_every=self.snapshot_every,
-                       seed=seed)
+        return replace(self, seed=seed)
 
 
 @dataclass
@@ -105,7 +104,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
                for j in range(plan.samples_per_radius)]
     starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
     try:
-        results = run_ensemble(ops, cfg, plan.sim_plan(plan.seed), starts)
+        results = run_ensemble(ops, cfg, plan, starts)
     except IntegratorError:
         # the set-up failed (time step too large, source not certified):
         # no member can be advanced
@@ -154,7 +153,7 @@ def absorbing_time(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
     """
     starts = [_random_start(ops, cfg, plan.seed, radius, 0, j)
               for j in range(plan.samples_per_radius)]
-    trajs = _finished(run_ensemble(ops, cfg, plan.sim_plan(plan.seed), starts))
+    trajs = _finished(run_ensemble(ops, cfg, plan, starts))
     entries = []
     retained = []
     for j, traj in enumerate(trajs):

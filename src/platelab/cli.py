@@ -124,12 +124,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     parsed, ops, out, chash = _prepare(args, "sweep")
-    sw = parsed.values["sweep"]
-    plan = attractor_lab.SweepPlan(
-        radii=sw["radii"], samples_per_radius=sw["samples_per_radius"], T=sw["t"],
-        tail_fraction=sw["tail_fraction"], seed=parsed.plan.seed, dt=sw["dt"],
-        snapshot_every=sw["snapshot_every"])
-    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, plan)
+    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, parsed.plans["sweep"])
     rows = []
     for i, r in enumerate(report.radii):
         for j, sup in enumerate(report.tail_sups[i]):
@@ -163,9 +158,7 @@ def cmd_barrier(args) -> int:
     parsed, ops, out, chash = _prepare(args, "barrier")
     bar = parsed.values["barrier"]
     cert = certify_source(parsed.cfg)
-    fit_plan = SimPlan(dt=bar["fit_dt"], T=bar["fit_t"],
-                       snapshot_every=bar["snapshot_every"], seed=parsed.plan.seed)
-    traj = run(ops, parsed.cfg, fit_plan, parsed.initial, cert)
+    traj = run(ops, parsed.cfg, parsed.plans["barrier"], parsed.initial, cert)
     bc = barrier_mod.fit_barrier_constants([traj], ops, parsed.cfg, cert)
     balance = barrier_mod.balancing_check(bc.gamma, bc.b)
     audit = barrier_mod.decay_audit(traj, ops, parsed.cfg, cert, bc)
@@ -224,10 +217,9 @@ def _barrier_toy(args) -> int:
 
 def cmd_pairs(args) -> int:
     parsed, ops, out, chash = _prepare(args, "pairs")
-    pairs = parsed.values["pairs"]
-    plan = SimPlan(dt=pairs["dt"], T=pairs["t"], snapshot_every=pairs["snapshot_every"])
+    pairs, plan = parsed.values["pairs"], parsed.plans["pairs"]
     starts = [attractor_lab.make_nearby_pair(ops, parsed.cfg, pairs["radius"], pairs["gap"],
-                                             parsed.plan.seed + 1000 * k)
+                                             plan.seed + 1000 * k)
               for k in range(pairs["n_pairs"])]
     results = attractor_lab.quasistability_pairs(ops, parsed.cfg, plan, starts)
     rows = [(k, t, sep, low) for k, s in enumerate(results)
@@ -277,11 +269,9 @@ def cmd_dimension(args) -> int:
 def cmd_stationary(args) -> int:
     parsed, ops, out, chash = _prepare(args, "stationary")
     st = parsed.values["stationary"]
-    plan = SimPlan(dt=st["dt"], T=st["t"], snapshot_every=st["snapshot_every"],
-                   seed=parsed.plan.seed)
     report = attractor_lab.stationary_convergence(
-        ops, parsed.cfg, plan, samples=st["samples"], radius=st["radius"],
-        speed_tol=st["speed_tol"], dist_tol=st["dist_tol"])
+        ops, parsed.cfg, parsed.plans["stationary"], samples=st["samples"],
+        radius=st["radius"], speed_tol=st["speed_tol"], dist_tol=st["dist_tol"])
     write_json(out / "stationary_report.json", {
         "config_hash": chash,
         "verdict": report.verdict,

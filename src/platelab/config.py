@@ -96,7 +96,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "t": Key(float, SimPlan.T, "horizon", _NONNEG),
         "snapshot_every": Key(int, SimPlan.snapshot_every, "steps per snapshot", _COUNT),
         "fp_tol": Key(float, SimPlan.fp_tol, "fixed-point tolerance", _POSITIVE),
-        "fp_maxiter": Key(int, SimPlan.fp_maxiter, "fixed-point iteration cap"),
+        "fp_maxiter": Key(int, SimPlan.fp_maxiter, "fixed-point iteration cap", _COUNT),
         "seed": Key(int, SimPlan.seed, "random seed; --seed overrides it"),
         "initial": Key(_parse_initial, ("mode", 1, 0, 0.5), "initial condition"),
     },
@@ -111,7 +111,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "pairs": {
         "n_pairs": Key(int, 5, "number of pairs", _COUNT),
-        "gap": Key(float, 1e-3, "phase-space distance of each pair"),
+        "gap": Key(float, 1e-3, "phase-space distance of each pair", _POSITIVE),
         "radius": Key(float, 1.0, "norm of the base state"),
         "t": Key(float, 40.0, "horizon", _NONNEG),
         "dt": Key(float, 2e-3, "time step", _POSITIVE),
@@ -137,7 +137,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "fit_dt": Key(float, 2e-3, "time step of that trajectory", _POSITIVE),
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
         "levels": Key(_tuple_of(float), (1.0, 10.0, 100.0),
-                      "initial levels of the ultimate bound"),
+                      "initial levels of the ultimate bound",
+                      (lambda ls: min(ls, default=0) >= 0, "must all be >= 0")),
     },
 }
 
@@ -145,7 +146,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
 @dataclass
 class ParsedConfig:
     cfg: PlateConfig
-    plan: SimPlan
+    plan: SimPlan                                  # the [sim] run
+    plans: dict                                    # experiment section -> its plan
     initial: tuple
     mx: int
     ny: int
@@ -230,10 +232,12 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
                   "allow_undamped for control experiments)")
         problems.append(p)
 
-    sim = values["sim"]
-    plan = SimPlan(dt=sim["dt"], T=sim["t"], snapshot_every=sim["snapshot_every"],
-                   fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
-                   seed=sim["seed"] if seed_override is None else seed_override)
+    sim, basis = values["sim"], values["basis"]
+    if sim["initial"][0] == "mode":
+        _, m, k, _ = sim["initial"]
+        if not (1 <= m <= basis["mx"] and 0 <= k < basis["ny"]):
+            problems.append(f"[sim] initial mode ({m}, {k}) lies outside the "
+                            f"{basis['mx']} x {basis['ny']} basis")
 
     # runtime validation of the source assumption; certificate goes into
     # the manifest of every run
@@ -247,9 +251,21 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
                             f"{cert.message} (witness s = {cert.witness})")
     if problems:
         raise ConfigError(problems)
-    basis = values["basis"]
-    return ParsedConfig(cfg=cfg, plan=plan, initial=sim["initial"], mx=basis["mx"],
-                        ny=basis["ny"], oversample=basis["oversample"],
+
+    def plan_of(section, kind=SimPlan, t="t", dt="dt", own_keys=()):
+        """Every run takes [sim]'s solver keys and seed, and its section's time plan."""
+        own = values[section]
+        return kind(T=own[t], dt=own[dt], snapshot_every=own["snapshot_every"],
+                    fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
+                    seed=sim["seed"] if seed_override is None else seed_override,
+                    **{key: own[key] for key in own_keys})
+
+    plans = {"sweep": plan_of("sweep", SweepPlan, own_keys=("radii", "samples_per_radius",
+                                                            "tail_fraction")),
+             "pairs": plan_of("pairs"), "stationary": plan_of("stationary"),
+             "barrier": plan_of("barrier", t="fit_t", dt="fit_dt")}
+    return ParsedConfig(cfg=cfg, plan=plan_of("sim"), plans=plans, initial=sim["initial"],
+                        mx=basis["mx"], ny=basis["ny"], oversample=basis["oversample"],
                         sections={name: dict(cp[name]) for name in cp.sections()},
                         text=text, source_certificate=cert_info, values=values)
 

@@ -52,7 +52,8 @@ class SimPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T < 0 or self.fp_tol <= 0 or self.snapshot_every < 1:
+        if (self.dt <= 0 or self.T < 0 or self.fp_tol <= 0 or self.fp_maxiter < 1
+                or self.snapshot_every < 1):
             raise ValueError(f"invalid simulation plan: {self}")
 
 

@@ -130,6 +130,8 @@ class TestSweep:
             SweepPlan(tail_fraction=1.5)
         with pytest.raises(ExperimentError):
             SweepPlan(samples_per_radius=0)
+        with pytest.raises(ValueError, match="invalid simulation plan"):
+            SweepPlan(fp_maxiter=0)     # the time plan and solver keys are SimPlan's
 
 
 class TestAbsorbingTime:

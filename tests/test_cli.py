@@ -108,6 +108,17 @@ source = zero
         joined = "\n".join(err.value.problems)
         assert "delta" in joined and "[sweep] dt" in joined
 
+    def test_every_plan_takes_the_sim_solver_keys(self, tmp_path):
+        text = MINIMAL + "[sim]\nfp_tol = 1e-9\nfp_maxiter = 7\nseed = 5\n" \
+            "[barrier]\nfit_t = 3\nfit_dt = 0.004\n"
+        for override, seed in ((None, 5), (99, 99)):
+            parsed = parse_config(write_cfg(tmp_path, text), seed_override=override)
+            assert set(parsed.plans) == {"sweep", "pairs", "stationary", "barrier"}
+            for name, plan in [("sim", parsed.plan), *parsed.plans.items()]:
+                assert (plan.fp_tol, plan.fp_maxiter, plan.seed) == (1e-9, 7, seed), name
+            assert (parsed.plans["barrier"].T, parsed.plans["barrier"].dt) == (3.0, 0.004)
+            assert parsed.plans["sweep"].radii == (1.0, 5.0, 25.0)
+
     def test_docs_match_schema(self, tmp_path):
         """docs/config.md lists every schema key, under its section, with the
         table's doc line and default, and lists no other key; its example
@@ -193,12 +204,19 @@ class TestSubcommands:
         ("pairs", "n_pairs", "0"),         # an empty experiment would pass vacuously
         ("stationary", "samples", "0"),    # ... or fail with an empty note
         ("sweep", "radii", ""),            # ... or fail with R0 = inf
+        ("pairs", "gap", "0"),             # ... or pass on identical pairs
+        ("barrier", "levels", "-1 10"),
+        ("sim", "fp_maxiter", "0"),
+        ("sim", "initial", "mode 5 0 1.0"),    # outside the 3 x 2 basis
     ])
     def test_bad_experiment_value_exits_before_output(self, tmp_path, capsys,
                                                       section, key, value):
         out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, SMALL_SIM + f"[{section}]\n{key} = {value}\n")
-        assert main([section, "--config", str(cfg), "--out", str(out)]) == 2
+        head = "" if section == "sim" else f"[{section}]\n"    # SMALL_SIM ends in [sim]
+        text = SMALL_SIM.replace("initial = mode 1 0 0.5\n", "") + f"{head}{key} = {value}\n"
+        command = "simulate" if section == "sim" else section
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -227,6 +245,34 @@ dt = 0.005
         assert rc == 4
         report = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())
         assert report["verdict"] == "FAIL"
+
+    def test_sim_solver_keys_reach_every_run(self, tmp_path):
+        # one fixed-point iteration cannot converge a step, so every command
+        # that integrates fails instead of running at the default cap
+        text = config_text("general").replace("mx = 8", "mx = 3").replace(
+            "ny = 8", "ny = 2").replace("fp_maxiter = 60", "fp_maxiter = 1") + """
+[sweep]
+radii = 0.5 2
+samples_per_radius = 1
+t = 1
+[pairs]
+n_pairs = 1
+t = 1
+[barrier]
+fit_t = 1
+[stationary]
+samples = 1
+t = 1
+"""
+        gradient = text.replace("beta = 1.0", "beta = 0.0")
+        for command, cfg_text, rc in [("simulate", text, 3), ("pairs", text, 3),
+                                      ("barrier", text, 3), ("stationary", gradient, 3),
+                                      ("sweep", text, 4)]:
+            out = tmp_path / command
+            assert main([command, "--config", str(write_cfg(tmp_path, cfg_text)),
+                         "--out", str(out)]) == rc, command
+        report = json.loads((tmp_path / "sweep" / "sweep_report.json").read_text())
+        assert report["blowups"] == [[0, 0], [1, 0]]
 
     def test_barrier_toy_prints_sigma(self, capsys):
         assert main(["barrier", "--toy"]) == 0
