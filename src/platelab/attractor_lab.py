@@ -334,6 +334,15 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
                            meta={"theiler": theiler, "tail_fraction": tail_fraction})
 
 
+def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
+    """How many tail snapshots `correlation_dimension` can find in a run of
+    this plan, known before it runs: the tail holds the times >= (1 -
+    tail_fraction) t_end, and a snapshot within the roundoff of the
+    accumulated clock of that start is counted in."""
+    steps = plan.snapshot_steps()
+    return int(np.count_nonzero(steps >= (1.0 - tail_fraction) * steps[-1] * (1.0 - 1e-6)))
+
+
 def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     """Slope of log C(r) over pairs more than `theiler` rows apart.
 

@@ -186,15 +186,8 @@ def decay_rate_at_energy(E_level: float, bc: BarrierConstants) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov functional and sandwich
+# sandwich of V_eps = Etot + eps (v, u)_{L2}
 # ---------------------------------------------------------------------------
-
-def lyapunov_value(u, v, eps: float, ops: DiscreteOperators, cfg: PlateConfig,
-                   cert: SourceCertificate):
-    """V_eps = Etot + eps (v, u)_{L2} of one state, or per row of a stack."""
-    _, etot = energy_mod.total_energy(u, v, ops, cfg, cert)
-    return etot + eps * np.vecdot(ops.m_diag * v, u)
-
 
 def sandwich_for_eps(eps: float, lam: float, c: float) -> tuple[float, float]:
     """(C1, C2) with C1 E - c <= V_eps <= C2 E + c, from the embedding constant.

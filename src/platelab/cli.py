@@ -73,6 +73,12 @@ def main(argv=None) -> int:
 
 def _prepare(args, subcommand: str):
     parsed = parse_config(args.config, seed_override=args.seed)
+    if subcommand == "dimension":
+        dim = parsed.values["dimension"]
+        most = attractor_lab.tail_points_at_most(parsed.plan, dim["tail_fraction"])
+        if most < dim["min_points"]:
+            raise ConfigError([f"[dimension] min_points = {dim['min_points']} exceeds the "
+                               f"{most} tail snapshots of the [sim] run"])
     out_dir = Path(args.out or f"out_{subcommand}")
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise ConfigError([f"output directory {out_dir} is not empty "
@@ -307,7 +313,7 @@ def cmd_selftest(_args) -> int:
           abs(grid.weight_sum - 2 * math.pi) < 1e-12 * 2 * math.pi)
     e1 = np.zeros(ops.n)
     e1[0] = 1.0
-    sin2 = grid.integrate(grid.eval_coeffs(e1, "val") ** 2)
+    sin2 = grid.integrate(grid.eval_coeffs(e1) ** 2)
     check("int sin^2 x = pi*l", abs(sin2 - math.pi) < 1e-12)
     check("mass[sin x] = pi*l", abs(ops.m_diag[0] - math.pi) < 1e-12)
     check("a(sin x, sin x) = pi*l", abs(ops.k_blocks[0, 0, 0] - math.pi) < 1e-12)

@@ -84,19 +84,6 @@ class Basis:
     def n(self) -> int:
         return self.Mx * self.Ny
 
-    def evaluate(self, coeffs, x, y):
-        """Evaluate sum_i coeffs[i] phi_i at arbitrary points (broadcasting)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        a = coeffs.reshape(self.Mx, self.Ny)
-        xi = y / self.dom.l
-        out = np.zeros(np.broadcast(x, y).shape)
-        for m in range(1, self.Mx + 1):
-            ym = npleg.legval(xi, a[m - 1])
-            out = out + np.sin(m * x) * ym
-        return out
-
 
 def build_basis(Mx: int, Ny: int, dom: DomainSpec) -> Basis:
     """Construct the sine-Legendre tensor basis; rejects zero mode counts."""
@@ -109,8 +96,7 @@ class QuadGrid:
 
     x: uniform trapezoid on [0, pi] with nx panels (nx + 1 nodes, half
     weights at the ends); y: Gauss-Legendre with ny nodes on (-l, l).
-    Tables are stored in factored form; `basis_tables` materialises the
-    full (n, n_nodes) tables when a test needs direct 2-D quadrature.
+    Tables are stored in factored form, one per coordinate.
     """
 
     basis: Basis
@@ -145,23 +131,12 @@ class QuadGrid:
     def weights_2d(self) -> np.ndarray:
         return self._w2d
 
-    def eval_coeffs(self, coeffs, which: str = "val") -> np.ndarray:
-        """Nodal values of the field (or a derivative) on the (nx, ny) grid.
-
-        which: 'val', 'dx', 'dy', 'dxx', 'dyy', 'dxy'.  A stack of
-        coefficient vectors (m, n) gives a stack of grids (m, nx, ny).
-        """
+    def eval_coeffs(self, coeffs) -> np.ndarray:
+        """Nodal values of the field on the (nx, ny) grid.  A stack of
+        coefficient vectors (m, n) gives a stack of grids (m, nx, ny)."""
         a = np.asarray(coeffs, dtype=float)
         a = a.reshape(a.shape[:-1] + (self.basis.Mx, self.basis.Ny))
-        fx, fy = {
-            "val": (self.sx, self.ly),
-            "dx": (self.dsx, self.ly),
-            "dy": (self.sx, self.dly),
-            "dxx": (self.d2sx, self.ly),
-            "dyy": (self.sx, self.d2ly),
-            "dxy": (self.dsx, self.dly),
-        }[which]
-        return fx.T @ a @ fy
+        return self.sx.T @ a @ self.ly
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Inner products (values, phi_i) for all basis functions.
@@ -176,21 +151,6 @@ class QuadGrid:
         """Quadrature of nodal values (nx, ny), or per grid of a stack (m, nx, ny)."""
         flat = values.reshape(values.shape[:-2] + (-1,))
         return np.vecdot(flat, self._w2d.ravel())
-
-    def basis_tables(self) -> dict[str, np.ndarray]:
-        """Full per-basis nodal tables (n, nx, ny); intended for oracle tests."""
-        out = {}
-        for name, (fx, fy) in {
-            "phi": (self.sx, self.ly),
-            "phi_x": (self.dsx, self.ly),
-            "phi_y": (self.sx, self.dly),
-            "phi_xx": (self.d2sx, self.ly),
-            "phi_yy": (self.sx, self.d2ly),
-            "phi_xy": (self.dsx, self.dly),
-        }.items():
-            out[name] = np.einsum("ma,kb->mkab", fx, fy).reshape(
-                self.basis.n, self.x_nodes.size, self.y_nodes.size)
-        return out
 
 
 def quadrature_grid(basis: Basis, dom: DomainSpec, oversample: int = 3) -> QuadGrid:
@@ -324,15 +284,6 @@ class DiscreteOperators:
         b[..., self.modal_order] = c
         return block_matvec(self.phi_blocks, b)
 
-    def fractional_norm_sq(self, u, order: float):
-        """Spectral surrogate for ||u||_{order}^2, order in [0, 2].
-
-        Defined as sum mu_i^(order/2) c_i^2 with c the modal coordinates:
-        order 0 recovers the L2 norm, order 2 the bending norm.
-        """
-        c = self.modal_coords(u)
-        return np.sum(self.mu ** (order / 2.0) * c * c, axis=-1)
-
 
 def build_operators(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> DiscreteOperators:
     """Assemble the diagonals, the sine blocks and the (K, M) spectrum.
@@ -380,33 +331,3 @@ def make_operators(Mx: int, Ny: int, dom: DomainSpec | None = None,
     grid = quadrature_grid(basis, dom, oversample)
     return build_operators(basis, grid, dom)
 
-
-def embedding_constant(ops: DiscreteOperators, tol: float = 1e-10,
-                       max_iter: int = 500) -> tuple[float, np.ndarray]:
-    """Largest value of ||u||_0^2 / a(u, u) and the vector achieving it.
-
-    Equals 1 / lambda_min(K, M); computed here independently by inverse
-    iteration on the dense (K, M) so it can cross-check the block eigensolve.
-    """
-    import scipy.linalg
-
-    n = ops.n
-    lu, piv = scipy.linalg.lu_factor(ops.K)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.sqrt(v @ ops.M @ v)
-    lam_old = np.inf
-    for _ in range(max_iter):
-        w = scipy.linalg.lu_solve((lu, piv), ops.M @ v)
-        nrm = np.sqrt(w @ ops.M @ w)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise DiscretizationError("inverse iteration broke down")
-        v = w / nrm
-        lam = float(v @ ops.K @ v)  # Rayleigh quotient, v is M-normalized
-        if abs(lam - lam_old) <= tol * abs(lam):
-            break
-        lam_old = lam
-    else:
-        raise DiscretizationError(
-            f"inverse iteration did not converge within {max_iter} iterations")
-    return 1.0 / lam, v

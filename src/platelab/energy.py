@@ -10,8 +10,7 @@ The split Pi = Pi0 + Pi1 takes Pi1(u) = -c ||u||_0^2 - (b |Omega| + pad)
 with (c, b) from the source certificate.  The additive pad is alpha^2 /
 delta when delta > 0 (the choice that provably keeps Pi0 >= 0 by
 absorbing the negative alpha term into the quartic), alpha^2 / 4
-otherwise; `split_potential` asserts nonnegativity at runtime and
-reports which pad was used.
+otherwise; `split_potential` asserts nonnegativity at runtime.
 
 The positive energy is E = kinetic + bending + Pi0, and the balance
 that trajectories are audited against is
@@ -79,7 +78,7 @@ def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
         # at most two grid-sized arrays: the nodal values, then reused in
         # place for the stay term, and the antiderivative
-        vals = grid.eval_coeffs(u, "val")
+        vals = grid.eval_coeffs(u)
         nodal = cfg.source.antiderivative(vals)
         if cfg.kappa != 0.0:
             np.maximum(vals, 0.0, out=vals)
@@ -125,21 +124,6 @@ def total_energy(u, v, ops: DiscreteOperators, cfg: PlateConfig,
     return E, E + pi1
 
 
-def energy_identity_residual(ledger: EnergyLedger, s_index: int, t_index: int) -> float:
-    """Signed defect of the energy balance between two snapshot indices.
-
-    Uses the damping/flux integrals accumulated by the integrator's own
-    trapezoid rule, so the defect measures only the time-discretisation
-    error (zero for exact arithmetic and exact integration).
-    """
-    if s_index > t_index:
-        raise EnergyError("need s_index <= t_index")
-    dE = ledger.Etot[t_index] - ledger.Etot[s_index]
-    dD = ledger.damping_integral[t_index] - ledger.damping_integral[s_index]
-    dF = ledger.flux_integral[t_index] - ledger.flux_integral[s_index]
-    return float(dE + dD - dF)
-
-
 def poincare_ratio(u, ops: DiscreteOperators) -> float:
     """||u||_0^2 / ||u_x||_0^2; must stay below pi^2 on the whole space."""
     u = np.asarray(u, dtype=float)
@@ -150,21 +134,6 @@ def poincare_ratio(u, ops: DiscreteOperators) -> float:
     if ratio > np.pi ** 2:
         raise EnergyError(f"Poincare ratio {ratio:.6g} exceeds pi^2")
     return ratio
-
-
-def interpolation_gap(u, ops: DiscreteOperators, s: float, eta: float,
-                      cfg: PlateConfig | None = None) -> float:
-    """||u||_{2-s}^2 - eta [a(u,u) + ||u_x||^4] with the spectral surrogate norm.
-
-    s in (0, 2]; the sup of the gap over any bounded family is finite and
-    estimates the interpolation constant for that eta.
-    """
-    if not 0.0 < s <= 2.0:
-        raise EnergyError(f"order s must lie in (0, 2], got {s}")
-    u = np.asarray(u, dtype=float)
-    low = ops.fractional_norm_sq(u, 2.0 - s)
-    ux_sq = float(ops.ux_norm_sq(u))
-    return low - eta * (ops.bending_norm_sq(u) + ux_sq ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +153,6 @@ class SandwichConstants:
 
     eta_tilde: float
     C: float
-    mode: str
 
 
 def sandwich_constants(ops: DiscreteOperators, cfg: PlateConfig,
@@ -204,14 +172,5 @@ def sandwich_constants(ops: DiscreteOperators, cfg: PlateConfig,
         raise EnergyError(
             "no analytic sandwich certificate: source constant c is too large "
             "for the embedding route and delta = 0 blocks the quartic route")
-    return SandwichConstants(eta_tilde=eta_tilde, C=min(candidates), mode="analytic")
+    return SandwichConstants(eta_tilde=eta_tilde, C=min(candidates))
 
-
-def fit_sandwich_constant(states, ops: DiscreteOperators, cfg: PlateConfig,
-                          cert: SourceCertificate, eta_tilde: float = 0.25) -> SandwichConstants:
-    """Empirical alternative: sup over sample states of |Pi1| - eta~ (a + Pi0)."""
-    us = np.asarray(states, dtype=float)
-    pi0, pi1 = split_potential(us, ops, cfg, cert)
-    excess = np.abs(pi1) - eta_tilde * (ops.bending_norm_sq(us) + pi0)
-    return SandwichConstants(eta_tilde=eta_tilde, C=max(0.0, float(np.max(excess))),
-                             mode="fitted")

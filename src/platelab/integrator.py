@@ -56,6 +56,13 @@ class SimPlan:
                 or self.snapshot_every < 1):
             raise ValueError(f"invalid simulation plan: {self}")
 
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps a run records: 0, every snapshot_every-th and the last of
+        round(T/dt) steps."""
+        n_steps = int(round(self.T / self.dt)) if self.T > 0 else 0
+        steps = np.arange(0, n_steps + 1, self.snapshot_every)
+        return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+
 
 @dataclass
 class Trajectory:
@@ -69,9 +76,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def state(self, i: int) -> State:
-        return State(self.us[i].copy(), self.vs[i].copy(), float(self.times[i]))
 
 
 class SolverCache:
@@ -353,9 +357,8 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         raise ValueError("ensemble members must share their start time")
     flush_paths = flush_paths or [None] * len(starts)
 
-    n_steps = int(round(plan.T / plan.dt)) if plan.T > 0 else 0
-    every = plan.snapshot_every
-    n_snap = 1 + n_steps // every + (n_steps % every != 0)
+    steps = plan.snapshot_steps()
+    n_steps, every, n_snap = int(steps[-1]), plan.snapshot_every, steps.size
     S, n = len(starts), ops.n
     times = np.empty(n_snap)
     us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
@@ -429,10 +432,8 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             out.append(errors[m])
             continue
         ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
-        meta = {"cfg": cfg, "plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny,
-                "cert": cert}
         out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger,
-                              meta=meta))
+                              meta={"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}))
     return out
 
 

@@ -18,6 +18,7 @@ absorbs it) and then tested against the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,9 @@ class SourceSpec:
         if self.kind == "custom" and len(self.table_s) < 4:
             raise ModelError("custom source needs at least 4 table points")
 
+    @cached_property
     def _spline(self):
+        """The custom interpolant, built on first use and kept."""
         from scipy.interpolate import CubicSpline
         return CubicSpline(np.asarray(self.table_s), np.asarray(self.table_f))
 
@@ -67,7 +70,7 @@ class SourceSpec:
             out *= s
             out -= self.load
             return out
-        return self._spline()(s)
+        return self._spline(s)
 
     def f_prime(self, s):
         s = np.asarray(s, dtype=float)
@@ -75,7 +78,7 @@ class SourceSpec:
             return np.zeros_like(s)
         if self.kind == "cubic_minus_load":
             return 3.0 * s ** 2
-        return self._spline().derivative()(s)
+        return self._spline.derivative()(s)
 
     def antiderivative(self, s):
         """F0~(s) = int_0^s f0, normalised to vanish at 0."""
@@ -89,7 +92,7 @@ class SourceSpec:
             out -= self.load
             out *= s
             return out
-        anti = self._spline().antiderivative()
+        anti = self._spline.antiderivative()
         return anti(s) - anti(0.0)
 
     @property
@@ -196,13 +199,6 @@ def horner(coeffs, x):
     return acc
 
 
-def damping_load(v: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
-    """Tested damping D(v): g(||v||_0) M v.  Monotone since all b_j >= 0."""
-    v = np.asarray(v, dtype=float)
-    speed = float(np.sqrt(max(ops.l2_norm_sq(v), 0.0)))
-    return damping_gain(speed, cfg) * (ops.m_diag * v)
-
-
 # ---------------------------------------------------------------------------
 # force load
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def berger_coefficient(u, ops: DiscreteOperators, cfg: PlateConfig):
 def _pointwise_load(u, ops: DiscreteOperators, cfg: PlateConfig,
                     grid: QuadGrid) -> np.ndarray:
     """(kappa u^+ + f0(u), phi_i) via nodal evaluation, with overflow check."""
-    vals = grid.eval_coeffs(u, "val")
+    vals = grid.eval_coeffs(u)
     if cfg.source.is_zero:
         nodal = cfg.kappa * np.maximum(vals, 0.0)
     else:
@@ -250,12 +246,6 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
     return out
 
 
-def nonconservative_load(u: np.ndarray, ops: DiscreteOperators,
-                         cfg: PlateConfig) -> np.ndarray:
-    """Tested flow term (N(u), phi_i) = -beta (u_y, phi_i)."""
-    return -cfg.beta * block_vecmat(np.asarray(u, dtype=float), ops.dy_blocks)
-
-
 def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
                    grid: QuadGrid | None = None) -> np.ndarray:
     """d(force_load)/du: analytic for smooth parts, semismooth for the kink.
@@ -268,7 +258,7 @@ def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig,
     gxu = ops.gx_diag * u
     J = berger_coefficient(u, ops, cfg) * ops.Gx - 2.0 * cfg.delta * np.outer(gxu, gxu)
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        vals = grid.eval_coeffs(u, "val")
+        vals = grid.eval_coeffs(u)
         wgt = np.zeros_like(vals)
         if cfg.kappa != 0.0:
             wgt = wgt + cfg.kappa * (vals > 0.0)

@@ -10,7 +10,7 @@ from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan,
                                     absorbing_time, correlation_dimension,
                                     dissipativity_sweep, make_nearby_pair,
                                     quasistability_pairs, regularity_probe,
-                                    stationary_convergence)
+                                    stationary_convergence, tail_points_at_most)
 from platelab.integrator import IntegratorError, SimPlan, Trajectory, run
 from platelab.model import PlateConfig, SourceSpec
 
@@ -244,6 +244,20 @@ class TestCorrelationDimension:
                    ("mode", 1, 0, 0.5))
         with pytest.raises(ExperimentError):
             correlation_dimension(traj, ops12)
+
+    @pytest.mark.parametrize("T, dt, every, fraction", [
+        (1.0, 0.01, 5, 0.5),            # the tail starts on a snapshot
+        (1.0, 0.01, 7, 0.5),            # ... between two, and the last is off the grid
+        (0.3, 0.1, 1, 1.0 / 3.0),
+        (2.0, 0.003, 10, 0.25),
+        (0.0, 0.01, 3, 0.5),
+    ])
+    def test_tail_count_known_before_the_run(self, ops1, T, dt, every, fraction):
+        plan = SimPlan(dt=dt, T=T, snapshot_every=every)
+        traj = run(ops1, cfg_with(**DAMPED), plan, ("mode", 1, 0, 0.5))
+        found = np.count_nonzero(traj.times >= traj.times[-1] * (1.0 - fraction))
+        # a snapshot on the tail's start is counted even if the clock's roundoff drops it
+        assert found <= tail_points_at_most(plan, fraction) <= found + 1
 
     def test_periodic_orbit_dimension_one(self, dom):
         from platelab.discretization import make_operators

