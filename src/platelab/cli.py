@@ -114,6 +114,7 @@ def cmd_simulate(args) -> int:
         "final_time": float(traj.times[-1]),
         "final_Etot": float(traj.ledger.Etot[-1]),
         "max_abs_identity_residual": float(np.max(np.abs(traj.ledger.identity_residual))),
+        "fp_iterations": traj.meta["fp_iterations"],
         "source_certificate": parsed.source_certificate,
     }
     write_json(out / "simulate_report.json", summary)

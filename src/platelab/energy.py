@@ -60,13 +60,14 @@ class EnergyLedger:
             yield tuple(getattr(self, c)[i] for c in LEDGER_COLUMNS)
 
 
-def potential_split_pad(cfg: PlateConfig) -> tuple[float, str]:
-    """Additive constant of the Pi1 offset and which rule produced it."""
+def potential_split_pad(cfg: PlateConfig) -> float:
+    """Additive constant of the Pi1 offset."""
     if cfg.alpha == 0.0:
-        return 0.0, "zero (alpha = 0)"
+        return 0.0
     if cfg.delta > 0.0:
-        return cfg.alpha ** 2 / cfg.delta, "alpha^2/delta"
-    return cfg.alpha ** 2 / 4.0, "alpha^2/4 (delta = 0; nonnegativity not guaranteed)"
+        return cfg.alpha ** 2 / cfg.delta
+    # delta = 0: nonnegativity of Pi0 is not guaranteed
+    return cfg.alpha ** 2 / 4.0
 
 
 def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
@@ -104,7 +105,7 @@ def split_potential(u, ops: DiscreteOperators, cfg: PlateConfig,
 def split_from_potential(pi, u, ops: DiscreteOperators, cfg: PlateConfig,
                          cert: SourceCertificate):
     """`split_potential` for a Pi already evaluated at u; checks every row."""
-    pad, _ = potential_split_pad(cfg)
+    pad = potential_split_pad(cfg)
     pi1 = -cert.c * ops.l2_norm_sq(u) - (cert.b * cfg.dom.area + pad)
     pi0 = pi - pi1
     if np.any(pi0 < -1e-9 * (1.0 + np.abs(pi))):
@@ -157,7 +158,7 @@ class SandwichConstants:
 
 def sandwich_constants(ops: DiscreteOperators, cfg: PlateConfig,
                        cert: SourceCertificate, eta_tilde: float = 0.25) -> SandwichConstants:
-    pad, _ = potential_split_pad(cfg)
+    pad = potential_split_pad(cfg)
     K_pad = cert.b * cfg.dom.area + pad
     lam = 1.0 / ops.lambda_min
     candidates = []

@@ -13,7 +13,11 @@ solved exactly through the generalized eigendecomposition of
 products, and in modal coordinates every solve is diagonal.  The
 nonlocal damping is closed implicitly by a scalar root solve for
 rho = ||v_m||_0, and the remaining nonlinear loads (stretching, stays,
-source, flow term) are handled by an outer fixed-point iteration.
+source, flow term) are handled by an outer fixed-point iteration.  It
+stops once the a-posteriori bound L/(1 - L) D_k on the distance to the
+fixed point is at most fp_tol, where D_k is the change of the end state
+at iteration k and L = D_k/D_{k-1} <= 0.5 its measured contraction, or
+else once D_k itself is.
 
 On the purely linear conservative subsystem the scheme conserves the
 discrete quadratic energy exactly (up to roundoff); with nonlinearities
@@ -178,19 +182,26 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
 
 
 def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
-         cache: SolverCache | None = None, failures: dict | None = None) -> State:
+         cache: SolverCache | None = None, failures: dict | None = None,
+         iterations: list | None = None) -> State:
     """One implicit-midpoint step of one state (n,) or of a member stack (S, n).
 
     Every member runs its own fixed-point iteration, relaxation switch and
     convergence test; a converged member is frozen while the others
     iterate, so each row has the same bits whatever rows share the stack.
-    A member converges when the change of its end state between two
-    iterations is at most plan.fp_tol in the phase-space norm, or stops
-    shrinking at its roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
+    Let D_k be the change of a member's end state between iterations k - 1
+    and k, in the phase-space norm, and L = D_k / D_{k-1} its measured
+    contraction.  The member converges at iteration k when the a-posteriori
+    (Banach) bound L/(1 - L) D_k on its distance to the fixed point is at
+    most plan.fp_tol, a test used only for k >= 2 and L <= 0.5; when D_k
+    itself is at most plan.fp_tol; or when D_k stops shrinking at its
+    roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
     A member that fails (non-finite state, fixed point not converged,
     blow-up) raises IntegratorError, unless `failures` is a dict: then its
     message is stored under its row index, its row of the result is not
-    finite, and the other members advance.
+    finite, and the other members advance.  If `iterations` is a list, it
+    is set to each row's number of fixed-point iterations (0 for a row
+    that never iterated, fp_maxiter for one that did not converge).
     """
     cache = cache or SolverCache(ops, cfg, plan.dt)
     dt, h = plan.dt, 0.5 * plan.dt
@@ -211,8 +222,8 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(v0), 0.0))
     last = [math.inf] * len(rows)
     relaxed = [False] * len(rows)
-    settled = []                    # (rows, u_m, v_m) of converged members
-    for _ in range(plan.fp_maxiter):
+    settled = []                    # (iteration, rows, u_m, v_m) of converged members
+    for it in range(1, plan.fp_maxiter + 1):
         if not rows:
             break
         rhs = base_rhs + cache.residual_load(u_m) if cache.has_nl_load else base_rhs
@@ -227,13 +238,16 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
                              RELAX * v_new + (1.0 - RELAX) * v_m, v_new)
         u_new = u0 + h * v_new
         if not cache.has_nl_load:
-            settled.append((rows, u_new, v_new))
+            settled.append((it, rows, u_new, v_new))
             rows = []
             break
         change = 2.0 * np.sqrt(np.maximum(ops.state_norm_sq(u_new - u_m, v_new - v_m), 0.0))
         u_m, v_m = u_new, v_new
         change = change.tolist()
-        done = [not c > plan.fp_tol for c in change]    # non-finite rows fail below
+        # non-finite rows fail below; at k = 1 last is inf, so L <= 0.5 cannot hold
+        done = [not c > plan.fp_tol
+                or c <= 0.5 * lc < math.inf and c * c / (lc - c) <= plan.fp_tol
+                for c, lc in zip(change, last)]
         stalled = [i for i, (c, lc, d) in enumerate(zip(change, last, done))
                    if not d and c >= lc]
         if stalled:     # at its roundoff floor the change stops shrinking
@@ -242,11 +256,11 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
             for i, f in zip(stalled, floor.tolist()):
                 done[i] = change[i] <= f < math.inf     # no floor from an overflow
         if all(done):
-            settled.append((rows, u_m, v_m))
+            settled.append((it, rows, u_m, v_m))
             rows = []
             break
         if any(done):
-            settled.append(([j for j, d in zip(rows, done) if d], u_m[done], v_m[done]))
+            settled.append((it, [j for j, d in zip(rows, done) if d], u_m[done], v_m[done]))
             keep = [not d for d in done]
             rows, change, last, relaxed = (
                 [a for a, k in zip(seq, keep) if k] for seq in (rows, change, last, relaxed))
@@ -257,11 +271,18 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
         errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
                      f"(last change {c:.3e} in the phase-space norm); reduce dt")
 
-    if len(settled) == 1 and len(settled[0][0]) == S:
-        _, UM, VM = settled[0]          # every member converged at once
+    if iterations is not None:
+        iterations[:] = [0] * S
+        for it, done_rows, _, _ in settled:
+            for j in done_rows:
+                iterations[j] = it
+        for j in rows:
+            iterations[j] = plan.fp_maxiter
+    if len(settled) == 1 and len(settled[0][1]) == S:
+        _, _, UM, VM = settled[0]       # every member converged at once
     else:
         UM, VM = np.full_like(U0, np.nan), np.full_like(V0, np.nan)
-        for done_rows, um, vm in settled:
+        for _, done_rows, um, vm in settled:
             UM[done_rows], VM[done_rows] = um, vm
     U1 = 2.0 * UM - U0
     V1 = 2.0 * VM - V0
@@ -337,14 +358,15 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     One `step` call per time step advances every member, and a member's
     trajectory has the same bits whatever other members share the stack.
     Returns one entry per member, in order: its Trajectory, with the energy
-    ledger, or the IntegratorError that ended it.  A failed member leaves
-    the stack at that step and the others continue; any other exception
-    ends the whole run.  Initial conditions are materialised with
-    plan.seed and must share their start time.  If flush_paths gives a
-    path for a member, its partial trajectory is written there when it
-    fails.  The damping and flux time integrals are accumulated with the
-    per-step trapezoid rule, so each ledger's identity residual is
-    scheme-consistent.
+    ledger and, in meta["fp_iterations"], the histogram {iterations: steps}
+    of its fixed-point iteration counts, or the IntegratorError that ended
+    it.  A failed member leaves the stack at that step and the others
+    continue; any other exception ends the whole run.  Initial conditions
+    are materialised with plan.seed and must share their start time.  If
+    flush_paths gives a path for a member, its partial trajectory is
+    written there when it fails.  The damping and flux time integrals are
+    accumulated with the per-step trapezoid rule, so each ledger's
+    identity residual is scheme-consistent.
     """
     cert = cert or certify_source(cfg)
     if not cert.ok:
@@ -365,6 +387,8 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
     ends = np.full(S, n_snap)               # snapshots recorded per member
     errors = {}
+    fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
+    its = []                                # fixed-point iterations per stack row
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]),
                   starts[0].t)
@@ -398,7 +422,9 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     try:
         for k in range(1, n_steps + 1):
             failed = {}
-            state = step(state, ops, cfg, plan, cache, failed)
+            state = step(state, ops, cfg, plan, cache, failed, its)
+            for m, i in zip(members.tolist(), its):
+                fp_hist[m][i] += 1
             if failed:
                 for j, msg in failed.items():
                     m = int(members[j])
@@ -432,8 +458,10 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             out.append(errors[m])
             continue
         ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
+        fp_iterations = {k: c for k, c in enumerate(fp_hist[m]) if c}
         out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger,
-                              meta={"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}))
+                              meta={"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny,
+                                    "fp_iterations": fp_iterations}))
     return out
 
 

@@ -177,6 +177,13 @@ class TestSubcommands:
         assert container["Mx"] == 3 and container["Ny"] == 2
         assert container["n_snapshots"] == len(container["snapshots"])
 
+    def test_simulate_report_counts_fixed_point_iterations(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_SIM)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        hist = json.loads((out / "simulate_report.json").read_text())["fp_iterations"]
+        assert sum(hist.values()) == 50 and min(map(int, hist)) >= 1
+
     def test_overwrite_guard(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SIM)
         out = tmp_path / "run"

@@ -1,10 +1,14 @@
 """Implicit-midpoint stepping: exactness, convergence, determinism."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from platelab import presets
+from platelab.discretization import make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
@@ -114,6 +118,57 @@ class TestStep:
         st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
         with pytest.raises(ModelError, match="overflowed"), np.errstate(all="ignore"):
             step(st, ops, cfg, SimPlan(dt=0.5, T=10.0))
+
+
+class TestStopRule:
+    """A member stops at iteration k once L/(1 - L) D_k <= fp_tol, L = D_k/D_{k-1} <= 0.5."""
+
+    @pytest.fixture(scope="class", params=["chaotic", "general"])
+    def preset_run(self, request):
+        cfg, (mx, ny), oversample, plan, initial = presets.make(request.param)
+        ops = make_operators(mx, ny, cfg.dom, oversample)
+        plan = replace(plan, T=2000 * plan.dt, snapshot_every=1)
+        return ops, cfg, plan, run(ops, cfg, plan, initial)
+
+    def test_every_step_takes_two_iterations(self, preset_run):
+        *_, traj = preset_run
+        assert traj.meta["fp_iterations"] == {2: 2000}
+
+    def test_accepted_state_within_fp_tol_of_reference(self, preset_run):
+        # every step of the run again, as one stack, against steps from the
+        # same states with fp_tol = 1e-15
+        ops, cfg, plan, traj = preset_run
+        starts = State(traj.us[:-1], traj.vs[:-1], 0.0)
+        its = []
+        out = step(starts, ops, cfg, plan, iterations=its)
+        assert its == [2] * 2000
+        assert np.array_equal(out.u, traj.us[1:]) and np.array_equal(out.v, traj.vs[1:])
+        ref = step(starts, ops, cfg, replace(plan, fp_tol=1e-15))
+        err = np.sqrt(ops.state_norm_sq(out.u - ref.u, out.v - ref.v))
+        assert err.max() <= plan.fp_tol
+
+    def test_growing_change_is_not_accepted_by_the_bound(self, dom):
+        # a strong cubic at a large step: from the 10.0 mode the change grows
+        # from iteration 1 to 2 (L > 1), where a bare L/(1 - L) D_2 is
+        # negative; that member must still fail, its batch-mate converge
+        ops = make_operators(2, 1, dom)
+        cfg = cfg_with(damping_coeffs=(1.0, 0.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=0.0))
+        plan = SimPlan(dt=0.3, T=10.0)
+        grows, small = (initial_state(("mode", 1, 0, a), ops, cfg) for a in (10.0, 2.0))
+
+        def last_change(maxiter):
+            with pytest.raises(IntegratorError, match="did not converge") as info:
+                step(grows, ops, cfg, replace(plan, fp_maxiter=maxiter))
+            return float(re.search(r"last change (\S+)", str(info.value)).group(1))
+
+        assert last_change(2) > last_change(1)
+        failures, its = {}, []
+        out = step(State(np.array([grows.u, small.u]), np.array([grows.v, small.v])),
+                   ops, cfg, plan, failures=failures, iterations=its)
+        assert list(failures) == [0] and "did not converge" in failures[0]
+        assert its[0] == plan.fp_maxiter and 2 <= its[1] < plan.fp_maxiter
+        assert np.array_equal(out.u[1], step(small, ops, cfg, plan).u)
 
 
 class TestSpeedSolve:
