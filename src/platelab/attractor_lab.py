@@ -92,8 +92,10 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
 
     All radius x sample members advance in this process as one ensemble;
     threads is accepted for compatibility and ignored.  A member whose
-    step fails counts as a blow-up, and so does every member when the
-    integrator cannot be set up.
+    step fails counts as a blow-up.  So does every member still running
+    when the integrator cannot be set up or the whole step fails (the
+    stack's speed solve, a source overflow), even a member that would
+    pass alone: such a failure is not attributed to the row that caused it.
 
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or
@@ -103,20 +105,13 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     members = [(i, j) for i in range(len(plan.radii))
                for j in range(plan.samples_per_radius)]
     starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
-    try:
-        results = run_ensemble(ops, cfg, plan, starts)
-    except IntegratorError:
-        # the set-up failed (time step too large, source not certified):
-        # no member can be advanced
-        results = [None] * len(members)
-
     sups = [[math.nan] * plan.samples_per_radius for _ in plan.radii]
     blowups = []
-    for (radius_idx, sample_idx), res in zip(members, results):
-        if isinstance(res, Trajectory):
-            sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
-        else:
+    for (radius_idx, sample_idx), res in zip(members, run_ensemble(ops, cfg, plan, starts)):
+        if isinstance(res, IntegratorError):
             blowups.append((radius_idx, sample_idx))
+        else:
+            sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
     bounds = [max(row) if not any(map(math.isnan, row)) else math.inf for row in sups]
     finite = [b for b in bounds if math.isfinite(b)]
     if blowups or not finite:

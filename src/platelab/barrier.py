@@ -189,8 +189,9 @@ def decay_rate_at_energy(E_level: float, bc: BarrierConstants) -> float:
 # sandwich of V_eps = Etot + eps (v, u)_{L2}
 # ---------------------------------------------------------------------------
 
-def sandwich_for_eps(eps: float, lam: float, c: float) -> tuple[float, float]:
-    """(C1, C2) with C1 E - c <= V_eps <= C2 E + c, from the embedding constant.
+def sandwich_for_eps(eps: float, lam: float) -> tuple[float, float]:
+    """(C1, C2) with C1 E - c <= V_eps <= C2 E + c, from the embedding constant
+    (c is the offset of energy.sandwich_constants, which eps does not change).
 
     |eps (v, u)| <= eps max(1, lam) E, so C1 = 1/2 - eps max(1, lam) must
     stay positive for the lower bound to be useful.
@@ -257,7 +258,7 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     sc = energy_mod.sandwich_constants(ops, cfg, cert)
     kappa_damp = 1.0
     eps_struct = min(kappa_damp * (1.0 - eta) / (4.0 * c1), 1.0 / (4.0 * max(1.0, lam)))
-    C1, C2 = sandwich_for_eps(eps_struct, lam, sc.C)
+    C1, C2 = sandwich_for_eps(eps_struct, lam)
     d3_prime = kappa_damp * (1.0 - eta) - 2.0 * eps_struct * c1
     d0_prime = 2.0 * c0 + c3
     d2 = c4

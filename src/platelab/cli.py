@@ -103,8 +103,12 @@ def _prepare(args, subcommand: str):
 
 def cmd_simulate(args) -> int:
     parsed, ops, out, chash = _prepare(args, "simulate")
-    traj = run(ops, parsed.cfg, parsed.plan, parsed.initial,
-               flush_path=out / "trajectory_partial.json")
+    try:
+        traj = run(ops, parsed.cfg, parsed.plan, parsed.initial)
+    except IntegratorError as exc:
+        if exc.partial is not None:
+            save_trajectory(out / "trajectory_partial.json", exc.partial, chash)
+        raise
     write_csv(out / "ledger.csv", energy_mod.LEDGER_COLUMNS,
               list(traj.ledger.rows()), chash)
     save_trajectory(out / "trajectory.json", traj, chash)

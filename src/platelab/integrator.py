@@ -25,7 +25,10 @@ the energy-identity defect is O(dt^2) per unit time.
 
 `step` also advances a member stack (S, n) row by row, each row with the
 bits it has alone; `run_ensemble` drives S members that way with one
-`step` call per time step, and `run` is its one-member case.
+`step` call per time step, and `run` is its one-member case.  A member
+ends with its Trajectory or with the IntegratorError that stopped it,
+which carries the snapshots recorded before the failure; this module
+writes no files.
 """
 
 from __future__ import annotations
@@ -38,12 +41,18 @@ import numpy as np
 from . import energy as energy_mod
 from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
                              block_vecmat)
-from .model import (PlateConfig, SourceCertificate, State, certify_source,
+from .model import (ModelError, PlateConfig, SourceCertificate, State, certify_source,
                     damping_gain, damping_gains, force_load, horner, solve_stationary)
 
 
 class IntegratorError(RuntimeError):
-    pass
+    """A numerical failure of the time stepping.  partial is the Trajectory
+    (without ledger) of the snapshots recorded before it, or None when the
+    integrator could not be set up."""
+
+    def __init__(self, message: str, partial: Trajectory | None = None):
+        super().__init__(message)
+        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -352,7 +361,7 @@ def initial_state(spec, ops: DiscreteOperators, cfg: PlateConfig, seed: int = 0)
 # ---------------------------------------------------------------------------
 
 def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initials,
-                 cert: SourceCertificate | None = None, flush_paths=None) -> list:
+                 cert: SourceCertificate | None = None) -> list:
     """Advance S initial conditions to T together, as one member stack (S, n).
 
     One `step` call per time step advances every member, and a member's
@@ -360,24 +369,28 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     Returns one entry per member, in order: its Trajectory, with the energy
     ledger and, in meta["fp_iterations"], the histogram {iterations: steps}
     of its fixed-point iteration counts, or the IntegratorError that ended
-    it.  A failed member leaves the stack at that step and the others
-    continue; any other exception ends the whole run.  Initial conditions
-    are materialised with plan.seed and must share their start time.  If
-    flush_paths gives a path for a member, its partial trajectory is
-    written there when it fails.  The damping and flux time integrals are
+    it, whose `partial` holds the snapshots recorded before the failure.
+    A failed member keeps its row of the stack as NaN and the others
+    continue.  A failure of the set-up (time step too large, source not
+    certified; `partial` is None) or of the whole step (the stack's speed
+    solve, a source overflow) ends every member still running with that
+    message.  Initial conditions are materialised with plan.seed and must
+    share their start time.  The damping and flux time integrals are
     accumulated with the per-step trapezoid rule, so each ledger's
     identity residual is scheme-consistent.
     """
-    cert = cert or certify_source(cfg)
-    if not cert.ok:
-        raise IntegratorError(f"source certificate failed: {cert.message}")
-    cache = SolverCache(ops, cfg, plan.dt)
+    try:
+        cert = cert or certify_source(cfg)
+        if not cert.ok:
+            raise IntegratorError(f"source certificate failed: {cert.message}")
+        cache = SolverCache(ops, cfg, plan.dt)
+    except IntegratorError as exc:
+        return [IntegratorError(str(exc)) for _ in initials]
     starts = [initial_state(x, ops, cfg, plan.seed) for x in initials]
     if not starts:
         return []
     if any(st.t != starts[0].t for st in starts):
         raise ValueError("ensemble members must share their start time")
-    flush_paths = flush_paths or [None] * len(starts)
 
     steps = plan.snapshot_steps()
     n_steps, every, n_snap = int(steps[-1]), plan.snapshot_every, steps.size
@@ -385,15 +398,12 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     times = np.empty(n_snap)
     us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
     damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
-    ends = np.full(S, n_snap)               # snapshots recorded per member
-    errors = {}
+    errors = {}                             # member -> (message, snapshots recorded)
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
-    its = []                                # fixed-point iterations per stack row
+    its = []                                # fixed-point iterations per member
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]),
                   starts[0].t)
-    members = np.arange(S)                  # stack row -> member
-    at = slice(None)                        # rows of us etc. written at a snapshot
     d_acc = np.zeros(S)
     f_acc = np.zeros(S)
     slot = 0
@@ -408,85 +418,63 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     def record():
         nonlocal slot
         times[slot] = state.t
-        us[at, slot], vs[at, slot] = state.u, state.v
-        damp[at, slot], flux[at, slot] = d_acc, f_acc
+        us[:, slot], vs[:, slot] = state.u, state.v
+        damp[:, slot], flux[:, slot] = d_acc, f_acc
         slot += 1
-
-    def flush(m):
-        if flush_paths[m] is not None:
-            _flush_partial(flush_paths[m], times[:ends[m]], us[m, :ends[m]],
-                           vs[m, :ends[m]], ops, plan)
 
     record()
     g_prev, f_prev = integrands(state)
-    try:
-        for k in range(1, n_steps + 1):
-            failed = {}
+    for k in range(1, n_steps + 1):
+        failed = {}
+        try:
             state = step(state, ops, cfg, plan, cache, failed, its)
-            for m, i in zip(members.tolist(), its):
+        except (IntegratorError, ModelError) as exc:
+            failed = dict.fromkeys(range(S), str(exc))
+        else:
+            for m, i in enumerate(its):
                 fp_hist[m][i] += 1
-            if failed:
-                for j, msg in failed.items():
-                    m = int(members[j])
-                    errors[m] = IntegratorError(msg)
-                    ends[m] = slot
-                    flush(m)
-                keep = np.ones(len(members), dtype=bool)
-                keep[list(failed)] = False
-                members, d_acc, f_acc, g_prev, f_prev = (
-                    a[keep] for a in (members, d_acc, f_acc, g_prev, f_prev))
-                at = members
-                state = State(state.u[keep], state.v[keep], state.t)
-                if not members.size:
-                    break
-            g_now, f_now = integrands(state)
-            d_acc = d_acc + 0.5 * plan.dt * (g_prev + g_now)
-            f_acc = f_acc + -cfg.beta * 0.5 * plan.dt * (f_prev + f_now)
-            g_prev, f_prev = g_now, f_now
-            if k % every == 0 or k == n_steps:
-                record()
-    except Exception:
-        # any other failure ends every member: flush what they have, then propagate
-        for m in members:
-            ends[m] = slot
-            flush(m)
-        raise
+        if failed:
+            # step reports a non-finite row again at every later step
+            new = [m for m in failed if m not in errors]
+            for m in new:
+                errors[m] = (failed[m], slot)
+            if len(errors) == S:
+                break
+            state.u[new] = np.nan
+            state.v[new] = np.nan
+        g_now, f_now = integrands(state)
+        d_acc = d_acc + 0.5 * plan.dt * (g_prev + g_now)
+        f_acc = f_acc + -cfg.beta * 0.5 * plan.dt * (f_prev + f_now)
+        g_prev, f_prev = g_now, f_now
+        if k % every == 0 or k == n_steps:
+            record()
 
     out = []
     for m in range(S):
+        meta = {"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}
         if m in errors:
-            out.append(errors[m])
+            msg, end = errors[m]
+            out.append(IntegratorError(msg, Trajectory(times=times[:end].copy(), us=us[m, :end],
+                                                       vs=vs[m, :end], ledger=None, meta=meta)))
             continue
         ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
-        fp_iterations = {k: c for k, c in enumerate(fp_hist[m]) if c}
-        out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger,
-                              meta={"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny,
-                                    "fp_iterations": fp_iterations}))
+        meta["fp_iterations"] = {k: c for k, c in enumerate(fp_hist[m]) if c}
+        out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger, meta=meta))
     return out
 
 
 def run(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initial,
-        cert: SourceCertificate | None = None, flush_path=None) -> Trajectory:
+        cert: SourceCertificate | None = None) -> Trajectory:
     """Advance from the initial condition to T, recording the energy ledger.
 
     The one-member case of `run_ensemble`.  Deterministic for fixed (cfg,
-    plan, seed).  If a step fails and flush_path is given, the partial
-    trajectory is written there before the failure propagates.
+    plan, seed).  A failure raises the member's IntegratorError, whose
+    `partial` holds the snapshots recorded before it.
     """
-    (out,) = run_ensemble(ops, cfg, plan, [initial], cert, [flush_path])
+    (out,) = run_ensemble(ops, cfg, plan, [initial], cert)
     if isinstance(out, IntegratorError):
         raise out
     return out
-
-
-def _flush_partial(path, times, us, vs, ops, plan) -> None:
-    from .reporting import save_trajectory
-
-    partial = Trajectory(times=np.asarray(times), us=np.asarray(us),
-                         vs=np.asarray(vs), ledger=None,
-                         meta={"plan": plan, "Mx": ops.basis.Mx,
-                               "Ny": ops.basis.Ny, "partial": True})
-    save_trajectory(path, partial, config_hash="")
 
 
 def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:

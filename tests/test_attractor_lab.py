@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan,
-                                    absorbing_time, correlation_dimension,
+from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _sample_seed,
+                                    _tail_norm_sup, absorbing_time, correlation_dimension,
                                     dissipativity_sweep, make_nearby_pair,
                                     quasistability_pairs, regularity_probe,
                                     stationary_convergence, tail_points_at_most)
@@ -70,14 +70,18 @@ class TestSweep:
         assert rep.R0 >= 1.0
         assert rep.verdict == "FAIL"
 
-    def test_worker_count_never_changes_output(self, ops12):
+    def test_member_tail_sup_is_its_solo_run(self, ops12):
+        # the sweep's ensemble gives each member the bits of its solo run
+        # from its own sample seed
         cfg = cfg_with(**DAMPED)
         plan = SweepPlan(radii=(0.5, 2.0), samples_per_radius=2, T=2.0,
                          dt=4e-3, snapshot_every=10, seed=3)
-        serial = dissipativity_sweep(ops12, cfg, plan, threads=1)
-        pooled = dissipativity_sweep(ops12, cfg, plan, threads=2)
-        for field in ("tail_sups", "radius_bounds", "R0", "spread", "verdict"):
-            assert getattr(serial, field) == getattr(pooled, field), field
+        rep = dissipativity_sweep(ops12, cfg, plan)
+        for i, radius in enumerate(plan.radii):
+            for j in range(plan.samples_per_radius):
+                solo = run(ops12, cfg, plan.sim_plan(_sample_seed(plan.seed, i, j)),
+                           ("random", radius))
+                assert rep.tail_sups[i][j] == _tail_norm_sup(solo, ops12, plan.tail_fraction)
 
     def test_failed_member_is_a_blowup(self, dom):
         # undamped flutter: the radius-150 member's fixed point stops
@@ -107,6 +111,21 @@ class TestSweep:
         rep = dissipativity_sweep(ops, cfg, plan)
         assert rep.blowups == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert rep.verdict == "FAIL"
+
+    def test_whole_step_failure_blows_up_every_member(self, dom):
+        # the radius-60 member overflows the strong cubic source, which
+        # fails the stack's step; the radius-0.1 member, which passes alone,
+        # is a blow-up too, since the failure is not attributed to a row
+        from platelab.discretization import make_operators
+
+        ops = make_operators(2, 1, dom)
+        cfg = cfg_with(damping_coeffs=(1.0, 0.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=0.0))
+        plan = SweepPlan(radii=(0.1, 60.0), samples_per_radius=1, T=10.0, dt=0.5,
+                         snapshot_every=1)
+        with np.errstate(all="ignore"):
+            rep = dissipativity_sweep(ops, cfg, plan)
+        assert rep.blowups == [(0, 0), (1, 0)] and rep.verdict == "FAIL"
 
     def test_zero_radius_stays_bounded(self, ops12):
         cfg = cfg_with(alpha=0.0, delta=1.0, beta=0.0, kappa=0.0,

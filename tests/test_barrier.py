@@ -195,7 +195,7 @@ class TestLyapunov:
         lam = 1.0 / ops12.lambda_min
         sc = sandwich_constants(ops12, cfg, cert)
         eps = 1.0 / (4.0 * max(1.0, lam))
-        C1, C2 = bar.sandwich_for_eps(eps, lam, sc.C)
+        C1, C2 = bar.sandwich_for_eps(eps, lam)
         assert C1 > 0
         for seed in range(100):
             u = random_coeffs(ops12, seed, scale=2.0)

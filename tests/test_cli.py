@@ -414,6 +414,9 @@ initial = mode 1 0 60.0
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         assert (out / "trajectory_partial.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (load_trajectory(out / "trajectory_partial.json")["config_hash"]
+                == manifest["config_hash"])
 
 
 class TestDeterminism:

@@ -13,7 +13,6 @@ from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
 from platelab.model import ModelError, PlateConfig, SourceSpec, damping_gain, force_load
-from platelab.reporting import load_trajectory
 
 
 def cfg_with(**kw):
@@ -303,27 +302,57 @@ class TestEnsemble:
         assert_same_bits(run(ops12, cfg, plan, starts[4]),
                          run_ensemble(ops12, cfg, plan, [starts[4]])[0])
 
-    def test_failing_member_leaves_the_others_unchanged(self, dom, tmp_path):
+    def test_failing_member_leaves_the_others_unchanged(self, dom):
         # anti-damped (b_0 < 0) flutter at a large amplitude: the energy
         # grows until the fixed point stops converging (at step 54 of 60),
         # while the small members carry on
-        from platelab.discretization import make_operators
-
         ops = make_operators(3, 2, dom)
         cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
         plan = SimPlan(dt=0.02, T=1.2, snapshot_every=5)
         small = [("mode", 1, 0, 0.5), ("mode", 2, 1, 0.3)]
         boom = ("mode", 1, 0, 15.0)
-        with pytest.raises(IntegratorError):
+        with pytest.raises(IntegratorError) as alone:
             run(ops, cfg, plan, boom)
-        out = run_ensemble(ops, cfg, plan, [small[0], boom, small[1]],
-                           flush_paths=[None, tmp_path / "boom.json", None])
+        out = run_ensemble(ops, cfg, plan, [small[0], boom, small[1]])
         assert isinstance(out[1], IntegratorError)
         assert "did not converge" in str(out[1])
-        partial = load_trajectory(tmp_path / "boom.json")
-        assert 1 < partial["n_snapshots"] < len(out[0].times)
+        assert 1 < len(out[1].partial) < len(out[0].times)
+        # the partial is the member's own run up to the failure
+        partial = alone.value.partial
+        assert np.array_equal(out[1].partial.us, partial.us)
+        assert np.array_equal(out[1].partial.vs, partial.vs)
+        head = replace(plan, T=plan.dt * plan.snapshot_every * (len(partial) - 1))
+        assert np.array_equal(run(ops, cfg, head, boom).us, partial.us)
         for x, traj in zip(small, (out[0], out[2])):
             assert_same_bits(traj, run(ops, cfg, plan, x))
+
+    def test_setup_failure_ends_every_member(self, dom):
+        # buckling load alpha = 3 puts a mode at stiffness -2; dt = 3 is too
+        # large for it
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(alpha=3.0, delta=1.0, damping_coeffs=(1.0, 0.0))
+        plan = SimPlan(T=6.0, dt=3.0)
+        out = run_ensemble(ops, cfg, plan, [("random", 1.0), ("random", 2.0)])
+        assert len(out) == 2
+        for err in out:
+            assert isinstance(err, IntegratorError)
+            assert "time step too large" in str(err) and err.partial is None
+
+    def test_whole_step_failure_ends_every_member(self, dom):
+        # the large member overflows the strong cubic source in the first
+        # step, which fails the stack's step: the small member ends with it
+        ops = make_operators(2, 1, dom)
+        cfg = cfg_with(damping_coeffs=(1.0, 0.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=0.0))
+        plan = SimPlan(dt=0.5, T=10.0)
+        with np.errstate(all="ignore"):
+            out = run_ensemble(ops, cfg, plan, [("mode", 1, 0, 60.0), ("mode", 1, 0, 0.1)])
+            with pytest.raises(IntegratorError, match="overflowed"):
+                run(ops, cfg, plan, ("mode", 1, 0, 60.0))
+        for err in out:
+            assert isinstance(err, IntegratorError)
+            assert str(err).startswith("source evaluation overflowed")
+            assert len(err.partial) == 1 and err.partial.times[0] == 0.0
 
     def test_step_records_member_failures(self, ops12):
         cfg = cfg_with(**GENERAL)

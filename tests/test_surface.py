@@ -1,5 +1,6 @@
 """The package ships only what runs: every name platelab exports is used
-outside the unit tests."""
+outside the unit tests, and the numerical modules import neither the output
+layer nor the CLI."""
 
 import inspect
 import re
@@ -27,3 +28,12 @@ def test_every_export_has_a_caller():
         if not any(word.search(line) and not own.match(line) for line in lines):
             uncalled.add(name)
     assert sorted(uncalled - AWAITING_CALLERS) == []
+
+
+def test_numerical_core_imports_no_output_layer():
+    # output formats and the CLI sit above the numerical modules
+    for name in ("discretization", "model", "energy", "integrator", "barrier",
+                 "attractor_lab"):
+        text = (ROOT / "src" / "platelab" / f"{name}.py").read_text(encoding="utf-8")
+        imports = re.findall(r"^\s*(?:from\s+\S+\s+)?import\s+.*$", text, re.M)
+        assert not [line for line in imports if re.search(r"\b(reporting|cli)\b", line)], name
