@@ -92,10 +92,9 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
 
     All radius x sample members advance in this process as one ensemble;
     threads is accepted for compatibility and ignored.  A member whose
-    step fails counts as a blow-up.  So does every member still running
-    when the integrator cannot be set up or the whole step fails (the
-    stack's speed solve, a source overflow), even a member that would
-    pass alone: such a failure is not attributed to the row that caused it.
+    step fails counts as a blow-up, and only that member: the others keep
+    the tail sups they have alone.  Every member counts as one when the
+    integrator cannot be set up.
 
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or

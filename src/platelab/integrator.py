@@ -24,11 +24,11 @@ discrete quadratic energy exactly (up to roundoff); with nonlinearities
 the energy-identity defect is O(dt^2) per unit time.
 
 `step` also advances a member stack (S, n) row by row, each row with the
-bits it has alone; `run_ensemble` drives S members that way with one
-`step` call per time step, and `run` is its one-member case.  A member
-ends with its Trajectory or with the IntegratorError that stopped it,
-which carries the snapshots recorded before the failure; this module
-writes no files.
+bits it has alone and each failure the outcome of one row; `run_ensemble`
+drives S members that way with one `step` call per time step, and `run`
+is its one-member case.  A member ends with its Trajectory or with the
+IntegratorError that stopped it, which carries the snapshots recorded
+before the failure; this module writes no files.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 from . import energy as energy_mod
 from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
                              block_vecmat)
-from .model import (ModelError, PlateConfig, SourceCertificate, State, certify_source,
-                    damping_gain, damping_gains, force_load, horner, solve_stationary)
+from .model import (PlateConfig, SourceCertificate, State, certify_source, damping_gain,
+                    damping_gains, force_load, horner, solve_stationary)
 
 
 class IntegratorError(RuntimeError):
@@ -122,12 +122,12 @@ class SolverCache:
 
 
 SPEED_MAXITER = 100
+SPEED_TOL = 1e-14   # relative step tolerance of the speed solve
 RELAX = 0.8     # fixed-point relaxation once a member's change grows
 STALL = 1024    # roundoff floor of the fixed-point change, in eps * ||(u_m, v_m)||
 
 
-def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
-                         tol: float = 1e-14, guess=None):
+def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
     """Root of rho = ||v_m(rho)||_0 closing the implicit nonlocal damping.
 
     v_m(rho)_i = r_i / (base_i + g(rho)) in modal coordinates.  The gap
@@ -136,7 +136,7 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
     ||v_m|| - 1, so the root is unique and lies in [0, rho0], rho0 =
     ||v_m(0)||.  Newton's method runs from `guess` (default rho0),
     bisecting the bracket whenever a step leaves it, until a step is at
-    most xtol = tol (1 + rho0).  Linear damping (g constant) short-circuits
+    most SPEED_TOL (1 + rho0).  Linear damping (g constant) short-circuits
     to the closed form.
 
     r_modal is one vector (n,), giving a float, or a member stack (S, n),
@@ -144,10 +144,9 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
     iteration evaluates the gap and its derivative for every unfinished
     row in one pass over the stack; the scalar update runs per row, and a
     row stops at its own tolerance, so its result has the same bits
-    whatever rows share the stack.
+    whatever rows share the stack.  A row with no root after SPEED_MAXITER
+    iterations, or with a non-finite r, gets NaN; nothing is raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     r = np.asarray(r_modal, dtype=float)
     R = r.reshape(-1, r.shape[-1])
     w = R / cache.base0
@@ -155,7 +154,7 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
     if cache.gain_constant:
         return rho0 if r.ndim > 1 else float(rho0[0])
     out = rho0.tolist()                 # rho0 = 0 (or NaN) is its own answer
-    xtol = [tol * (1.0 + h) for h in out]
+    xtol = [SPEED_TOL * (1.0 + h) for h in out]
     hi = list(out)
     lo = [0.0] * len(hi)
     rho = list(hi) if guess is None else [min(h, g) for g, h in      # NaN: rho0
@@ -164,7 +163,7 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
     coeffs, slope_coeffs, base = cache.cfg.damping_coeffs, cache.slope_coeffs, cache.base
     for _ in range(SPEED_MAXITER):
         if not live:
-            return np.array(out) if r.ndim > 1 else out[0]
+            break
         x = [rho[i] for i in live]
         d = base + np.array([horner(coeffs, xi) for xi in x])[:, None]
         w = (R if len(live) == len(R) else R[live]) / d
@@ -187,7 +186,9 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache,
             rho[i] = new
             unfinished.append(i)
         live = unfinished
-    raise IntegratorError(f"speed solve did not converge in {SPEED_MAXITER} iterations")
+    for i in live:                      # no root in SPEED_MAXITER iterations
+        out[i] = math.nan
+    return np.array(out) if r.ndim > 1 else out[0]
 
 
 def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
@@ -196,8 +197,9 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     """One implicit-midpoint step of one state (n,) or of a member stack (S, n).
 
     Every member runs its own fixed-point iteration, relaxation switch and
-    convergence test; a converged member is frozen while the others
-    iterate, so each row has the same bits whatever rows share the stack.
+    convergence test; a converged member is written into the result and
+    frozen while the others iterate, so each row has the same bits
+    whatever rows share the stack.
     Let D_k be the change of a member's end state between iterations k - 1
     and k, in the phase-space norm, and L = D_k / D_{k-1} its measured
     contraction.  The member converges at iteration k when the a-posteriori
@@ -205,17 +207,20 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     most plan.fp_tol, a test used only for k >= 2 and L <= 0.5; when D_k
     itself is at most plan.fp_tol; or when D_k stops shrinking at its
     roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
-    A member that fails (non-finite state, fixed point not converged,
-    blow-up) raises IntegratorError, unless `failures` is a dict: then its
-    message is stored under its row index, its row of the result is not
-    finite, and the other members advance.  If `iterations` is a list, it
-    is set to each row's number of fixed-point iterations (0 for a row
-    that never iterated, fp_maxiter for one that did not converge).
+    A member fails on its own (non-finite state, source overflow, speed
+    solve without a root, fixed point not converged, blow-up): its row of
+    the result is not finite, and the other rows are unaffected.  A failure
+    raises IntegratorError, unless `failures` is a dict: then each message
+    is stored under its row index.  If `iterations` is a list, it is set
+    to each row's number of fixed-point iterations (0 for a row that never
+    iterated, fp_maxiter for one that did not converge).
     """
     cache = cache or SolverCache(ops, cfg, plan.dt)
     dt, h = plan.dt, 0.5 * plan.dt
     U0, V0 = np.atleast_2d(state.u), np.atleast_2d(state.v)
     S = len(U0)
+    UM, VM = np.full((2, *U0.shape), np.nan)     # midpoints, settled row by row
+    its = [0] * S
     errors = {}
     rows = list(range(S))           # members still iterating
     u0, v0 = U0, V0
@@ -231,12 +236,11 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(v0), 0.0))
     last = [math.inf] * len(rows)
     relaxed = [False] * len(rows)
-    settled = []                    # (iteration, rows, u_m, v_m) of converged members
     for it in range(1, plan.fp_maxiter + 1):
         if not rows:
             break
-        rhs = base_rhs + cache.residual_load(u_m) if cache.has_nl_load else base_rhs
-        r_modal = block_vecmat(rhs, cache.phi)
+        load = cache.residual_load(u_m) if cache.has_nl_load else None
+        r_modal = block_vecmat(base_rhs if load is None else base_rhs + load, cache.phi)
         rho = solve_midpoint_speed(r_modal, cache, guess=rho)
         denom = (cache.base0 if cache.gain_constant
                  else cache.base + damping_gains(rho, cfg)[:, None])
@@ -246,13 +250,12 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
             v_new = np.where(np.array(relaxed)[:, None],
                              RELAX * v_new + (1.0 - RELAX) * v_m, v_new)
         u_new = u0 + h * v_new
-        if not cache.has_nl_load:
-            settled.append((it, rows, u_new, v_new))
-            rows = []
-            break
-        change = 2.0 * np.sqrt(np.maximum(ops.state_norm_sq(u_new - u_m, v_new - v_m), 0.0))
+        if load is None:    # linear load: the first iterate is exact (NaN where rho is)
+            change = (0.0 * rho).tolist()
+        else:
+            change = (2.0 * np.sqrt(np.maximum(
+                ops.state_norm_sq(u_new - u_m, v_new - v_m), 0.0))).tolist()
         u_m, v_m = u_new, v_new
-        change = change.tolist()
         # non-finite rows fail below; at k = 1 last is inf, so L <= 0.5 cannot hold
         done = [not c > plan.fp_tol
                 or c <= 0.5 * lc < math.inf and c * c / (lc - c) <= plan.fp_tol
@@ -264,35 +267,36 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
                 ops.state_norm_sq(u_m[stalled], v_m[stalled]))
             for i, f in zip(stalled, floor.tolist()):
                 done[i] = change[i] <= f < math.inf     # no floor from an overflow
-        if all(done):
-            settled.append((it, rows, u_m, v_m))
-            rows = []
-            break
+        # an overflowed load or a NaN speed makes the change non-finite;
+        # such a row fails, and settles as NaN
+        if not math.isfinite(sum(change)):
+            load_ok = [True] * len(rows) if load is None else np.isfinite(load).all(axis=1)
+            for i, (ok, speed) in enumerate(zip(load_ok, rho.tolist())):
+                if not ok or math.isnan(speed):
+                    errors[rows[i]] = (
+                        f"speed solve did not converge in {SPEED_MAXITER} iterations" if ok
+                        else f"source evaluation overflowed at t = {state.t}")
+                    u_m[i] = v_m[i] = np.nan
+                    done[i] = True
         if any(done):
-            settled.append((it, [j for j, d in zip(rows, done) if d], u_m[done], v_m[done]))
+            for i, j in enumerate(rows):
+                if done[i]:
+                    UM[j], VM[j], its[j] = u_m[i], v_m[i], it
+            rows = [j for j, d in zip(rows, done) if not d]
+            if not rows:
+                break
             keep = [not d for d in done]
-            rows, change, last, relaxed = (
-                [a for a, k in zip(seq, keep) if k] for seq in (rows, change, last, relaxed))
+            change, last, relaxed = (
+                [a for a, k in zip(seq, keep) if k] for seq in (change, last, relaxed))
             u0, base_rhs, u_m, v_m, rho = (a[keep] for a in (u0, base_rhs, u_m, v_m, rho))
         relaxed = [rl or c > lc for rl, c, lc in zip(relaxed, change, last)]
         last = change
     for j, c in zip(rows, last):
         errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
                      f"(last change {c:.3e} in the phase-space norm); reduce dt")
-
+        its[j] = plan.fp_maxiter
     if iterations is not None:
-        iterations[:] = [0] * S
-        for it, done_rows, _, _ in settled:
-            for j in done_rows:
-                iterations[j] = it
-        for j in rows:
-            iterations[j] = plan.fp_maxiter
-    if len(settled) == 1 and len(settled[0][1]) == S:
-        _, _, UM, VM = settled[0]       # every member converged at once
-    else:
-        UM, VM = np.full_like(U0, np.nan), np.full_like(V0, np.nan)
-        for _, done_rows, um, vm in settled:
-            UM[done_rows], VM[done_rows] = um, vm
+        iterations[:] = its
     U1 = 2.0 * UM - U0
     V1 = 2.0 * VM - V0
     if errors or not (np.isfinite(U1).all() and np.isfinite(V1).all()):
@@ -370,14 +374,13 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     ledger and, in meta["fp_iterations"], the histogram {iterations: steps}
     of its fixed-point iteration counts, or the IntegratorError that ended
     it, whose `partial` holds the snapshots recorded before the failure.
-    A failed member keeps its row of the stack as NaN and the others
-    continue.  A failure of the set-up (time step too large, source not
-    certified; `partial` is None) or of the whole step (the stack's speed
-    solve, a source overflow) ends every member still running with that
-    message.  Initial conditions are materialised with plan.seed and must
-    share their start time.  The damping and flux time integrals are
-    accumulated with the per-step trapezoid rule, so each ledger's
-    identity residual is scheme-consistent.
+    A failure in a step ends only the member that caused it, which keeps
+    its row of the stack as NaN; the others continue with their own bits.
+    A failure of the shared set-up (time step too large, source not
+    certified; `partial` is None) ends every member.  Initial conditions
+    are materialised with plan.seed and must share their start time.  The
+    damping and flux time integrals are accumulated with the per-step
+    trapezoid rule, so each ledger's identity residual is scheme-consistent.
     """
     try:
         cert = cert or certify_source(cfg)
@@ -426,13 +429,9 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     g_prev, f_prev = integrands(state)
     for k in range(1, n_steps + 1):
         failed = {}
-        try:
-            state = step(state, ops, cfg, plan, cache, failed, its)
-        except (IntegratorError, ModelError) as exc:
-            failed = dict.fromkeys(range(S), str(exc))
-        else:
-            for m, i in enumerate(its):
-                fp_hist[m][i] += 1
+        state = step(state, ops, cfg, plan, cache, failed, its)
+        for m, i in enumerate(its):
+            fp_hist[m][i] += 1
         if failed:
             # step reports a non-finite row again at every later step
             new = [m for m in failed if m not in errors]

@@ -112,20 +112,20 @@ class TestSweep:
         assert rep.blowups == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert rep.verdict == "FAIL"
 
-    def test_whole_step_failure_blows_up_every_member(self, dom):
-        # the radius-60 member overflows the strong cubic source, which
-        # fails the stack's step; the radius-0.1 member, which passes alone,
-        # is a blow-up too, since the failure is not attributed to a row
+    def test_overflow_blows_up_only_its_member(self, dom):
+        # the radius-60 member overflows the strong cubic source; the
+        # radius-0.1 member keeps the tail sup it has alone
         from platelab.discretization import make_operators
 
         ops = make_operators(2, 1, dom)
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
-        plan = SweepPlan(radii=(0.1, 60.0), samples_per_radius=1, T=10.0, dt=0.5,
-                         snapshot_every=1)
+        base = dict(samples_per_radius=1, T=10.0, dt=0.5, snapshot_every=1)
         with np.errstate(all="ignore"):
-            rep = dissipativity_sweep(ops, cfg, plan)
-        assert rep.blowups == [(0, 0), (1, 0)] and rep.verdict == "FAIL"
+            rep = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.1, 60.0), **base))
+        alone = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.1,), **base))
+        assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
+        assert rep.tail_sups[0][0] == alone.tail_sups[0][0]
 
     def test_zero_radius_stays_bounded(self, ops12):
         cfg = cfg_with(alpha=0.0, delta=1.0, beta=0.0, kappa=0.0,

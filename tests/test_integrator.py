@@ -7,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platelab import presets
+from platelab import integrator, presets
 from platelab.discretization import make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import ModelError, PlateConfig, SourceSpec, damping_gain, force_load
+from platelab.model import PlateConfig, SourceSpec, damping_gain, force_load
 
 
 def cfg_with(**kw):
@@ -115,7 +115,7 @@ class TestStep:
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
         st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
-        with pytest.raises(ModelError, match="overflowed"), np.errstate(all="ignore"):
+        with pytest.raises(IntegratorError, match="overflowed"), np.errstate(all="ignore"):
             step(st, ops, cfg, SimPlan(dt=0.5, T=10.0))
 
 
@@ -338,9 +338,9 @@ class TestEnsemble:
             assert isinstance(err, IntegratorError)
             assert "time step too large" in str(err) and err.partial is None
 
-    def test_whole_step_failure_ends_every_member(self, dom):
+    def test_overflow_ends_only_its_member(self, dom):
         # the large member overflows the strong cubic source in the first
-        # step, which fails the stack's step: the small member ends with it
+        # step; the small member keeps the bits it has alone
         ops = make_operators(2, 1, dom)
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
@@ -349,10 +349,23 @@ class TestEnsemble:
             out = run_ensemble(ops, cfg, plan, [("mode", 1, 0, 60.0), ("mode", 1, 0, 0.1)])
             with pytest.raises(IntegratorError, match="overflowed"):
                 run(ops, cfg, plan, ("mode", 1, 0, 60.0))
-        for err in out:
-            assert isinstance(err, IntegratorError)
-            assert str(err).startswith("source evaluation overflowed")
-            assert len(err.partial) == 1 and err.partial.times[0] == 0.0
+        err = out[0]
+        assert isinstance(err, IntegratorError)
+        assert str(err).startswith("source evaluation overflowed")
+        assert len(err.partial) == 1 and err.partial.times[0] == 0.0
+        assert_same_bits(out[1], run(ops, cfg, plan, ("mode", 1, 0, 0.1)))
+
+    def test_speed_solve_miss_ends_only_its_member(self, ops12, monkeypatch):
+        # one Newton iteration cannot close the speed of the moving member;
+        # the member at rest (a fixed point, as the source has no load)
+        # needs no speed solve and keeps the bits it has alone
+        monkeypatch.setattr(integrator, "SPEED_MAXITER", 1)
+        cfg = cfg_with(**dict(GENERAL, source=SourceSpec(kind="cubic_minus_load", load=0.0)))
+        plan = SimPlan(dt=1e-2, T=0.05)
+        out = run_ensemble(ops12, cfg, plan, [("mode", 1, 0, 0.0), ("random", 1.0)])
+        assert_same_bits(out[0], run(ops12, cfg, plan, ("mode", 1, 0, 0.0)))
+        assert isinstance(out[1], IntegratorError)
+        assert str(out[1]) == "speed solve did not converge in 1 iterations"
 
     def test_step_records_member_failures(self, ops12):
         cfg = cfg_with(**GENERAL)
