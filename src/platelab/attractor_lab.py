@@ -14,8 +14,8 @@ import numpy as np
 
 from .discretization import DiscreteOperators, block_matvec
 from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
-from .model import (PlateConfig, SourceCertificate, State, certify_source,
-                    damping_gains, force_load, solve_stationary)
+from .model import (PlateConfig, SourceCertificate, State, damping_gains, force_load,
+                    solve_stationary)
 
 
 class ExperimentError(RuntimeError):
@@ -236,7 +236,7 @@ def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairSta
         pos = resid > 1e-14 * sep0
         pos[0] = False
         if not np.any(pos):
-            cand = (10.0 / horizon, 1.0, d, 0)
+            cand = (10.0 / horizon, 1.0, d)
         else:
             tt, rr = times[pos], resid[pos]
             slope = _ls_slope(tt, np.log(rr))
@@ -247,7 +247,7 @@ def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairSta
             # points with resid below the violation slack need no cover
             log_c = float(np.max(np.log(rr) + omega * tt)) - math.log(sep0)
             C = max(math.exp(min(log_c, 700.0)), 1.0)
-            cand = (omega, C, d, 0)
+            cand = (omega, C, d)
         if best is None or cand[0] > best[0]:
             best = cand
     if best is None:
@@ -255,7 +255,7 @@ def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairSta
                          fitted_rate=0.0, fitted_C=math.inf, fitted_d=0.0,
                          violations=m, certified=False,
                          note="no exponential fit with positive rate")
-    omega, C, d, _ = best
+    omega, C, d = best
     bound = C * sep0 * np.exp(-omega * times) + d * lower
     violations = int(np.sum(sep > bound * (1.0 + 1e-9) + 1e-14 * sep0))
     tail_vanished = sep[-1] <= 1e-6 * sep0
@@ -457,7 +457,7 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
                                 note="b_0 = 0: damping degenerate at rest")
     seeds = [_sample_seed(plan.seed, 7, j) for j in range(samples)]
     starts = [initial_state(("random", radius), ops, cfg, seed) for seed in seeds]
-    trajs = _finished(run_ensemble(ops, cfg, plan, starts, certify_source(cfg)))
+    trajs = _finished(run_ensemble(ops, cfg, plan, starts))
     out = []
     for seed, traj in zip(seeds, trajs):
         uT, vT = traj.us[-1], traj.vs[-1]

@@ -57,17 +57,15 @@ def balance_function(s: float, exponent: float, c_eta: float = 1.0) -> float:
 @dataclass(frozen=True)
 class BalancingReport:
     verdict: str                  # "PASS" | "FAIL" | "SKIPPED"
-    xs: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
 
     @property
     def passed(self) -> bool:
         return self.verdict in ("PASS", "SKIPPED")
 
 
-def balancing_check(gamma: float, b, decades: int = 16,
-                    points_per_decade: int = 4) -> BalancingReport:
-    """Check x^(1 - 1/gamma) b(x) -> 0 on log-spaced samples.
+def balancing_check(gamma: float, b) -> BalancingReport:
+    """Check x^(1 - 1/gamma) b(x) -> 0 on 4 log-spaced samples per decade of
+    [1, 1e16].
 
     PASS requires the sampled sequence to become strictly decreasing and
     the final value to drop below 1e-6 of the first.  gamma = 0 (linear
@@ -77,14 +75,12 @@ def balancing_check(gamma: float, b, decades: int = 16,
         return BalancingReport(verdict="SKIPPED")
     if not 0.0 < gamma < 1.0:
         raise BarrierError(f"gamma must lie in [0, 1), got {gamma}")
-    xs = np.logspace(0.0, float(decades), decades * points_per_decade + 1)
+    xs = np.logspace(0.0, 16.0, 65)
     vals = np.array([x ** (1.0 - 1.0 / gamma) * b(x) for x in xs])
     tail = vals[len(vals) // 2:]
     decreasing = bool(np.all(np.diff(tail) < 0.0))
     small = vals[-1] < 1e-6 * vals[0]
-    verdict = "PASS" if (decreasing and small) else "FAIL"
-    return BalancingReport(verdict=verdict, xs=tuple(xs.tolist()),
-                           values=tuple(vals.tolist()))
+    return BalancingReport(verdict="PASS" if (decreasing and small) else "FAIL")
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,13 @@ def toy_constants() -> BarrierConstants:
 # sigma equation
 # ---------------------------------------------------------------------------
 
-def solve_barrier_scale(E_level: float, bc: BarrierConstants,
-                        tol: float = 1e-12) -> float:
+def solve_barrier_scale(E_level: float, bc: BarrierConstants) -> float:
     """Unique positive root sigma of the barrier fixed-point equation.
 
-    Bisection on an expanding bracket [1e-8, hi]; the left side grows
-    slower than the right (gamma < 1 plus the balancing condition), so
-    exactly one sign change exists.  gamma = 0 reduces to sigma = 2/d3.
+    Bisection on an expanding bracket [1e-8, hi] to a relative width of
+    1e-12; the left side grows slower than the right (gamma < 1 plus the
+    balancing condition), so exactly one sign change exists.  gamma = 0
+    reduces to sigma = 2/d3.
     """
     if E_level < 0:
         raise BarrierError(f"energy level must be >= 0, got {E_level}")
@@ -171,7 +167,7 @@ def solve_barrier_scale(E_level: float, bc: BarrierConstants,
             raise BarrierError(
                 "bracket expansion failed: right side never overtakes the left "
                 "(check the balancing condition and d3)")
-    while hi - lo > tol * hi:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
@@ -205,14 +201,15 @@ def sandwich_for_eps(eps: float, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig,
-                          cert: SourceCertificate, eta: float = 0.5,
-                          c2: float = 2.0) -> BarrierConstants:
-    """Fit the constant set from trajectory snapshots (least max-violation).
+                          cert: SourceCertificate) -> BarrierConstants:
+    """Fit the constant set from trajectory snapshots (least max-violation),
+    with the equipartition weights eta = 1/2 and c2 = 2.
 
     Velocity control (c0, c1) is exact when b_0 > 0; the equipartition
     pair (c3, c4) and the balancing prefactor are fitted so the sampled
     inequalities hold with zero violations.
     """
+    eta, c2 = 0.5, 2.0
     q_eff = cfg.q_eff
     gamma = damping_growth_exponent(q_eff) if q_eff >= 1 else 0.0
     b_exp = balance_exponent(max(q_eff, 1))
@@ -355,9 +352,9 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
 # ultimate bound
 # ---------------------------------------------------------------------------
 
-def ultimate_bound(bc: BarrierConstants, R: float,
-                   max_iter: int = 100, tol: float = 1e-12) -> tuple[float, float]:
-    """(K_R, V*) from the level iteration s -> d0 {1 + sigma(s) b(d1 sigma(s))}.
+def ultimate_bound(bc: BarrierConstants, R: float) -> tuple[float, float]:
+    """(K_R, V*) from the level iteration s -> d0 {1 + sigma(s) b(d1 sigma(s))},
+    run until a step is at most 1e-12 (1 + level), for at most 100 steps.
 
     K_R = R + d0 {1 + sigma_R b(d1 sigma_R)} caps the transient; iterating
     the level map from K_R converges to a bound independent of R, which
@@ -373,14 +370,14 @@ def ultimate_bound(bc: BarrierConstants, R: float,
         return bc.d0 * (1.0 + sig * bc.b(bc.d1 * sig))
 
     K_R = R + level_map(R)
-    s = K_R
+    s, max_iter = K_R, 100
     for _ in range(max_iter):
         s_new = level_map(s)
         if not np.isfinite(s_new) or s_new > 1e14:
             raise BarrierError(
                 "level iteration diverged; the constants do not satisfy the "
                 "balancing requirement")
-        if abs(s_new - s) <= tol * (1.0 + abs(s_new)):
+        if abs(s_new - s) <= 1e-12 * (1.0 + abs(s_new)):
             return K_R, s_new
         s = s_new
     raise BarrierError(f"level iteration did not settle in {max_iter} steps "

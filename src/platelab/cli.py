@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import attractor_lab, barrier as barrier_mod, energy as energy_mod
 from .config import ConfigError, parse_config
 from .discretization import DiscretizationError, DomainSpec, make_operators
 from .integrator import IntegratorError, SimPlan, run
-from .model import ModelError, certify_source
+from .model import ModelError
 from .reporting import (RunManifest, fmt_float, save_trajectory,
                         write_csv, write_json, write_svg)
 
@@ -86,7 +87,7 @@ def _prepare(args, subcommand: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     ops = make_operators(parsed.mx, parsed.ny, parsed.cfg.dom, parsed.oversample)
     certificates = {
-        "source_dissipativity": parsed.source_certificate,
+        "source_dissipativity": asdict(parsed.cert),
         "damping": {"coefficients": list(parsed.cfg.damping_coeffs),
                     "q": parsed.cfg.q, "b0_positive": parsed.cfg.b0 > 0.0,
                     "undamped": sum(parsed.cfg.damping_coeffs) == 0.0},
@@ -104,7 +105,7 @@ def _prepare(args, subcommand: str):
 def cmd_simulate(args) -> int:
     parsed, ops, out, chash = _prepare(args, "simulate")
     try:
-        traj = run(ops, parsed.cfg, parsed.plan, parsed.initial)
+        traj = run(ops, parsed.cfg, parsed.plan, parsed.initial, parsed.cert)
     except IntegratorError as exc:
         if exc.partial is not None:
             save_trajectory(out / "trajectory_partial.json", exc.partial, chash)
@@ -119,7 +120,7 @@ def cmd_simulate(args) -> int:
         "final_Etot": float(traj.ledger.Etot[-1]),
         "max_abs_identity_residual": float(np.max(np.abs(traj.ledger.identity_residual))),
         "fp_iterations": traj.meta["fp_iterations"],
-        "source_certificate": parsed.source_certificate,
+        "source_certificate": asdict(parsed.cert),
     }
     write_json(out / "simulate_report.json", summary)
     if args.plots:
@@ -167,8 +168,7 @@ def cmd_barrier(args) -> int:
     if not args.config:
         raise ConfigError(["barrier needs --config (or --toy)"])
     parsed, ops, out, chash = _prepare(args, "barrier")
-    bar = parsed.values["barrier"]
-    cert = certify_source(parsed.cfg)
+    bar, cert = parsed.values["barrier"], parsed.cert
     traj = run(ops, parsed.cfg, parsed.plans["barrier"], parsed.initial, cert)
     bc = barrier_mod.fit_barrier_constants([traj], ops, parsed.cfg, cert)
     balance = barrier_mod.balancing_check(bc.gamma, bc.b)
@@ -232,7 +232,7 @@ def cmd_pairs(args) -> int:
     starts = [attractor_lab.make_nearby_pair(ops, parsed.cfg, pairs["radius"], pairs["gap"],
                                              plan.seed + 1000 * k)
               for k in range(pairs["n_pairs"])]
-    results = attractor_lab.quasistability_pairs(ops, parsed.cfg, plan, starts)
+    results = attractor_lab.quasistability_pairs(ops, parsed.cfg, plan, starts, parsed.cert)
     rows = [(k, t, sep, low) for k, s in enumerate(results)
             for t, sep, low in zip(s.times, s.separation, s.lower_order)]
     write_csv(out / "pairs_series.csv", ("pair", "t", "separation", "lower_order"),
@@ -259,7 +259,7 @@ def cmd_pairs(args) -> int:
 
 def cmd_dimension(args) -> int:
     parsed, ops, out, chash = _prepare(args, "dimension")
-    traj = run(ops, parsed.cfg, parsed.plan, parsed.initial)
+    traj = run(ops, parsed.cfg, parsed.plan, parsed.initial, parsed.cert)
     report = attractor_lab.correlation_dimension(traj, ops,
                                                  **parsed.values["dimension"])
     write_json(out / "dimension_report.json", {
@@ -331,7 +331,7 @@ def cmd_selftest(_args) -> int:
     ops1 = make_operators(1, 1, dom)
     cfg1 = PlateConfig(damping_coeffs=(0.0, 0.0), dom=dom)
     plan1 = SimPlan(dt=0.05, T=1.0, snapshot_every=1, seed=0)
-    cache = SolverCache(ops1, cfg1, plan1.dt)
+    cache = SolverCache(ops1, cfg1, plan1)
     omega2 = ops1.k_blocks[0, 0, 0] / ops1.m_diag[0]
     a = omega2 * plan1.dt ** 2 / 4.0
     st = State(np.array([1.0]), np.array([0.0]))
@@ -340,7 +340,7 @@ def cmd_selftest(_args) -> int:
     ok_map = True
     E0 = 0.5 * (omega2 * u * u + v * v)
     for _ in range(200):
-        st = step(st, ops1, cfg1, plan1, cache)
+        st = step(st, cache)
         u, v = ((1 - a) * u + plan1.dt * v) / (1 + a), \
                ((1 - a) * v - omega2 * plan1.dt * u) / (1 + a)
         drift = max(drift, abs(0.5 * (omega2 * st.u[0] ** 2 + st.v[0] ** 2) - E0))

@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 from .attractor_lab import SweepPlan, correlation_dimension, stationary_convergence
 from .discretization import DiscretizationError, DomainSpec
 from .integrator import SimPlan
-from .model import ModelError, PlateConfig, SourceSpec, certify_source
+from .model import ModelError, PlateConfig, SourceCertificate, SourceSpec, certify_source
 
 
 class ConfigError(ValueError):
@@ -152,9 +152,9 @@ class ParsedConfig:
     mx: int
     ny: int
     oversample: int
+    cert: SourceCertificate                        # of cfg's source, certified
     sections: dict = field(default_factory=dict)   # section -> key -> raw string
     text: str = ""
-    source_certificate: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)     # section -> key -> typed value
 
 
@@ -239,13 +239,10 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
             problems.append(f"[sim] initial mode ({m}, {k}) lies outside the "
                             f"{basis['mx']} x {basis['ny']} basis")
 
-    # runtime validation of the source assumption; certificate goes into
-    # the manifest of every run
-    cert_info: dict = {}
+    # runtime validation of the source assumption; the certificate goes
+    # into the manifest of every run
     if not problems:
         cert = certify_source(cfg)
-        cert_info = {"ok": cert.ok, "c": cert.c, "b": cert.b,
-                     "witness": cert.witness, "message": cert.message}
         if not cert.ok:
             problems.append(f"source violates the dissipativity bound: "
                             f"{cert.message} (witness s = {cert.witness})")
@@ -266,8 +263,8 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
              "barrier": plan_of("barrier", t="fit_t", dt="fit_dt")}
     return ParsedConfig(cfg=cfg, plan=plan_of("sim"), plans=plans, initial=sim["initial"],
                         mx=basis["mx"], ny=basis["ny"], oversample=basis["oversample"],
-                        sections={name: dict(cp[name]) for name in cp.sections()},
-                        text=text, source_certificate=cert_info, values=values)
+                        cert=cert, sections={name: dict(cp[name]) for name in cp.sections()},
+                        text=text, values=values)
 
 
 def section_get(sections: dict, name: str, key: str, conv, default):

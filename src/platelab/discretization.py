@@ -153,8 +153,9 @@ class QuadGrid:
         return np.vecdot(flat, self._w2d.ravel())
 
 
-def quadrature_grid(basis: Basis, dom: DomainSpec, oversample: int = 3) -> QuadGrid:
-    """Build the tensor quadrature grid with per-basis derivative tables.
+def quadrature_grid(basis: Basis, oversample: int = 3) -> QuadGrid:
+    """Build the tensor quadrature grid, on the basis's domain, with per-basis
+    derivative tables.
 
     Requires oversample >= 2: the quartic stretching term and cubic
     sources need over-integration.  x gets max(4, oversample) * Mx
@@ -162,8 +163,7 @@ def quadrature_grid(basis: Basis, dom: DomainSpec, oversample: int = 3) -> QuadG
     """
     if oversample < 2:
         raise DiscretizationError(f"oversample must be >= 2, got {oversample}")
-    if basis.dom != dom:
-        raise DiscretizationError("basis was built for a different domain")
+    dom = basis.dom
 
     nx = max(4, int(oversample)) * basis.Mx
     ny = max(int(oversample) * basis.Ny, 2 * (basis.Ny + 2))
@@ -235,13 +235,12 @@ class DiscreteOperators:
     of M and Gx, and K and Dy[i, j] = (d_y phi_i, phi_j) as (Mx, Ny, Ny) sine
     blocks.  mu (ascending) and phi_blocks solve K phi = M phi diag(mu) with
     phi^T M phi = I; mu[j] belongs to column modal_order[j] of the blocks
-    (block-major numbering), and lambda_min = mu[0].  M, Gx, K, Dy and phi (columns in mu's order) are dense views
+    (block-major numbering), and lambda_min = mu[0].  basis and dom are the
+    grid's.  M, Gx, K, Dy and phi (columns in mu's order) are dense views
     built on first access.  The norms take one vector (n,) or a stack (m, n).
     """
 
-    basis: Basis
     grid: QuadGrid
-    dom: DomainSpec
     m_diag: np.ndarray = field(repr=False)
     gx_diag: np.ndarray = field(repr=False)
     k_blocks: np.ndarray = field(repr=False)
@@ -256,6 +255,8 @@ class DiscreteOperators:
     K = cached_property(lambda self: block_dense(self.k_blocks))
     Dy = cached_property(lambda self: block_dense(self.dy_blocks))
     phi = cached_property(lambda self: block_dense(self.phi_blocks)[:, self.modal_order])
+    basis = property(lambda self: self.grid.basis)
+    dom = property(lambda self: self.grid.basis.dom)
 
     @property
     def n(self) -> int:
@@ -285,14 +286,17 @@ class DiscreteOperators:
         return block_matvec(self.phi_blocks, b)
 
 
-def build_operators(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> DiscreteOperators:
-    """Assemble the diagonals, the sine blocks and the (K, M) spectrum.
+def build_operators(grid: QuadGrid) -> DiscreteOperators:
+    """Assemble the diagonals, the sine blocks and the (K, M) spectrum of the
+    grid's basis on its domain.
 
     Each form is separable, a product of 1-D Grams, and the x-Grams of
     sin(m x) and its derivatives are diagonal.  The stiffness form is
         a(u, v) = int u_xx v_xx + u_yy v_yy
                   + sigma (u_xx v_yy + u_yy v_xx) + 2 (1 - sigma) u_xy v_xy.
     """
+    basis, dom = grid.basis, grid.basis.dom
+
     def x_diag(fa, fb):     # the diagonal (fa_m, fb_m) of an x-Gram, as (Mx, 1, 1)
         return ((fa * fb) @ grid.x_weights)[:, None, None]
 
@@ -316,7 +320,7 @@ def build_operators(basis: Basis, grid: QuadGrid, dom: DomainSpec) -> DiscreteOp
         raise DiscretizationError(f"smallest eigenvalue of stiffness block m = {m + 1} "
                                   f"is not positive: {mu_blocks[m, 0]:.3e}")
     order = np.argsort(mu_blocks.ravel(), kind="stable")
-    return DiscreteOperators(basis=basis, grid=grid, dom=dom, m_diag=m_diag,
+    return DiscreteOperators(grid=grid, m_diag=m_diag,
                              gx_diag=(xc[:, 0] * np.diag(Y_ll)).ravel(), k_blocks=K,
                              dy_blocks=xs * y_gram(grid.dly, grid.ly),
                              mu=mu_blocks.ravel()[order], phi_blocks=phi_blocks,
@@ -327,7 +331,5 @@ def make_operators(Mx: int, Ny: int, dom: DomainSpec | None = None,
                    oversample: int = 3) -> DiscreteOperators:
     """One-call helper: basis + grid + operators."""
     dom = dom or DomainSpec()
-    basis = build_basis(Mx, Ny, dom)
-    grid = quadrature_grid(basis, dom, oversample)
-    return build_operators(basis, grid, dom)
+    return build_operators(quadrature_grid(build_basis(Mx, Ny, dom), oversample))
 

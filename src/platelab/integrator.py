@@ -9,8 +9,9 @@ u_m = (u0 + u1)/2, v_m = (v0 + v1)/2 satisfying
 The linear part (including the alpha u_xx term, which is linear) is
 solved exactly through the generalized eigendecomposition of
 (K - alpha Gx, M), factorised block by block (per sine index) once per
-(config, dt) and reused; the modal transforms are batched block
-products, and in modal coordinates every solve is diagonal.  The
+SolverCache, which also holds the operators, config and plan that every
+step reads; the modal transforms are batched block products, and in
+modal coordinates every solve is diagonal.  The
 nonlocal damping is closed implicitly by a scalar root solve for
 rho = ||v_m||_0, and the remaining nonlinear loads (stretching, stays,
 source, flow term) are handled by an outer fixed-point iteration.  It
@@ -92,18 +93,19 @@ class Trajectory:
 
 
 class SolverCache:
-    """Per-(config, dt) factorisation reused across steps: the sine blocks of
-    K_lin = K - alpha Gx, their eigenvector blocks phi and, in the same
-    block-major order, the per-mode constants base."""
+    """The one system a run solves: its operators, config and plan (dt and
+    the fixed-point stop), and the factorisation reused across steps: the
+    sine blocks of K_lin = K - alpha Gx, their eigenvector blocks phi and,
+    in the same block-major order, the per-mode constants base."""
 
-    def __init__(self, ops: DiscreteOperators, cfg: PlateConfig, dt: float):
+    def __init__(self, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan):
         self.ops = ops
         self.cfg = cfg
-        self.dt = dt
+        self.plan = plan
         gx = ops.gx_diag.reshape(ops.k_blocks.shape[:2])
         self.K_lin = ops.k_blocks - cfg.alpha * gx[:, :, None] * np.eye(gx.shape[1])
         mu, self.phi = block_eigh(self.K_lin, ops.m_diag)
-        self.base = 2.0 / dt + 0.5 * dt * mu.ravel()
+        self.base = 2.0 / plan.dt + 0.5 * plan.dt * mu.ravel()
         self.base0 = self.base + damping_gain(0.0, cfg)
         if np.any(self.base0 <= 0.0):
             raise IntegratorError(
@@ -191,10 +193,10 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
     return np.array(out) if r.ndim > 1 else out[0]
 
 
-def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
-         cache: SolverCache | None = None, failures: dict | None = None,
+def step(state: State, cache: SolverCache, failures: dict | None = None,
          iterations: list | None = None) -> State:
-    """One implicit-midpoint step of one state (n,) or of a member stack (S, n).
+    """One implicit-midpoint step of one state (n,) or of a member stack (S, n)
+    of the system of `cache`: its operators, config, dt and fixed-point stop.
 
     Every member runs its own fixed-point iteration, relaxation switch and
     convergence test; a converged member is written into the result and
@@ -204,10 +206,10 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     and k, in the phase-space norm, and L = D_k / D_{k-1} its measured
     contraction.  The member converges at iteration k when the a-posteriori
     (Banach) bound L/(1 - L) D_k on its distance to the fixed point is at
-    most plan.fp_tol, a test used only for k >= 2 and L <= 0.5; when D_k
-    itself is at most plan.fp_tol; or when D_k stops shrinking at its
+    most fp_tol, a test used only for k >= 2 and L <= 0.5; when D_k
+    itself is at most fp_tol; or when D_k stops shrinking at its
     roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
-    A member fails on its own (non-finite state, source overflow, speed
+    A member fails on its own (non-finite state, load overflow, speed
     solve without a root, fixed point not converged, blow-up): its row of
     the result is not finite, and the other rows are unaffected.  A failure
     raises IntegratorError, unless `failures` is a dict: then each message
@@ -215,7 +217,7 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
     to each row's number of fixed-point iterations (0 for a row that never
     iterated, fp_maxiter for one that did not converge).
     """
-    cache = cache or SolverCache(ops, cfg, plan.dt)
+    ops, cfg, plan = cache.ops, cache.cfg, cache.plan
     dt, h = plan.dt, 0.5 * plan.dt
     U0, V0 = np.atleast_2d(state.u), np.atleast_2d(state.v)
     S = len(U0)
@@ -275,7 +277,7 @@ def step(state: State, ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
                 if not ok or math.isnan(speed):
                     errors[rows[i]] = (
                         f"speed solve did not converge in {SPEED_MAXITER} iterations" if ok
-                        else f"source evaluation overflowed at t = {state.t}")
+                        else f"load evaluation overflowed at t = {state.t}")
                     u_m[i] = v_m[i] = np.nan
                     done[i] = True
         if any(done):
@@ -386,7 +388,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         cert = cert or certify_source(cfg)
         if not cert.ok:
             raise IntegratorError(f"source certificate failed: {cert.message}")
-        cache = SolverCache(ops, cfg, plan.dt)
+        cache = SolverCache(ops, cfg, plan)
     except IntegratorError as exc:
         return [IntegratorError(str(exc)) for _ in initials]
     starts = [initial_state(x, ops, cfg, plan.seed) for x in initials]
@@ -429,7 +431,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     g_prev, f_prev = integrands(state)
     for k in range(1, n_steps + 1):
         failed = {}
-        state = step(state, ops, cfg, plan, cache, failed, its)
+        state = step(state, cache, failed, its)
         for m, i in enumerate(its):
             fp_hist[m][i] += 1
         if failed:

@@ -286,16 +286,16 @@ class SourceCertificate:
     message: str = ""
 
 
-def certify_source(cfg: PlateConfig, sample_range: tuple[float, float] = (-10.0, 10.0),
-                   samples: int = 2001) -> SourceCertificate:
-    """Certify F0~(s) >= -c s^2 - b on the sampled range, or report a witness.
+def certify_source(cfg: PlateConfig) -> SourceCertificate:
+    """Certify F0~(s) >= -c s^2 - b on 2001 samples of [-10, 10] or give a witness.
 
     Rejects sources whose antiderivative decays faster than quadratically
     at the range ends (equivalently f0(s)/s trending to -infinity), since
     then no (c, b) pair can work as the range grows.  Otherwise returns
     the smallest grid-snapped (c, b) certifying the bound on the samples.
     """
-    s = np.linspace(sample_range[0], sample_range[1], samples)
+    samples, smax = 2001, 10.0
+    s = np.linspace(-smax, smax, samples)
     F = cfg.source.antiderivative(s)
 
     if cfg.source.is_zero:
@@ -303,7 +303,6 @@ def certify_source(cfg: PlateConfig, sample_range: tuple[float, float] = (-10.0,
 
     # superquadratic decay check: the c needed to keep F0~ + c s^2 >= 0
     # must not keep growing toward the range edges
-    smax = max(abs(sample_range[0]), abs(sample_range[1]))
     need = np.maximum(0.0, -F) / np.maximum(s * s, 1e-30)
     inner_band = (np.abs(s) >= 0.45 * smax) & (np.abs(s) <= 0.6 * smax)
     outer_band = np.abs(s) >= 0.9 * smax
@@ -355,13 +354,13 @@ class StationaryResult:
 
 def solve_stationary(cfg: PlateConfig, ops: DiscreteOperators,
                      initial_guess: np.ndarray | None = None,
-                     tol: float = 1e-10, max_iter: int = 80) -> StationaryResult:
-    """Damped (Armijo) semismooth Newton for K u = load(u).
+                     tol: float = 1e-10) -> StationaryResult:
+    """Damped (Armijo) semismooth Newton for K u = load(u), at most 80 iterations.
 
     Returns the final iterate either way; `converged` reflects whether
     the residual dropped below tol.
     """
-    n = ops.n
+    n, max_iter = ops.n, 80
     u = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=float).copy()
 
     def residual(a):

@@ -29,9 +29,9 @@ def fmt_float(x: float) -> str:
     return format(xf, ".17g")
 
 
-def _json_encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _json_encode(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -51,22 +51,22 @@ def _json_encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_encode(v, indent, level + 1) for v in obj]
+        items = [_json_encode(v, level + 1) for v in obj]
         if all(len(s) < 24 and "\n" not in s for s in items) and len(items) <= 12:
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}"{k}": ' + _json_encode(v, indent, level + 1)
+        items = [f'{pad_in}"{k}": ' + _json_encode(v, level + 1)
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def to_json(obj, indent: int = 2) -> str:
-    """Pretty JSON with stable (insertion) key order and fixed float format."""
-    return _json_encode(obj, indent, 0) + "\n"
+def to_json(obj) -> str:
+    """Pretty JSON (indent 2) with stable (insertion) key order and fixed float format."""
+    return _json_encode(obj, 0) + "\n"
 
 
 def write_json(path: Path, obj) -> None:
@@ -180,9 +180,9 @@ def load_trajectory(path: Path) -> dict:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def write_svg(path: Path, series, title: str, config_hash: str = "",
-              width: int = 720, height: int = 420) -> None:
-    """Line plot of (label, xs, ys) series; axes show the data ranges."""
+def write_svg(path: Path, series, title: str, config_hash: str = "") -> None:
+    """720 x 420 line plot of (label, xs, ys) series; axes show the data ranges."""
+    width, height = 720, 420
     ml, mr, mt, mb = 60, 20, 34, 42
     iw, ih = width - ml - mr, height - mt - mb
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])

@@ -37,7 +37,7 @@ class TestParsing:
         assert parsed.mx == 8 and parsed.ny == 8
         assert parsed.plan.dt == 1e-3
         assert parsed.cfg.dom.l == 1.0
-        assert parsed.source_certificate["ok"]
+        assert parsed.cert.ok
 
     def test_all_zero_damping_rejected_by_default(self, tmp_path):
         bad = MINIMAL.replace("damping = 1.0 0.0", "damping = 0.0 0.0")

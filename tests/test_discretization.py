@@ -34,7 +34,7 @@ class TestBasis:
         dom = DomainSpec(l=0.5, sigma=0.3)
         basis = build_basis(3, 4, dom)
         assert basis.n == 12
-        grid = quadrature_grid(basis, dom)
+        grid = quadrature_grid(basis)
         M = dense_operators(grid, dom.sigma)["M"]
         sign, logdet = np.linalg.slogdet(M)
         assert sign > 0 and np.isfinite(logdet)
@@ -56,7 +56,7 @@ class TestQuadrature:
     def test_weight_sum_is_area(self):
         for l in (1.0, 0.5, 2.5):
             dom = DomainSpec(l=l)
-            grid = quadrature_grid(build_basis(3, 3, dom), dom)
+            grid = quadrature_grid(build_basis(3, 3, dom))
             assert abs(grid.weight_sum - 2 * np.pi * l) < 1e-12 * 2 * np.pi * l
 
     def test_sin_squared_integral(self, ops3, dom):
@@ -69,7 +69,7 @@ class TestQuadrature:
     def test_legendre_one_integral(self, dom):
         # int_Omega L_1(y/l)^2 sin^2 x = (pi/2) * (2 l / 3)
         basis = build_basis(1, 2, dom)
-        grid = quadrature_grid(basis, dom)
+        grid = quadrature_grid(basis)
         e = np.array([0.0, 1.0])
         val = grid.integrate(grid.eval_coeffs(e) ** 2)
         assert abs(val - (np.pi / 2) * (2 * dom.l / 3)) < 1e-12
@@ -77,7 +77,7 @@ class TestQuadrature:
     def test_oversample_precondition(self, dom):
         basis = build_basis(2, 2, dom)
         with pytest.raises(DiscretizationError):
-            quadrature_grid(basis, dom, oversample=1)
+            quadrature_grid(basis, oversample=1)
 
 
 class TestMass:
@@ -243,23 +243,23 @@ class TestBlockForm:
                           source=SourceSpec("cubic_minus_load", load=0.5), dom=self.DOM)
         plan = SimPlan(dt=1e-2, T=0.2)
         traj = run(ops, cfg, plan, ("random", 1.0))
-        cache = SolverCache(ops, cfg, plan.dt)
-        step(State(traj.us[-1], traj.vs[-1], traj.times[-1]), ops, cfg, plan, cache)
+        cache = SolverCache(ops, cfg, plan)
+        step(State(traj.us[-1], traj.vs[-1], traj.times[-1]), cache)
         assert not {"M", "K", "Gx", "Dy", "phi"} & vars(ops).keys()
         for holder in (ops, cache):
             for name, a in vars(holder).items():
                 assert not (isinstance(a, np.ndarray) and a.shape == (ops.n, ops.n)), name
 
     def test_nonpositive_mass_entry_named(self, dom):
-        grid = quadrature_grid(build_basis(2, 2, dom), dom)
+        grid = quadrature_grid(build_basis(2, 2, dom))
         bad = dataclasses.replace(grid, y_weights=-grid.y_weights)
         with pytest.raises(DiscretizationError, match="mass entry"):
-            build_operators(grid.basis, bad, dom)
+            build_operators(bad)
 
     def test_nonpositive_block_eigenvalue_named(self, dom):
         # without x-derivatives the stiffness form sees only u_yy, which
         # vanishes on the Legendre degrees 0 and 1
-        grid = quadrature_grid(build_basis(2, 3, dom), dom)
+        grid = quadrature_grid(build_basis(2, 3, dom))
         bad = dataclasses.replace(grid, dsx=0.0 * grid.dsx, d2sx=0.0 * grid.d2sx)
         with pytest.raises(DiscretizationError, match="stiffness block m = 1"):
-            build_operators(grid.basis, bad, dom)
+            build_operators(bad)

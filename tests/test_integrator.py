@@ -24,7 +24,7 @@ class TestStep:
         cfg = cfg_with(delta=1.0, kappa=1.0, damping_coeffs=(1.0, 0.0, 1.0))
         plan = SimPlan(dt=1e-2, T=1.0)
         st = State(np.zeros(ops12.n), np.zeros(ops12.n))
-        out = step(st, ops12, cfg, plan)
+        out = step(st, SolverCache(ops12, cfg, plan))
         assert np.max(np.abs(out.u)) == 0.0 and np.max(np.abs(out.v)) == 0.0
 
     def test_linear_mode_matches_exact_rotation(self, ops1):
@@ -32,13 +32,13 @@ class TestStep:
         # u1 = ((1-a) u0 + dt v0)/(1+a), v1 = ((1-a) v0 - w^2 dt u0)/(1+a)
         cfg = cfg_with(damping_coeffs=(0.0, 0.0))
         plan = SimPlan(dt=0.05, T=1.0)
-        cache = SolverCache(ops1, cfg, plan.dt)
+        cache = SolverCache(ops1, cfg, plan)
         w2 = ops1.K[0, 0] / ops1.M[0, 0]
         a = w2 * plan.dt ** 2 / 4
         st = State(np.array([1.0]), np.array([0.0]))
         u, v = 1.0, 0.0
         for _ in range(500):
-            st = step(st, ops1, cfg, plan, cache)
+            st = step(st, cache)
             u, v = ((1 - a) * u + plan.dt * v) / (1 + a), \
                    ((1 - a) * v - w2 * plan.dt * u) / (1 + a)
         assert abs(st.u[0] - u) < 1e-11
@@ -54,14 +54,13 @@ class TestStep:
         # and the simulated trajectory shows that frequency: after one
         # discrete period the state returns to its start
         dt = 0.05
-        plan = SimPlan(dt=dt, T=1.0)
-        cache = SolverCache(ops1, cfg, dt)
+        cache = SolverCache(ops1, cfg, SimPlan(dt=dt, T=1.0))
         theta = 2 * math.atan(w * dt / 2)
         steps_per_period = round(2 * math.pi / theta)
         # pick dt so a period is nearly an integer number of steps
         st = State(np.array([1.0]), np.array([0.0]))
         for _ in range(steps_per_period):
-            st = step(st, ops1, cfg, plan, cache)
+            st = step(st, cache)
         phase_defect = abs(steps_per_period * theta - 2 * math.pi)
         assert abs(st.u[0] - math.cos(phase_defect)) < 1e-6
 
@@ -90,7 +89,7 @@ class TestStep:
         cfg = cfg_with(delta=1.0)
         st = State(np.full(ops12.n, np.nan), np.zeros(ops12.n))
         with pytest.raises(IntegratorError):
-            step(st, ops12, cfg, SimPlan(dt=1e-2, T=1.0))
+            step(st, SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0)))
 
     def test_change_stalled_at_roundoff_converges(self, dom):
         # anti-damped flutter grows to a state norm of several hundred; at
@@ -116,7 +115,7 @@ class TestStep:
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
         st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
         with pytest.raises(IntegratorError, match="overflowed"), np.errstate(all="ignore"):
-            step(st, ops, cfg, SimPlan(dt=0.5, T=10.0))
+            step(st, SolverCache(ops, cfg, SimPlan(dt=0.5, T=10.0)))
 
 
 class TestStopRule:
@@ -139,10 +138,10 @@ class TestStopRule:
         ops, cfg, plan, traj = preset_run
         starts = State(traj.us[:-1], traj.vs[:-1], 0.0)
         its = []
-        out = step(starts, ops, cfg, plan, iterations=its)
+        out = step(starts, SolverCache(ops, cfg, plan), iterations=its)
         assert its == [2] * 2000
         assert np.array_equal(out.u, traj.us[1:]) and np.array_equal(out.v, traj.vs[1:])
-        ref = step(starts, ops, cfg, replace(plan, fp_tol=1e-15))
+        ref = step(starts, SolverCache(ops, cfg, replace(plan, fp_tol=1e-15)))
         err = np.sqrt(ops.state_norm_sq(out.u - ref.u, out.v - ref.v))
         assert err.max() <= plan.fp_tol
 
@@ -158,21 +157,21 @@ class TestStopRule:
 
         def last_change(maxiter):
             with pytest.raises(IntegratorError, match="did not converge") as info:
-                step(grows, ops, cfg, replace(plan, fp_maxiter=maxiter))
+                step(grows, SolverCache(ops, cfg, replace(plan, fp_maxiter=maxiter)))
             return float(re.search(r"last change (\S+)", str(info.value)).group(1))
 
         assert last_change(2) > last_change(1)
-        failures, its = {}, []
+        failures, its, cache = {}, [], SolverCache(ops, cfg, plan)
         out = step(State(np.array([grows.u, small.u]), np.array([grows.v, small.v])),
-                   ops, cfg, plan, failures=failures, iterations=its)
+                   cache, failures=failures, iterations=its)
         assert list(failures) == [0] and "did not converge" in failures[0]
         assert its[0] == plan.fp_maxiter and 2 <= its[1] < plan.fp_maxiter
-        assert np.array_equal(out.u[1], step(small, ops, cfg, plan).u)
+        assert np.array_equal(out.u[1], step(small, cache).u)
 
 
 class TestSpeedSolve:
     def _cache_and_modal_rhs(self, ops, cfg, dt, seed=0):
-        cache = SolverCache(ops, cfg, dt)
+        cache = SolverCache(ops, cfg, SimPlan(dt=dt))
         rng = np.random.default_rng(seed)
         return cache, rng.standard_normal(ops.n)
 
@@ -205,7 +204,7 @@ class TestSpeedSolve:
         # each row stops at its own tolerance, so a row of the stacked solve
         # has the bits of the single solve, with or without a warm start
         cfg = cfg_with(damping_coeffs=(0.5, 0.0, 10.0))
-        cache = SolverCache(ops12, cfg, 1e-2)
+        cache = SolverCache(ops12, cfg, SimPlan(dt=1e-2))
         rng = np.random.default_rng(5)
         R = rng.standard_normal((5, ops12.n)) * np.array([[0.1], [1.0], [50.0], [0.0], [3.0]])
         guess = np.array([0.0, 1.0, 2.0, 0.5, 1e3])
@@ -221,7 +220,7 @@ class TestSolverCache:
     def test_residual_load_drops_the_alpha_part(self, ops12):
         cfg = cfg_with(alpha=1.3, delta=0.7, beta=0.4, kappa=0.5,
                        source=SourceSpec("cubic_minus_load", load=0.3))
-        cache = SolverCache(ops12, cfg, 1e-2)
+        cache = SolverCache(ops12, cfg, SimPlan(dt=1e-2))
         U = np.random.default_rng(8).standard_normal((4, ops12.n))
         expected = force_load(U, ops12, cfg) - cfg.alpha * U @ ops12.Gx
         err = np.max(np.abs(cache.residual_load(U) - expected))
@@ -338,20 +337,24 @@ class TestEnsemble:
             assert isinstance(err, IntegratorError)
             assert "time step too large" in str(err) and err.partial is None
 
-    def test_overflow_ends_only_its_member(self, dom):
-        # the large member overflows the strong cubic source in the first
-        # step; the small member keeps the bits it has alone
+    @pytest.mark.parametrize("physics, amplitude", [
+        (dict(source=SourceSpec(kind="cubic_minus_load", load=0.0)), 60.0),
+        (dict(delta=1.0), 1e120),
+    ], ids=["cubic-source", "berger-term"])
+    def test_overflow_ends_only_its_member(self, dom, physics, amplitude):
+        # the large member overflows the load in the first step, through the
+        # strong cubic source or through the Berger term alone; the small
+        # member keeps the bits it has alone
         ops = make_operators(2, 1, dom)
-        cfg = cfg_with(damping_coeffs=(1.0, 0.0),
-                       source=SourceSpec(kind="cubic_minus_load", load=0.0))
+        cfg = cfg_with(damping_coeffs=(1.0, 0.0), **physics)
         plan = SimPlan(dt=0.5, T=10.0)
         with np.errstate(all="ignore"):
-            out = run_ensemble(ops, cfg, plan, [("mode", 1, 0, 60.0), ("mode", 1, 0, 0.1)])
+            out = run_ensemble(ops, cfg, plan, [("mode", 1, 0, amplitude), ("mode", 1, 0, 0.1)])
             with pytest.raises(IntegratorError, match="overflowed"):
-                run(ops, cfg, plan, ("mode", 1, 0, 60.0))
+                run(ops, cfg, plan, ("mode", 1, 0, amplitude))
         err = out[0]
         assert isinstance(err, IntegratorError)
-        assert str(err).startswith("source evaluation overflowed")
+        assert str(err).startswith("load evaluation overflowed at t = 0.0")
         assert len(err.partial) == 1 and err.partial.times[0] == 0.0
         assert_same_bits(out[1], run(ops, cfg, plan, ("mode", 1, 0, 0.1)))
 
@@ -369,18 +372,18 @@ class TestEnsemble:
 
     def test_step_records_member_failures(self, ops12):
         cfg = cfg_with(**GENERAL)
-        plan = SimPlan(dt=1e-2, T=1.0)
+        cache = SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0))
         good = initial_state(("random", 1.0), ops12, cfg, 1)
         U = np.array([good.u, np.full(ops12.n, np.nan), good.u])
         V = np.array([good.v, np.zeros(ops12.n), good.v])
         failures = {}
-        out = step(State(U, V), ops12, cfg, plan, failures=failures)
+        out = step(State(U, V), cache, failures=failures)
         assert list(failures) == [1] and "non-finite" in failures[1]
         assert np.all(np.isnan(out.u[1]))
-        alone = step(good, ops12, cfg, plan)
+        alone = step(good, cache)
         assert np.array_equal(out.u[0], alone.u) and np.array_equal(out.u[2], alone.u)
         with pytest.raises(IntegratorError, match="non-finite"):
-            step(State(U, V), ops12, cfg, plan)
+            step(State(U, V), cache)
 
 
 class TestInitialConditions:

@@ -168,7 +168,7 @@ class TestSourceCertification:
 
     def test_cubic_minus_load_accepted_and_certified(self):
         cfg = cfg_with(source=SourceSpec(kind="cubic_minus_load", load=1.0))
-        cert = certify_source(cfg, (-10.0, 10.0))
+        cert = certify_source(cfg)
         assert cert.ok
         # oracle: the returned pair really certifies the bound on the range
         s = np.linspace(-10, 10, 4001)
@@ -180,7 +180,7 @@ class TestSourceCertification:
         cfg = cfg_with(source=SourceSpec(kind="custom",
                                          table_s=tuple(table),
                                          table_f=tuple(-table ** 3)))
-        cert = certify_source(cfg, (-10.0, 10.0))
+        cert = certify_source(cfg)
         assert not cert.ok
         assert abs(cert.witness) >= 8.0
 

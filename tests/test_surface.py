@@ -2,6 +2,7 @@
 outside the unit tests, and the numerical modules import neither the output
 layer nor the CLI."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -13,12 +14,19 @@ ROOT = Path(__file__).resolve().parent.parent
 AWAITING_CALLERS = {"absorbing_time", "regularity_probe"}
 
 
-def test_every_export_has_a_caller():
+def _caller_files():
+    """The files whose calls count: the package, the scripts, the benchmark
+    and the acceptance tests, but not the unit tests."""
     files = [p for p in sorted((ROOT / "src" / "platelab").glob("*.py"))
              if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     files.append(ROOT / "tests" / "test_acceptance.py")
-    lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
+    return files
+
+
+def test_every_export_has_a_caller():
+    lines = [line for p in _caller_files()
+             for line in p.read_text(encoding="utf-8").splitlines()]
     exported = [name for name, obj in vars(platelab).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)]
     uncalled = set()
@@ -37,3 +45,27 @@ def test_numerical_core_imports_no_output_layer():
         text = (ROOT / "src" / "platelab" / f"{name}.py").read_text(encoding="utf-8")
         imports = re.findall(r"^\s*(?:from\s+\S+\s+)?import\s+.*$", text, re.M)
         assert not [line for line in imports if re.search(r"\b(reporting|cli)\b", line)], name
+
+
+def test_every_keyword_parameter_is_set_by_a_caller():
+    # a keyword parameter that no caller sets is a fixed value in disguise
+    calls = {}
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for name, obj in vars(platelab).items():
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        for pos, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg in (None, p.name) for k in call.keywords)
+                       or (p.kind is not p.KEYWORD_ONLY and len(call.args) > pos)
+                       for call in calls.get(name, [])):
+                unset.append(f"{name}({p.name})")
+    assert not unset, "keyword parameters no caller sets: " + ", ".join(unset)
