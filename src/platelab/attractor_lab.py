@@ -87,14 +87,16 @@ def _finished(results: list) -> list[Trajectory]:
 
 
 def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
-                        threads: int = 1) -> SweepReport:
+                        threads: int = 1,
+                        cert: SourceCertificate | None = None) -> SweepReport:
     """Tail sup of the phase-space norm per initial radius.
 
     All radius x sample members advance in this process as one ensemble;
     threads is accepted for compatibility and ignored.  A member whose
     step fails counts as a blow-up, and only that member: the others keep
     the tail sups they have alone.  Every member counts as one when the
-    integrator cannot be set up.
+    integrator cannot be set up.  meta["fp_iterations"] sums the
+    fixed-point histograms {iterations: steps} of the finished members.
 
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or
@@ -106,11 +108,15 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
     sups = [[math.nan] * plan.samples_per_radius for _ in plan.radii]
     blowups = []
-    for (radius_idx, sample_idx), res in zip(members, run_ensemble(ops, cfg, plan, starts)):
+    fp_iterations = {}
+    for (radius_idx, sample_idx), res in zip(members,
+                                             run_ensemble(ops, cfg, plan, starts, cert)):
         if isinstance(res, IntegratorError):
             blowups.append((radius_idx, sample_idx))
         else:
             sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
+            for its, steps in res.meta["fp_iterations"].items():
+                fp_iterations[its] = fp_iterations.get(its, 0) + steps
     bounds = [max(row) if not any(map(math.isnan, row)) else math.inf for row in sups]
     finite = [b for b in bounds if math.isfinite(b)]
     if blowups or not finite:
@@ -125,7 +131,8 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     return SweepReport(radii=plan.radii, tail_sups=sups, radius_bounds=bounds,
                        spread=spread, R0=R0, blowups=blowups, verdict=verdict,
                        meta={"T": plan.T, "dt": plan.dt,
-                             "samples_per_radius": plan.samples_per_radius})
+                             "samples_per_radius": plan.samples_per_radius,
+                             "fp_iterations": dict(sorted(fp_iterations.items()))})
 
 
 @dataclass
@@ -340,38 +347,85 @@ def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
 def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     """Slope of log C(r) over pairs more than `theiler` rows apart.
 
-    Distances are built lag by lag into one array sorted in place (8 bytes
-    per pair); quantiles are read off it and each count is a binary search.
+    The fit reads only the smallest 40% of the pair distances: the zero
+    count, the 2% and 40% quantiles of the positive ones, and 12 counts
+    between them.  So only squared distances up to a cut tau are kept, tau
+    being the 45% quantile of a pilot pass over every 16th lag (about 4.5
+    bytes per pair).  When the kept prefix misses a value the fit reads,
+    the fit runs again keeping every pair (tau = inf, 8 bytes per pair).
+    Either way the estimate equals that of sorting every distance.
+    """
+    lags = range(max(theiler, 0) + 1, X.shape[0])
+    tau = (float(np.quantile(np.concatenate([_sq_dists(X, k) for k in lags[::16]]), 0.45))
+           if lags else math.inf)
+    est = _gp_fit(X, lags, scale, tau)
+    return _gp_fit(X, lags, scale, math.inf) if est is None else est
+
+
+def _sq_dists(X: np.ndarray, k: int) -> np.ndarray:
+    diff = X[k:] - X[:-k]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _gp_fit(X: np.ndarray, lags: range, scale: float, tau: float) -> float | None:
+    """The estimate from the sorted squared distances <= tau (every one if
+    tau is inf), or None when they miss a value the fit reads.
+
+    A correctly rounded sqrt is monotone, so each order statistic of the
+    distances is the sqrt of the same order statistic of their squares,
+    and #{d < r} = #{d^2 < t(r)} with t(r) the least double whose sqrt is
+    >= r (`_sq_threshold`).
     """
     n = X.shape[0]
-    lags = range(max(theiler, 0) + 1, n)
-    dists = np.empty(sum(n - k for k in lags))
-    start = 0
+    N = sum(n - k for k in lags)
+    buf = np.empty(N if tau == math.inf else N * 9 // 16)   # 1.25 x the pilot's share
+    kept = 0
+    tops = []
     for k in lags:
-        diff = X[k:] - X[:-k]
-        dists[start:start + n - k] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        start += n - k
-    dists.sort()
-    diameter = float(dists[-1]) if dists.size else 0.0
+        d2 = _sq_dists(X, k)
+        tops.append(d2.max())
+        low = d2 if tau == math.inf else d2[d2 <= tau]
+        if kept + low.size > buf.size:
+            return None
+        buf[kept:kept + low.size] = low
+        kept += low.size
+    sq = buf[:kept]
+    sq.sort()
+    diameter = math.sqrt(np.max(tops)) if tops else 0.0
     if diameter < 1e-8 * scale:
         return 0.0
-    pos = dists[np.searchsorted(dists, 0.0, side="right"):]
-    if pos.size < 100:
+    zeros = int(np.searchsorted(sq, 0.0, side="right"))
+    P = N - zeros                       # positive distances
+    if P < 100:
         return 0.0
-    r_lo = _sorted_quantile(pos, 0.02)
-    r_hi = _sorted_quantile(pos, 0.4)
+
+    def quantile(q):                    # np.quantile's default (linear) rule
+        h = (P - 1) * q
+        i = min(int(h), P - 2)
+        lo, hi = np.sqrt(sq[zeros + i:zeros + i + 2])
+        return float(lo + (h - i) * (hi - lo))
+
+    if zeros + min(int((P - 1) * 0.4), P - 2) + 2 > kept:
+        return None
+    r_lo, r_hi = quantile(0.02), quantile(0.4)
     if not r_hi > r_lo > 0:
         return 0.0
     rs = np.geomspace(r_lo, r_hi, 12)
-    log_c = np.log(np.searchsorted(dists, rs) / dists.size)
+    t = _sq_threshold(rs)
+    if t.max() > tau:                   # only if geomspace rounds a point above r_hi
+        return None
+    log_c = np.log(np.searchsorted(sq, t) / N)
     return max(0.0, _ls_slope(np.log(rs), log_c))
 
 
-def _sorted_quantile(x: np.ndarray, q: float) -> float:
-    """np.quantile's default (linear) rule on an already sorted array."""
-    h = (x.size - 1) * q
-    i = min(int(h), x.size - 2)
-    return float(x[i] + (h - i) * (x[i + 1] - x[i]))
+def _sq_threshold(r: np.ndarray) -> np.ndarray:
+    """The least doubles t with sqrt(t) >= r, a few ulps from r * r."""
+    t = r * r
+    while (up := np.sqrt(t) < r).any():
+        t = np.where(up, np.nextafter(t, np.inf), t)
+    while (down := np.sqrt(np.nextafter(t, 0.0)) >= r).any():
+        t = np.where(down, np.nextafter(t, 0.0), t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +496,8 @@ class StationaryReport:
 def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
                            samples: int = 10, radius: float = 2.0,
                            speed_tol: float = 1e-4, dist_tol: float = 1e-3,
-                           newton_tol: float = 1e-10) -> StationaryReport:
+                           newton_tol: float = 1e-10,
+                           cert: SourceCertificate | None = None) -> StationaryReport:
     """Check that gradient-case trajectories land on Newton-certified equilibria.
 
     Requires beta = 0 (no flow term) and g(0) > 0; with beta != 0 the
@@ -457,7 +512,7 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
                                 note="b_0 = 0: damping degenerate at rest")
     seeds = [_sample_seed(plan.seed, 7, j) for j in range(samples)]
     starts = [initial_state(("random", radius), ops, cfg, seed) for seed in seeds]
-    trajs = _finished(run_ensemble(ops, cfg, plan, starts))
+    trajs = _finished(run_ensemble(ops, cfg, plan, starts, cert))
     out = []
     for seed, traj in zip(seeds, trajs):
         uT, vT = traj.us[-1], traj.vs[-1]

@@ -136,7 +136,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     parsed, ops, out, chash = _prepare(args, "sweep")
-    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, parsed.plans["sweep"])
+    report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, parsed.plans["sweep"],
+                                               cert=parsed.cert)
     rows = []
     for i, r in enumerate(report.radii):
         for j, sup in enumerate(report.tail_sups[i]):
@@ -282,7 +283,8 @@ def cmd_stationary(args) -> int:
     st = parsed.values["stationary"]
     report = attractor_lab.stationary_convergence(
         ops, parsed.cfg, parsed.plans["stationary"], samples=st["samples"],
-        radius=st["radius"], speed_tol=st["speed_tol"], dist_tol=st["dist_tol"])
+        radius=st["radius"], speed_tol=st["speed_tol"], dist_tol=st["dist_tol"],
+        cert=parsed.cert)
     write_json(out / "stationary_report.json", {
         "config_hash": chash,
         "verdict": report.verdict,

@@ -3,9 +3,11 @@
 import dataclasses
 import math
 
+import gp_reference
 import numpy as np
 import pytest
 
+from platelab import attractor_lab
 from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _sample_seed,
                                     _tail_norm_sup, absorbing_time, correlation_dimension,
                                     dissipativity_sweep, make_nearby_pair,
@@ -310,6 +312,55 @@ class TestGrassbergerProcaccia:
         cols = [np.cos((1.0 + 0.37 * j) * t + j) for j in range(embed)]
         return np.stack(cols, axis=1) + 1e-3 * rng.standard_normal((n_points, embed))
 
+    @classmethod
+    def cloud(cls, case):
+        if case == "orbit":
+            return cls.orbit(600)
+        if case == "ties":                      # integer coordinates
+            return np.round(3.0 * cls.orbit(600))
+        if case == "repeats":                   # zero distances at lags 200 and 400
+            return np.tile(cls.orbit(200), (3, 1))
+        if case == "collapsed":                 # diameter below 1e-8 of the scale
+            return 1e-12 * cls.orbit(300)
+        if case == "within-theiler":            # no pair more than 20 rows apart
+            return cls.orbit(21)
+        if case == "zero-cut":                  # period 16: every pilot pair is zero
+            return np.tile(cls.orbit(16), (40, 1))
+        # "pilot-misled": 16 points on a circle, visited so that the pilot's
+        # lags (5 mod 16) join neighbours, which other lags mostly do not
+        i = np.arange(700)
+        angle = 2.0 * np.pi * (13 * i % 16) / 16
+        rng = np.random.default_rng(3)
+        return (np.stack([np.cos(angle), np.sin(angle)], axis=1)
+                + 1e-3 * rng.standard_normal((i.size, 2)))
+
+    @pytest.mark.parametrize("case, theiler, passes", [
+        ("orbit", 20, "cut"),
+        ("ties", 20, "cut"),
+        ("repeats", 20, "cut"),
+        ("collapsed", 20, "cut"),
+        ("within-theiler", 20, "all"),
+        ("zero-cut", 15, "cut,all"),
+        ("pilot-misled", 20, "cut,all"),
+    ])
+    def test_estimate_equals_sorting_every_distance(self, monkeypatch, case, theiler,
+                                                     passes):
+        cuts = []
+        fit = attractor_lab._gp_fit
+
+        def spy(X, lags, scale, tau):
+            cuts.append(tau)
+            return fit(X, lags, scale, tau)
+
+        monkeypatch.setattr(attractor_lab, "_gp_fit", spy)
+        X = self.cloud(case)
+        estimate = attractor_lab._gp_estimate(X, theiler, 1.0)
+        assert estimate == gp_reference.gp_estimate(X, theiler, 1.0)
+        # "all" is the fallback that keeps every pair
+        assert ",".join("all" if tau == math.inf else "cut" for tau in cuts) == passes
+        if case == "orbit":
+            assert estimate > 0.5
+
     def test_estimate_matches_broadcast_oracle(self):
         from platelab.attractor_lab import _gp_estimate, _ls_slope
 
@@ -341,7 +392,7 @@ class TestGrassbergerProcaccia:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * n_points ** 2
+        assert peak <= 3 * n_points ** 2
 
 
 class TestRegularity:

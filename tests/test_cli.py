@@ -281,6 +281,41 @@ t = 1
                          "--out", str(out)]) == rc, command
         report = json.loads((tmp_path / "sweep" / "sweep_report.json").read_text())
         assert report["blowups"] == [[0, 0], [1, 0]]
+        assert report["meta"]["fp_iterations"] == {}     # no member finished
+
+    SMALL_GENERAL_SWEEP = config_text("general").replace("mx = 8", "mx = 3").replace(
+        "ny = 8", "ny = 2") + "[sweep]\nradii = 1\nsamples_per_radius = 3\nt = 0.1\n"
+
+    def test_sweep_certifies_the_source_once(self, tmp_path, monkeypatch):
+        import sys
+
+        import platelab.model
+
+        calls = []
+        certify = platelab.model.certify_source
+
+        def counting(cfg):
+            calls.append(cfg)
+            return certify(cfg)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("platelab") and getattr(module, "certify_source", None) is certify:
+                monkeypatch.setattr(module, "certify_source", counting)
+        cfg = write_cfg(tmp_path, self.SMALL_GENERAL_SWEEP)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+        assert len(calls) == 1
+
+    def test_sweep_report_counts_fixed_point_iterations(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.SMALL_GENERAL_SWEEP)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (outs[0] / "sweep_report.json").read_text()
+        assert (outs[1] / "sweep_report.json").read_text() == text
+        report = json.loads(text)
+        hist = report["meta"]["fp_iterations"]
+        assert report["blowups"] == []                   # 3 finished members, 50 steps each
+        assert sum(hist.values()) == 3 * 50 and min(map(int, hist)) >= 1
 
     def test_barrier_toy_prints_sigma(self, capsys):
         assert main(["barrier", "--toy"]) == 0
