@@ -32,7 +32,7 @@ def run(outdir: str) -> int:
 
     go("sweep_general", "general",
        "[sweep]\nradii = 1 5 25\nsamples_per_radius = 2\nt = 60\ndt = 0.0025\n")
-    go("barrier_general", "general", "[barrier]\nfit_t = 20\n")
+    go("barrier_general", "general", "[barrier]\nt = 20\n")
     go("pairs_general", "general", "[pairs]\nn_pairs = 3\nt = 30\n")
     go("dimension_point", "point")
     go("dimension_periodic", "periodic")

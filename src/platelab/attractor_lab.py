@@ -12,10 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import DiscreteOperators, block_matvec
+from .discretization import DiscreteOperators
 from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
-from .model import (PlateConfig, SourceCertificate, State, damping_gains, force_load,
-                    solve_stationary)
+from .model import PlateConfig, SourceCertificate, State, acceleration, solve_stationary
 
 
 class ExperimentError(RuntimeError):
@@ -78,6 +77,15 @@ def _random_start(ops, cfg, base_seed: int, radius: float, radius_idx: int,
                          _sample_seed(base_seed, radius_idx, sample_idx))
 
 
+def _fp_histogram(trajs) -> dict:
+    """The fixed-point histograms {iterations: steps} of trajs, summed, keys ascending."""
+    total = {}
+    for traj in trajs:
+        for its, steps in traj.meta["fp_iterations"].items():
+            total[its] = total.get(its, 0) + steps
+    return dict(sorted(total.items()))
+
+
 def _finished(results: list) -> list[Trajectory]:
     """The trajectories of run_ensemble, or its first failure in member order."""
     for res in results:
@@ -107,16 +115,14 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
                for j in range(plan.samples_per_radius)]
     starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
     sups = [[math.nan] * plan.samples_per_radius for _ in plan.radii]
-    blowups = []
-    fp_iterations = {}
+    blowups, finished = [], []
     for (radius_idx, sample_idx), res in zip(members,
                                              run_ensemble(ops, cfg, plan, starts, cert)):
         if isinstance(res, IntegratorError):
             blowups.append((radius_idx, sample_idx))
         else:
             sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
-            for its, steps in res.meta["fp_iterations"].items():
-                fp_iterations[its] = fp_iterations.get(its, 0) + steps
+            finished.append(res)
     bounds = [max(row) if not any(map(math.isnan, row)) else math.inf for row in sups]
     finite = [b for b in bounds if math.isfinite(b)]
     if blowups or not finite:
@@ -132,7 +138,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
                        spread=spread, R0=R0, blowups=blowups, verdict=verdict,
                        meta={"T": plan.T, "dt": plan.dt,
                              "samples_per_radius": plan.samples_per_radius,
-                             "fp_iterations": dict(sorted(fp_iterations.items()))})
+                             "fp_iterations": _fp_histogram(finished)})
 
 
 @dataclass
@@ -307,12 +313,13 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
                           min_points: int = 2000) -> DimensionReport:
     """Grassberger-Procaccia correlation-dimension estimates on the tail.
 
-    Snapshot states are projected to the leading embed_dim stiffness
-    modes (displacement scaled into the bending norm, velocity in L2),
-    pairs closer than `theiler` snapshots are excluded, and the slope of
-    log C(r) against log r is fitted over the lower quantile range of the
-    pairwise distances.  A cloud that has collapsed to a point (diameter
-    below 1e-8 of the trajectory scale) reports dimension 0.
+    Snapshot states are projected to the leading min(embed_dim, n)
+    stiffness modes (displacement scaled into the bending norm, velocity
+    in L2; meta["modes"] lists those counts), pairs closer than `theiler`
+    snapshots are excluded, and the slope of log C(r) against log r is
+    fitted over the lower quantile range of the pairwise distances.  A
+    cloud that has collapsed to a point (diameter below 1e-8 of the
+    trajectory scale) reports dimension 0.
     """
     tail = traj.times >= traj.times[-1] * (1.0 - tail_fraction)
     n_points = int(np.count_nonzero(tail))
@@ -332,7 +339,8 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
     spread = max(estimates) - min(estimates)
     return DimensionReport(embed_dims=tuple(embed_dims), estimates=estimates,
                            n_points=n_points, saturated=spread < 0.5,
-                           meta={"theiler": theiler, "tail_fraction": tail_fraction})
+                           meta={"theiler": theiler, "tail_fraction": tail_fraction,
+                                 "modes": [min(d, ops.n) for d in embed_dims]})
 
 
 def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
@@ -445,20 +453,15 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
                      cfg: PlateConfig) -> RegularityReport:
     """Bound ||u_t||_{2,*} and the reconstructed ||u_tt||_0 on the tail.
 
-    The acceleration comes from the equation itself:
-    u_tt = M^{-1} (load - K u) - g(||v||) v, M diagonal.  The verdict is PASS when
-    both sups are finite and extending the window from the last quarter
-    to the last half moves them by no more than 20%.
+    The acceleration comes from the equation itself (`model.acceleration`).
+    The verdict is PASS when both sups are finite and extending the window
+    from the last quarter to the last half moves them by no more than 20%.
     """
     t_end = traj.times[-1]
     half = traj.times >= 0.5 * t_end
-    us, vs = traj.us[half], traj.vs[half]
-    sp2 = ops.l2_norm_sq(vs)
-    gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
-    acc = (force_load(us, ops, cfg) - block_matvec(ops.k_blocks, us)) / ops.m_diag
-    acc -= gain[:, None] * vs
+    vs = traj.vs[half]
     sv = ops.bending_norm_sq(vs)
-    sa = ops.l2_norm_sq(acc)
+    sa = ops.l2_norm_sq(acceleration(traj.us[half], vs, ops, cfg))
     quarter = traj.times[half] >= 0.75 * t_end
     svh, sah = float(np.max(sv)), float(np.max(sa))
     svq, saq = float(np.max(sv[quarter])), float(np.max(sa[quarter]))
@@ -491,6 +494,7 @@ class StationaryReport:
     samples: list[StationarySample]
     verdict: str
     note: str = ""
+    meta: dict = field(default_factory=dict)
 
 
 def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan,
@@ -501,7 +505,9 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
     """Check that gradient-case trajectories land on Newton-certified equilibria.
 
     Requires beta = 0 (no flow term) and g(0) > 0; with beta != 0 the
-    gradient structure is absent and the test is skipped with a note.
+    gradient structure is absent and the test is skipped with a note (and
+    an empty meta).  meta["fp_iterations"] sums the members' fixed-point
+    histograms {iterations: steps}.
     """
     if cfg.beta != 0.0:
         return StationaryReport(samples=[], verdict="SKIPPED",
@@ -524,4 +530,5 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
         out.append(StationarySample(seed=seed, final_speed=speed, distance=dist,
                                     newton_residual=res.residual, ok=ok))
     verdict = "PASS" if out and all(s.ok for s in out) else "FAIL"
-    return StationaryReport(samples=out, verdict=verdict)
+    return StationaryReport(samples=out, verdict=verdict,
+                            meta={"fp_iterations": _fp_histogram(trajs)})

@@ -195,6 +195,7 @@ def cmd_barrier(args) -> int:
         },
         "ultimate_bounds": {k: {"K_R": kr, "V_star": vs}
                             for k, (kr, vs) in bounds.items()},
+        "fp_iterations": traj.meta["fp_iterations"],
     })
     write_csv(out / "barrier_audit.csv",
               ("t", "lhs", "rhs", "margin", "allowance", "bracket"),
@@ -294,6 +295,7 @@ def cmd_stationary(args) -> int:
             "distance": s.distance, "newton_residual": s.newton_residual,
             "ok": s.ok,
         } for s in report.samples],
+        "meta": report.meta,
     })
     print(f"stationary: {report.verdict} {report.note}")
     return EXIT_VERDICT if report.verdict == "FAIL" else EXIT_OK

@@ -133,8 +133,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "dist_tol": Key(float, _stat["dist_tol"], "bound on the distance to the equilibrium"),
     },
     "barrier": {
-        "fit_t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),
-        "fit_dt": Key(float, 2e-3, "time step of that trajectory", _POSITIVE),
+        "t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),
+        "dt": Key(float, 2e-3, "time step of that trajectory", _POSITIVE),
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
         "levels": Key(_tuple_of(float), (1.0, 10.0, 100.0),
                       "initial levels of the ultimate bound",
@@ -249,10 +249,10 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
     if problems:
         raise ConfigError(problems)
 
-    def plan_of(section, kind=SimPlan, t="t", dt="dt", own_keys=()):
+    def plan_of(section, kind=SimPlan, own_keys=()):
         """Every run takes [sim]'s solver keys and seed, and its section's time plan."""
         own = values[section]
-        return kind(T=own[t], dt=own[dt], snapshot_every=own["snapshot_every"],
+        return kind(T=own["t"], dt=own["dt"], snapshot_every=own["snapshot_every"],
                     fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
                     seed=sim["seed"] if seed_override is None else seed_override,
                     **{key: own[key] for key in own_keys})
@@ -260,7 +260,7 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
     plans = {"sweep": plan_of("sweep", SweepPlan, own_keys=("radii", "samples_per_radius",
                                                             "tail_fraction")),
              "pairs": plan_of("pairs"), "stationary": plan_of("stationary"),
-             "barrier": plan_of("barrier", t="fit_t", dt="fit_dt")}
+             "barrier": plan_of("barrier")}
     return ParsedConfig(cfg=cfg, plan=plan_of("sim"), plans=plans, initial=sim["initial"],
                         mx=basis["mx"], ny=basis["ny"], oversample=basis["oversample"],
                         cert=cert, sections={name: dict(cp[name]) for name in cp.sections()},

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretization import DiscreteOperators, DomainSpec, QuadGrid, block_vecmat
+from .discretization import (DiscreteOperators, DomainSpec, QuadGrid, block_matvec,
+                             block_vecmat)
 
 
 class ModelError(ValueError):
@@ -238,6 +239,19 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.nd
     if cfg.beta != 0.0:
         out -= cfg.beta * block_vecmat(u, ops.dy_blocks)
     return out
+
+
+def acceleration(u, v, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
+    """u_tt = M^{-1} (load(u) - K u) - g(||v||_0) v per row of stacks u, v (m, n); the
+    load takes 256 rows at a time, which bounds its nodal arrays and changes no bit."""
+    acc = np.empty_like(u)
+    for i in range(0, len(u), 256):
+        acc[i:i + 256] = force_load(u[i:i + 256], ops, cfg)
+    acc -= block_matvec(ops.k_blocks, u)
+    acc /= ops.m_diag
+    sp2 = ops.l2_norm_sq(v)
+    acc -= damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)[:, None] * v
+    return acc
 
 
 def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:

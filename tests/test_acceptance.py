@@ -5,7 +5,6 @@ lines.  Tolerances are pinned here, not configurable.
 """
 
 import dataclasses
-import json
 import math
 import time
 

@@ -13,8 +13,9 @@ from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _samp
                                     dissipativity_sweep, make_nearby_pair,
                                     quasistability_pairs, regularity_probe,
                                     stationary_convergence, tail_points_at_most)
+from platelab.discretization import block_matvec
 from platelab.integrator import IntegratorError, SimPlan, Trajectory, run
-from platelab.model import PlateConfig, SourceSpec
+from platelab.model import PlateConfig, SourceSpec, damping_gains, force_load
 
 
 def cfg_with(**kw):
@@ -290,6 +291,7 @@ class TestCorrelationDimension:
         for est in rep.estimates:
             assert abs(est - 1.0) <= 0.2
         assert rep.saturated
+        assert rep.meta["modes"] == [2, 4, 6]      # d = 8 embeds in all 6 modes
 
     def test_collapsed_cloud_reports_zero(self, ops12):
         # synthetic trajectory: frozen state repeated
@@ -427,6 +429,13 @@ class TestRegularity:
         traj = run(ops12, cfg, SimPlan(dt=4e-3, T=40.0, snapshot_every=2),
                    ("mode", 1, 0, 0.5))
         rep_full = regularity_probe(traj, ops12, cfg)
+        # the load taken in one call over the 2500-row window gives the same bits
+        half = traj.times >= 0.5 * traj.times[-1]
+        us, vs = traj.us[half], traj.vs[half]
+        sp2 = ops12.l2_norm_sq(vs)
+        acc = (force_load(us, ops12, cfg) - block_matvec(ops12.k_blocks, us)) / ops12.m_diag
+        acc -= damping_gains(np.sqrt(sp2), cfg)[:, None] * vs
+        assert rep_full.sup_accel_l2 == float(np.max(ops12.l2_norm_sq(acc)))
         thin = Trajectory(times=traj.times[::2], us=traj.us[::2],
                           vs=traj.vs[::2], ledger=None, meta=traj.meta)
         rep_thin = regularity_probe(thin, ops12, cfg)

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platelab import barrier as bar
+from platelab.attractor_lab import _random_start
+from platelab.discretization import make_operators
 from platelab.integrator import SimPlan, run
-from platelab.model import PlateConfig, SourceSpec, certify_source
+from platelab.model import PlateConfig, SourceSpec, certify_source, force_load
+from platelab.presets import make
 
 from conftest import random_coeffs
 from kron_reference import lyapunov_value
@@ -252,14 +255,50 @@ class TestDecayAudit:
         assert audit.violations == 0
 
     def test_lhs_matches_per_snapshot_lyapunov(self, ops12, fitted_setup):
-        # the audit evaluates V_eps on the whole snapshot stack at once
+        # dV/dt + eps V from the equation, one snapshot at a time on dense operators
         cfg, cert, traj, bc = fitted_setup
         audit = bar.decay_audit(traj, ops12, cfg, cert, bc)
-        V = np.array([lyapunov_value(u, v, audit.eps, ops12, cfg, cert)
-                      for u, v in zip(traj.us, traj.vs)])
-        ref = np.gradient(V, traj.times) + audit.eps * V
+        eps, M = audit.eps, ops12.M
+        ref = []
+        for u, v in zip(traj.us, traj.vs):
+            sp2 = v @ M @ v
+            g = sum(b * math.sqrt(sp2) ** j for j, b in enumerate(cfg.damping_coeffs))
+            acc = np.linalg.solve(M, force_load(u, ops12, cfg) - ops12.K @ u) - g * v
+            dV = -g * sp2 - cfg.beta * (u @ ops12.Dy @ v) + eps * (sp2 + (M @ acc) @ u)
+            ref.append(dV + eps * lyapunov_value(u, v, eps, ops12, cfg, cert))
+        ref = np.array(ref)
         np.testing.assert_allclose(audit.lhs, ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_lhs_agrees_with_finite_differences(self, ops12, fitted_setup):
+        cfg, cert, traj, bc = fitted_setup
+        audit = bar.decay_audit(traj, ops12, cfg, cert, bc)
+        V = lyapunov_value(traj.us, traj.vs, audit.eps, ops12, cfg, cert)
+        fd = np.gradient(V, traj.times) + audit.eps * V
+        assert np.max(np.abs(fd - audit.lhs)[1:-1]) <= 1e-2 * np.max(np.abs(audit.lhs))
+
+    def test_lhs_independent_of_snapshot_stride(self, ops12, fitted_setup):
+        cfg, cert, _, bc = fitted_setup
+        lhs = {}
+        for every in (5, 10):
+            plan = SimPlan(dt=2e-3, T=3.0, snapshot_every=every, seed=2)
+            traj = run(ops12, cfg, plan, ("stationary_kick", 0.5), cert)
+            lhs[every] = bar.decay_audit(traj, ops12, cfg, cert, bc).lhs
+        assert np.array_equal(lhs[5][::2], lhs[10])
+
+    def test_no_violation_at_the_start_of_a_large_member(self):
+        # member (2, 1) of criterion 7's sweep (radius 25), audited with the
+        # constants of the `general` run: V falls so steeply at t = 0 that a
+        # one-sided difference misses dV/dt + eps V by a factor of 20
+        cfg, (mx, ny), ov, plan, init = make("general")
+        ops = make_operators(mx, ny, cfg.dom, ov)
+        cert = certify_source(cfg)
+        bc = bar.fit_barrier_constants([run(ops, cfg, plan, init, cert)], ops, cfg, cert)
+        member = run(ops, cfg, SimPlan(dt=2.5e-3, T=0.25, snapshot_every=10, seed=99),
+                     _random_start(ops, cfg, 99, 25.0, 2, 1), cert)
+        audit = bar.decay_audit(member, ops, cfg, cert, bc)
+        assert audit.violations == 0
+        assert audit.lhs[0] < audit.rhs[0]
 
     def test_oversized_eps_flagged(self, ops12, fitted_setup):
         cfg, cert, traj, bc = fitted_setup

@@ -110,7 +110,7 @@ source = zero
 
     def test_every_plan_takes_the_sim_solver_keys(self, tmp_path):
         text = MINIMAL + "[sim]\nfp_tol = 1e-9\nfp_maxiter = 7\nseed = 5\n" \
-            "[barrier]\nfit_t = 3\nfit_dt = 0.004\n"
+            "[barrier]\nt = 3\ndt = 0.004\n"
         for override, seed in ((None, 5), (99, 99)):
             parsed = parse_config(write_cfg(tmp_path, text), seed_override=override)
             assert set(parsed.plans) == {"sweep", "pairs", "stationary", "barrier"}
@@ -267,7 +267,7 @@ t = 1
 n_pairs = 1
 t = 1
 [barrier]
-fit_t = 1
+t = 1
 [stationary]
 samples = 1
 t = 1
@@ -376,15 +376,35 @@ theiler = 10
         assert rep["saturated"] is True
         assert all(abs(e - 1.0) < 0.3 for e in rep["estimates"])
 
-    def test_barrier_fit_subcommand(self, tmp_path):
-        text = SMALL_SIM + "\n[barrier]\nfit_t = 8\nfit_dt = 0.005\n"
+    def test_barrier_fit_subcommand(self, tmp_path, capsys):
+        text = SMALL_SIM + "\n[barrier]\nt = 8\ndt = 0.005\n"
         cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "bar"
-        assert main(["barrier", "--config", str(cfg), "--out", str(out)]) == 0
-        rep = json.loads((out / "barrier_report.json").read_text())
+        outs = [tmp_path / "bar", tmp_path / "bar2"]
+        for out in outs:
+            assert main(["barrier", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (outs[0] / "barrier_report.json").read_text()
+        assert (outs[1] / "barrier_report.json").read_text() == report
+        rep = json.loads(report)
         assert rep["audit"]["bracket_violations"] == 0
         assert rep["balancing"] in ("PASS", "SKIPPED")
         assert set(rep["ultimate_bounds"]) == {"1", "10", "100"}
+        assert sum(rep["fp_iterations"].values()) == 1600      # steps of the 8 / 0.005 run
+        # the fitting run's horizon is `t`, as in every other run section
+        fit_t = write_cfg(tmp_path, SMALL_SIM + "\n[barrier]\nfit_t = 8\n", "fit_t.cfg")
+        assert main(["barrier", "--config", str(fit_t), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'fit_t' in [barrier]" in capsys.readouterr().err
+
+    def test_stationary_report_counts_fixed_point_iterations(self, tmp_path):
+        text = config_text("gradient") + "[stationary]\nsamples = 2\nt = 0.2\n"
+        cfg = write_cfg(tmp_path, text)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:        # too short a run to settle: FAIL
+            assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 4
+        text = (outs[0] / "stationary_report.json").read_text()
+        assert (outs[1] / "stationary_report.json").read_text() == text
+        report = json.loads(text)
+        assert len(report["samples"]) == 2                      # 2 members, 100 steps each
+        assert sum(report["meta"]["fp_iterations"].values()) == 2 * 100
 
     def test_plots_flag_writes_svg(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SIM)

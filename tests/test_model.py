@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platelab.model import (ModelError, PlateConfig, SourceSpec, _weighted_gram,
-                            berger_coefficient, certify_source, damping_gain,
-                            damping_gains, force_jacobian, force_load,
+                            acceleration, berger_coefficient, certify_source,
+                            damping_gain, damping_gains, force_jacobian, force_load,
                             solve_stationary)
 from platelab.energy import potential_energy
 
@@ -159,6 +159,24 @@ class TestForceLoad:
         e2 = abs(fd(5e-4) - exact)
         assert e1 < 1e-4
         assert e2 < e1 / 2.5  # second-order shrink (ratio ~4 with slack)
+
+
+class TestAcceleration:
+    def test_stack_matches_rows_and_solves_the_equation(self, ops12):
+        # 600 rows: the load runs in three blocks, the last one partial
+        cfg = cfg_with(alpha=0.5, delta=1.0, beta=1.0, kappa=2.0,
+                       damping_coeffs=(0.5, 0.0, 1.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=1.0))
+        us = np.array([random_coeffs(ops12, s, scale=2.0) for s in range(600)])
+        vs = np.array([random_coeffs(ops12, s + 1000, scale=2.0) for s in range(600)])
+        acc = acceleration(us, vs, ops12, cfg)
+        rows = [acceleration(u[None], v[None], ops12, cfg)[0] for u, v in zip(us, vs)]
+        assert np.array_equal(acc, rows)
+        # M u_tt + K u + g(||v||) M v = load(u)
+        gain = damping_gains(np.sqrt(ops12.l2_norm_sq(vs)), cfg)
+        lhs = acc @ ops12.M + us @ ops12.K + gain[:, None] * (vs @ ops12.M)
+        load = force_load(us, ops12, cfg)
+        np.testing.assert_allclose(lhs, load, rtol=0, atol=1e-10 * np.max(np.abs(load)))
 
 
 class TestSourceCertification:

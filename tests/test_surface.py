@@ -69,3 +69,21 @@ def test_every_keyword_parameter_is_set_by_a_caller():
                        for call in calls.get(name, [])):
                 unset.append(f"{name}({p.name})")
     assert not unset, "keyword parameters no caller sets: " + ", ".join(unset)
+
+
+def test_every_import_is_used():
+    # the package, the scripts and the tests; the benchmark keeps its own
+    files = [p for p in sorted((ROOT / "src" / "platelab").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.relative_to(ROOT)}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not unused, "imports never used: " + ", ".join(unused)
