@@ -77,11 +77,12 @@ def _random_start(ops, cfg, base_seed: int, radius: float, radius_idx: int,
                          _sample_seed(base_seed, radius_idx, sample_idx))
 
 
-def _fp_histogram(trajs) -> dict:
-    """The fixed-point histograms {iterations: steps} of trajs, summed, keys ascending."""
+def fp_histogram(runs) -> dict:
+    """The fixed-point histograms {iterations: steps} in the meta of runs
+    (trajectories or pairs), summed, keys ascending."""
     total = {}
-    for traj in trajs:
-        for its, steps in traj.meta["fp_iterations"].items():
+    for r in runs:
+        for its, steps in r.meta["fp_iterations"].items():
             total[its] = total.get(its, 0) + steps
     return dict(sorted(total.items()))
 
@@ -138,7 +139,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
                        spread=spread, R0=R0, blowups=blowups, verdict=verdict,
                        meta={"T": plan.T, "dt": plan.dt,
                              "samples_per_radius": plan.samples_per_radius,
-                             "fp_iterations": _fp_histogram(finished)})
+                             "fp_iterations": fp_histogram(finished)})
 
 
 @dataclass
@@ -194,6 +195,7 @@ class PairStats:
     violations: int
     certified: bool
     note: str = ""
+    meta: dict = field(default_factory=dict)   # fp_iterations: the two members' histogram
 
 
 def make_nearby_pair(ops: DiscreteOperators, cfg: PlateConfig, radius: float,
@@ -221,7 +223,8 @@ def quasistability_pairs(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan
     """
     trajs = _finished(run_ensemble(ops, cfg, plan, [y for pair in pairs for y in pair],
                                    cert))
-    return [_fit_pair(ops, t1, t2) for t1, t2 in zip(trajs[::2], trajs[1::2])]
+    return [replace(_fit_pair(ops, t1, t2), meta={"fp_iterations": fp_histogram([t1, t2])})
+            for t1, t2 in zip(trajs[::2], trajs[1::2])]
 
 
 def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairStats:
@@ -352,78 +355,88 @@ def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
     return int(np.count_nonzero(steps >= (1.0 - tail_fraction) * steps[-1] * (1.0 - 1e-6)))
 
 
-def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
-    """Slope of log C(r) over pairs more than `theiler` rows apart.
+_OCTAVES, _PER_OCTAVE = 48, 4096        # pass 1's buckets: 1.6 MB of counts
 
-    The fit reads only the smallest 40% of the pair distances: the zero
-    count, the 2% and 40% quantiles of the positive ones, and 12 counts
-    between them.  So only squared distances up to a cut tau are kept, tau
-    being the 45% quantile of a pilot pass over every 16th lag (about 4.5
-    bytes per pair).  When the kept prefix misses a value the fit reads,
-    the fit runs again keeping every pair (tau = inf, 8 bytes per pair).
-    Either way the estimate equals that of sorting every distance.
+
+def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
+    """Slope of log C(r) over pairs more than `theiler` rows apart, in memory
+    that does not grow with the number of pairs.
+
+    The fit reads the zero count, the 2% and 40% quantiles of the positive
+    distances and 12 counts between them.  A correctly rounded sqrt is
+    monotone, so a quantile is the sqrt of the same order statistics of the
+    squared distances d^2, and #{d < r} = #{d^2 < t(r)} (`_sq_threshold`).
+    Positive doubles order as their bits, so pass 1 counts each lag's d^2
+    into buckets named by the exponent and top 12 mantissa bits, over the 48
+    octaves below 4 max |x - mean|^2, which bounds every d^2 (the end
+    buckets take what falls outside).  Pass 2 recomputes only the lags whose
+    [min, max] meets a bucket that holds an order statistic or, by those
+    buckets' edges, may hold a t(r), and keeps their d^2 in those buckets.
+    The estimate equals that of sorting every distance.
     """
-    lags = range(max(theiler, 0) + 1, X.shape[0])
-    tau = (float(np.quantile(np.concatenate([_sq_dists(X, k) for k in lags[::16]]), 0.45))
-           if lags else math.inf)
-    est = _gp_fit(X, lags, scale, tau)
-    return _gp_fit(X, lags, scale, math.inf) if est is None else est
+    n, nb = X.shape[0], _OCTAVES * _PER_OCTAVE
+    lags = np.arange(max(theiler, 0) + 1, n)
+    top = np.float64(4.0 * np.max(np.sum((X - X.mean(axis=0)) ** 2, axis=1)))
+    base = max(int(top.view(np.int64) >> 40) - nb + 1, 0)
+
+    def bucket(d2):
+        b = (d2.view(np.int64) >> 40) - base
+        return np.minimum(np.maximum(b, 0, out=b), nb - 1, out=b)
+
+    def edge(b):                        # the least double of bucket b
+        return ((base + b) << 40).view(np.float64)
+
+    hist = np.zeros(nb, dtype=np.int64)
+    lo, hi = np.zeros(lags.size), np.zeros(lags.size)
+    zeros = 0
+    for j, k in enumerate(lags):
+        d2 = _sq_dists(X, k)
+        lo[j], hi[j] = d2.min(), d2.max()
+        zeros += d2.size - np.count_nonzero(d2)
+        np.add.at(hist, bucket(d2), 1)
+    hist[0] -= zeros                    # zeros are counted apart
+    if math.sqrt(np.max(hi, initial=0.0)) < 1e-8 * scale:      # the diameter
+        return 0.0
+    cum = np.cumsum(hist)
+    P = int(cum[-1])                    # positive distances
+    if P < 100:
+        return 0.0
+
+    h = (P - 1) * np.array([0.02, 0.4])             # np.quantile's linear rule
+    i = np.minimum(h.astype(np.int64), P - 2)
+    ranks = np.stack([i, i + 1], axis=1).ravel()    # among the positive d^2
+    ob = np.searchsorted(cum, ranks, side="right")
+    lower = np.where(ob > 0, edge(ob), 5e-324)
+    upper = np.where(ob < nb - 1, edge(ob + 1), hi.max())
+    keep = np.zeros(nb, dtype=bool)
+    keep[ob] = True
+    for a, b in zip(bucket(np.geomspace(lower[0], lower[2], 12) * (1 - 1e-9)),
+                    bucket(np.geomspace(upper[1], upper[3], 12) * (1 + 1e-9))):
+        keep[a:b + 1] = True
+    kc, blo, bhi = np.cumsum(keep), bucket(lo), bucket(hi)
+    kept = []
+    for k in lags[kc[bhi] - kc[blo] + keep[blo] > 0]:     # [min, max] meets a kept bucket
+        d2 = _sq_dists(X, k)
+        kept.append(d2[keep[bucket(d2)] & (d2 > 0)])
+    v = np.sort(np.concatenate(kept))
+
+    def shift(b):                       # index in v of a rank in bucket b, minus the rank
+        return np.searchsorted(bucket(v), b) - (cum[b] - hist[b])
+
+    s = np.sqrt(v[ranks + shift(ob)])
+    r_lo, r_hi = s[0::2] + (h - i) * (s[1::2] - s[0::2])
+    if not r_hi > r_lo > 0:
+        return 0.0
+    rs = np.geomspace(r_lo, r_hi, 12)
+    t = _sq_threshold(rs)
+    assert keep[bucket(t)].all(), "a threshold missed the kept buckets"
+    log_c = np.log((zeros + np.searchsorted(v, t) - shift(bucket(t))) / (P + zeros))
+    return max(0.0, _ls_slope(np.log(rs), log_c))
 
 
 def _sq_dists(X: np.ndarray, k: int) -> np.ndarray:
     diff = X[k:] - X[:-k]
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def _gp_fit(X: np.ndarray, lags: range, scale: float, tau: float) -> float | None:
-    """The estimate from the sorted squared distances <= tau (every one if
-    tau is inf), or None when they miss a value the fit reads.
-
-    A correctly rounded sqrt is monotone, so each order statistic of the
-    distances is the sqrt of the same order statistic of their squares,
-    and #{d < r} = #{d^2 < t(r)} with t(r) the least double whose sqrt is
-    >= r (`_sq_threshold`).
-    """
-    n = X.shape[0]
-    N = sum(n - k for k in lags)
-    buf = np.empty(N if tau == math.inf else N * 9 // 16)   # 1.25 x the pilot's share
-    kept = 0
-    tops = []
-    for k in lags:
-        d2 = _sq_dists(X, k)
-        tops.append(d2.max())
-        low = d2 if tau == math.inf else d2[d2 <= tau]
-        if kept + low.size > buf.size:
-            return None
-        buf[kept:kept + low.size] = low
-        kept += low.size
-    sq = buf[:kept]
-    sq.sort()
-    diameter = math.sqrt(np.max(tops)) if tops else 0.0
-    if diameter < 1e-8 * scale:
-        return 0.0
-    zeros = int(np.searchsorted(sq, 0.0, side="right"))
-    P = N - zeros                       # positive distances
-    if P < 100:
-        return 0.0
-
-    def quantile(q):                    # np.quantile's default (linear) rule
-        h = (P - 1) * q
-        i = min(int(h), P - 2)
-        lo, hi = np.sqrt(sq[zeros + i:zeros + i + 2])
-        return float(lo + (h - i) * (hi - lo))
-
-    if zeros + min(int((P - 1) * 0.4), P - 2) + 2 > kept:
-        return None
-    r_lo, r_hi = quantile(0.02), quantile(0.4)
-    if not r_hi > r_lo > 0:
-        return 0.0
-    rs = np.geomspace(r_lo, r_hi, 12)
-    t = _sq_threshold(rs)
-    if t.max() > tau:                   # only if geomspace rounds a point above r_hi
-        return None
-    log_c = np.log(np.searchsorted(sq, t) / N)
-    return max(0.0, _ls_slope(np.log(rs), log_c))
 
 
 def _sq_threshold(r: np.ndarray) -> np.ndarray:
@@ -531,4 +544,4 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
                                     newton_residual=res.residual, ok=ok))
     verdict = "PASS" if out and all(s.ok for s in out) else "FAIL"
     return StationaryReport(samples=out, verdict=verdict,
-                            meta={"fp_iterations": _fp_histogram(trajs)})
+                            meta={"fp_iterations": fp_histogram(trajs)})

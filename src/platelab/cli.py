@@ -251,6 +251,7 @@ def cmd_pairs(args) -> int:
             "note": s.note,
         } for s in results],
         "all_certified": ok,
+        "fp_iterations": attractor_lab.fp_histogram(results),
     })
     if args.plots:
         series = [(f"pair {k}", s.times, s.separation) for k, s in enumerate(results)]

@@ -43,7 +43,7 @@ from . import energy as energy_mod
 from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
                              block_vecmat)
 from .model import (PlateConfig, SourceCertificate, State, certify_source, damping_gain,
-                    damping_gains, force_load, horner, solve_stationary)
+                    damping_gains, force_load, horner, in_row_blocks, solve_stationary)
 
 
 class IntegratorError(RuntimeError):
@@ -481,7 +481,7 @@ def run(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initial,
 def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:
     kin = 0.5 * ops.l2_norm_sq(vs)
     bend = 0.5 * ops.bending_norm_sq(us)
-    pi = energy_mod.potential_energy(us, ops, cfg)
+    pi = in_row_blocks(energy_mod.potential_energy, us, ops, cfg)
     pi0, pi1 = energy_mod.split_from_potential(pi, us, ops, cfg, cert)
     E = kin + bend + pi0
     Etot = E + pi1

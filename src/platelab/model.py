@@ -241,12 +241,16 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.nd
     return out
 
 
+def in_row_blocks(f, u, *args) -> np.ndarray:
+    """f(u, *args) for a row-wise f on a stack u (m, n), taken 256 rows at a
+    time: the same bits, with f's nodal arrays bounded by the block."""
+    return np.concatenate([f(u[i:i + 256], *args) for i in range(0, len(u), 256)])
+
+
 def acceleration(u, v, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
-    """u_tt = M^{-1} (load(u) - K u) - g(||v||_0) v per row of stacks u, v (m, n); the
-    load takes 256 rows at a time, which bounds its nodal arrays and changes no bit."""
-    acc = np.empty_like(u)
-    for i in range(0, len(u), 256):
-        acc[i:i + 256] = force_load(u[i:i + 256], ops, cfg)
+    """u_tt = M^{-1} (load(u) - K u) - g(||v||_0) v per row of stacks u, v (m, n),
+    with the load taken `in_row_blocks`."""
+    acc = in_row_blocks(force_load, u, ops, cfg)
     acc -= block_matvec(ops.k_blocks, u)
     acc /= ops.m_diag
     sp2 = ops.l2_norm_sq(v)

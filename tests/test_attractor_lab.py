@@ -326,42 +326,54 @@ class TestGrassbergerProcaccia:
             return 1e-12 * cls.orbit(300)
         if case == "within-theiler":            # no pair more than 20 rows apart
             return cls.orbit(21)
-        if case == "zero-cut":                  # period 16: every pilot pair is zero
+        if case == "zero-cut":                  # period 16: every 16th lag is all zeros
             return np.tile(cls.orbit(16), (40, 1))
-        # "pilot-misled": 16 points on a circle, visited so that the pilot's
-        # lags (5 mod 16) join neighbours, which other lags mostly do not
+        if case == "circle":                    # an exact rotation: one distance per lag
+            angle = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(1000)
+            return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        if case == "near-duplicates":           # 8% of the pairs below the lowest bucket,
+            rng = np.random.default_rng(5)      # so the 2% order statistic is clamped there
+            return (cls.orbit(12)[np.arange(600) % 12]
+                    + 1e-9 * rng.standard_normal((600, 4)))
+        # "pilot-misled": 16 points on a circle, visited so that the lags 5
+        # mod 16 join neighbours, which other lags mostly do not
         i = np.arange(700)
         angle = 2.0 * np.pi * (13 * i % 16) / 16
         rng = np.random.default_rng(3)
         return (np.stack([np.cos(angle), np.sin(angle)], axis=1)
                 + 1e-3 * rng.standard_normal((i.size, 2)))
 
-    @pytest.mark.parametrize("case, theiler, passes", [
-        ("orbit", 20, "cut"),
-        ("ties", 20, "cut"),
-        ("repeats", 20, "cut"),
-        ("collapsed", 20, "cut"),
-        ("within-theiler", 20, "all"),
-        ("zero-cut", 15, "cut,all"),
-        ("pilot-misled", 20, "cut,all"),
+    @pytest.mark.parametrize("case, theiler", [
+        ("orbit", 20),
+        ("ties", 20),
+        ("repeats", 20),
+        ("collapsed", 20),
+        ("within-theiler", 20),
+        ("zero-cut", 15),
+        ("pilot-misled", 20),
+        ("circle", 20),
+        ("near-duplicates", 20),
     ])
-    def test_estimate_equals_sorting_every_distance(self, monkeypatch, case, theiler,
-                                                     passes):
-        cuts = []
-        fit = attractor_lab._gp_fit
-
-        def spy(X, lags, scale, tau):
-            cuts.append(tau)
-            return fit(X, lags, scale, tau)
-
-        monkeypatch.setattr(attractor_lab, "_gp_fit", spy)
+    def test_estimate_equals_sorting_every_distance(self, case, theiler):
         X = self.cloud(case)
         estimate = attractor_lab._gp_estimate(X, theiler, 1.0)
         assert estimate == gp_reference.gp_estimate(X, theiler, 1.0)
-        # "all" is the fallback that keeps every pair
-        assert ",".join("all" if tau == math.inf else "cut" for tau in cuts) == passes
         if case == "orbit":
             assert estimate > 0.5
+
+    def test_second_pass_recomputes_few_lags_of_a_rotation(self, monkeypatch):
+        lags = []
+        sq_dists = attractor_lab._sq_dists
+
+        def spy(X, k):
+            lags.append(k)
+            return sq_dists(X, k)
+
+        monkeypatch.setattr(attractor_lab, "_sq_dists", spy)
+        X = self.cloud("circle")
+        assert attractor_lab._gp_estimate(X, 20, 1.0) > 0.5
+        n_lags = len(X) - 21
+        assert len(lags) - n_lags <= 0.05 * n_lags       # pass 1 computes every lag once
 
     def test_estimate_matches_broadcast_oracle(self):
         from platelab.attractor_lab import _gp_estimate, _ls_slope
@@ -379,22 +391,19 @@ class TestGrassbergerProcaccia:
         assert oracle > 0.5
         assert _gp_estimate(X, theiler, 1.0) == pytest.approx(oracle, rel=1e-5)
 
-    def test_peak_memory_linear_in_pairs(self, ops12):
+    def test_peak_memory_flat_in_pairs(self):
         import tracemalloc
 
-        n_points = 2000
-        c = self.orbit(n_points, embed=ops12.n)
-        us = c @ ops12.phi.T
-        traj = Trajectory(times=np.linspace(0.0, 1.0, n_points), us=us,
-                          vs=np.zeros_like(us), ledger=None, meta={})
-        tracemalloc.start()
-        try:
-            correlation_dimension(traj, ops12, tail_fraction=1.0,
-                                  min_points=n_points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * n_points ** 2
+        peaks = []
+        for n_points in (1000, 4000):
+            X = self.orbit(n_points, embed=12)
+            tracemalloc.start()
+            try:
+                attractor_lab._gp_estimate(X, 20, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]       # 16 times the pairs
 
 
 class TestRegularity:

@@ -406,6 +406,18 @@ theiler = 10
         assert len(report["samples"]) == 2                      # 2 members, 100 steps each
         assert sum(report["meta"]["fp_iterations"].values()) == 2 * 100
 
+    def test_pairs_report_counts_fixed_point_iterations(self, tmp_path):
+        text = SMALL_SIM + "\n[pairs]\nn_pairs = 2\nt = 1\ndt = 0.005\n"
+        cfg = write_cfg(tmp_path, text)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["pairs", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (outs[0] / "pairs_report.json").read_text()
+        assert (outs[1] / "pairs_report.json").read_text() == text
+        hist = json.loads(text)["fp_iterations"]
+        assert list(hist) == sorted(hist, key=int)
+        assert sum(hist.values()) == 2 * 2 * 200                # 2 pairs, 200 steps each
+
     def test_plots_flag_writes_svg(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SIM)
         out = tmp_path / "runp"

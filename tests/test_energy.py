@@ -197,6 +197,23 @@ class TestSnapshotStacks:
                             (led.E, E), (led.Etot, etot)):
             np.testing.assert_allclose(column, ref, rtol=1e-12, atol=0.0)
 
+    def test_ledger_takes_the_potential_in_row_blocks(self, ops12, monkeypatch):
+        from platelab import energy, presets
+        from platelab.integrator import SimPlan, run
+
+        rows = []
+        whole_stack = energy.potential_energy
+
+        def spy(u, ops, cfg):
+            rows.append(len(u))
+            return whole_stack(u, ops, cfg)
+
+        monkeypatch.setattr(energy, "potential_energy", spy)
+        cfg, _, _, _, initial = presets.make("general")
+        traj = run(ops12, cfg, SimPlan(dt=1e-3, T=0.6, snapshot_every=1, seed=3), initial)
+        assert rows == [256, 256, 89]                   # 601 snapshots
+        assert np.array_equal(traj.ledger.Pi, whole_stack(traj.us, ops12, cfg))
+
     def test_rows_bit_identical_to_single_calls(self, ops12, general):
         cfg, cert, traj = general
         us, vs = traj.us, traj.vs
