@@ -14,7 +14,8 @@ import numpy as np
 
 from .discretization import DiscreteOperators
 from .integrator import IntegratorError, SimPlan, Trajectory, initial_state, run_ensemble
-from .model import PlateConfig, SourceCertificate, State, acceleration, solve_stationary
+from .model import (PlateConfig, SourceCertificate, State, acceleration, in_row_blocks,
+                    solve_stationary)
 
 
 class ExperimentError(RuntimeError):
@@ -64,8 +65,12 @@ class SweepReport:
     meta: dict = field(default_factory=dict)
 
 
+def _state_norms(traj: Trajectory, ops: DiscreteOperators) -> np.ndarray:
+    return np.sqrt(in_row_blocks(ops, ops.state_norm_sq, traj.us, traj.vs))
+
+
 def _tail_norm_sup(traj: Trajectory, ops: DiscreteOperators, tail_fraction: float) -> float:
-    norms = np.sqrt(ops.state_norm_sq(traj.us, traj.vs))
+    norms = _state_norms(traj, ops)
     t0 = traj.times[-1] * (1.0 - tail_fraction)
     mask = traj.times >= t0
     return float(np.max(norms[mask]))
@@ -165,7 +170,7 @@ def absorbing_time(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
     entries = []
     retained = []
     for j, traj in enumerate(trajs):
-        norms = np.sqrt(ops.state_norm_sq(traj.us, traj.vs))
+        norms = _state_norms(traj, ops)
         inside = norms <= R0
         if inside.all():
             entries.append(0.0)
@@ -230,9 +235,13 @@ def quasistability_pairs(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan
 def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairStats:
     times = t1.times
     m = len(times)
-    du = t1.us - t2.us
-    sep = ops.state_norm_sq(du, t1.vs - t2.vs)
-    lower = np.maximum.accumulate(ops.l2_norm_sq(du))
+
+    def columns(u1, v1, u2, v2):
+        du = u1 - u2
+        return ops.state_norm_sq(du, v1 - v2), ops.l2_norm_sq(du)
+
+    sep, gap = in_row_blocks(ops, columns, t1.us, t1.vs, t2.us, t2.vs)
+    lower = np.maximum.accumulate(gap)
 
     sep0 = sep[0]
     if sep0 == 0.0:
@@ -397,7 +406,7 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     hist[0] -= zeros                    # zeros are counted apart
     if math.sqrt(np.max(hi, initial=0.0)) < 1e-8 * scale:      # the diameter
         return 0.0
-    cum = np.cumsum(hist)
+    cum = np.cumsum(hist, out=hist)     # in place: hist is gone from here on
     P = int(cum[-1])                    # positive distances
     if P < 100:
         return 0.0
@@ -413,15 +422,16 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     for a, b in zip(bucket(np.geomspace(lower[0], lower[2], 12) * (1 - 1e-9)),
                     bucket(np.geomspace(upper[1], upper[3], 12) * (1 + 1e-9))):
         keep[a:b + 1] = True
-    kc, blo, bhi = np.cumsum(keep), bucket(lo), bucket(hi)
+    kb = np.flatnonzero(keep)
+    meets = np.searchsorted(kb, bucket(lo)) < np.searchsorted(kb, bucket(hi), side="right")
     kept = []
-    for k in lags[kc[bhi] - kc[blo] + keep[blo] > 0]:     # [min, max] meets a kept bucket
+    for k in lags[meets]:               # the lags whose [min, max] meets a kept bucket
         d2 = _sq_dists(X, k)
         kept.append(d2[keep[bucket(d2)] & (d2 > 0)])
     v = np.sort(np.concatenate(kept))
 
     def shift(b):                       # index in v of a rank in bucket b, minus the rank
-        return np.searchsorted(bucket(v), b) - (cum[b] - hist[b])
+        return np.searchsorted(bucket(v), b) - np.where(b > 0, cum[b - 1], 0)
 
     s = np.sqrt(v[ranks + shift(ob)])
     r_lo, r_hi = s[0::2] + (h - i) * (s[1::2] - s[0::2])
@@ -471,11 +481,13 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     from the last quarter to the last half moves them by no more than 20%.
     """
     t_end = traj.times[-1]
-    half = traj.times >= 0.5 * t_end
-    vs = traj.vs[half]
-    sv = ops.bending_norm_sq(vs)
-    sa = ops.l2_norm_sq(acceleration(traj.us[half], vs, ops, cfg))
-    quarter = traj.times[half] >= 0.75 * t_end
+    half = int(np.searchsorted(traj.times, 0.5 * t_end))     # times increase
+
+    def columns(u, v):
+        return ops.bending_norm_sq(v), ops.l2_norm_sq(acceleration(u, v, ops, cfg))
+
+    sv, sa = in_row_blocks(ops, columns, traj.us[half:], traj.vs[half:])
+    quarter = traj.times[half:] >= 0.75 * t_end
     svh, sah = float(np.max(sv)), float(np.max(sa))
     svq, saq = float(np.max(sv[quarter])), float(np.max(sa[quarter]))
     finite = all(map(math.isfinite, (svh, sah)))

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import energy as energy_mod
 from .discretization import DiscreteOperators, bilinear_form
-from .model import PlateConfig, SourceCertificate, acceleration, damping_gains
+from .model import (PlateConfig, SourceCertificate, acceleration, damping_gains,
+                    in_row_blocks)
 
 
 class BarrierError(RuntimeError):
@@ -214,17 +215,20 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     gamma = damping_growth_exponent(q_eff) if q_eff >= 1 else 0.0
     b_exp = balance_exponent(max(q_eff, 1))
 
-    us = np.concatenate([traj.us for traj in trajectories])
-    vs = np.concatenate([traj.vs for traj in trajectories])
+    def columns(u, v):
+        sp2 = ops.l2_norm_sq(v)
+        gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
+        return (sp2,
+                gain * sp2,                                     # (D u_t, u_t)
+                gain * np.vecdot(ops.m_diag * v, u),            # (D u_t, u)
+                -cfg.beta * bilinear_form(ops.dy_blocks, u, u),  # (N(u), u)
+                -cfg.beta * bilinear_form(ops.dy_blocks, u, v),  # (N(u), u_t)
+                ops.bending_norm_sq(u))
+
+    per_traj = [in_row_blocks(ops, columns, traj.us, traj.vs) for traj in trajectories]
+    sp2, ddot, du_u, flow_u, flow_ut, bend2 = map(np.concatenate, zip(*per_traj))
     E = np.concatenate([traj.ledger.E for traj in trajectories])
     pi0 = np.concatenate([traj.ledger.Pi0 for traj in trajectories])
-    sp2 = ops.l2_norm_sq(vs)
-    gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
-    ddot = gain * sp2                                   # (D u_t, u_t)
-    du_u = gain * np.vecdot(ops.m_diag * vs, us)
-    flow_u = -cfg.beta * bilinear_form(ops.dy_blocks, us, us)  # (N(u), u)
-    flow_ut = -cfg.beta * bilinear_form(ops.dy_blocks, us, vs)  # (N(u), u_t)
-    bend2 = ops.bending_norm_sq(us)
 
     # (A1)-type velocity control
     if cfg.b0 > 0.0:
@@ -319,12 +323,15 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
     if eps is None:
         eps = decay_rate_at_energy(E0, bc)
 
-    us, vs = traj.us, traj.vs
-    V = led.Etot + eps * np.vecdot(ops.m_diag * vs, us)
-    sp2 = ops.l2_norm_sq(vs)
+    def columns(u, v):
+        return (np.vecdot(ops.m_diag * v, u), ops.l2_norm_sq(v),
+                bilinear_form(ops.dy_blocks, u, v),
+                np.vecdot(ops.m_diag * acceleration(u, v, ops, cfg), u))
+
+    vu, sp2, uy_ut, acc_u = in_row_blocks(ops, columns, traj.us, traj.vs)
+    V = led.Etot + eps * vu
     ddot = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2
-    dV = (-ddot - cfg.beta * bilinear_form(ops.dy_blocks, us, vs)
-          + eps * (sp2 + np.vecdot(ops.m_diag * acceleration(us, vs, ops, cfg), us)))
+    dV = -ddot - cfg.beta * uy_ut + eps * (sp2 + acc_u)
     lhs = dV + eps * V
     bracket = eps * (1.0 + led.E) ** bc.gamma - bc.d3
     rhs = bc.d0 * (eps + bc.b(bc.d1 / eps)) + bc.d2 * bracket * ddot

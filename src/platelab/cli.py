@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .config import ConfigError, parse_config
 from .discretization import DiscretizationError, DomainSpec, make_operators
 from .integrator import IntegratorError, SimPlan, run
 from .model import ModelError
-from .reporting import (RunManifest, fmt_float, save_trajectory,
+from .reporting import (RunManifest, append_run_log, fmt_float, save_trajectory,
                         write_csv, write_json, write_svg)
 
 EXIT_OK = 0
@@ -55,7 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  One that writes an output directory appends its
+    wall time and peak resident memory to run.log as it exits."""
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
@@ -66,6 +71,12 @@ def main(argv=None) -> int:
             energy_mod.EnergyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if getattr(args, "out_dir", None) is not None:      # set by _prepare
+            wall_s = time.perf_counter() - start
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0    # KiB
+            append_run_log(args.out_dir,
+                           f"{args.command} wall_s={wall_s:.3f} peak_rss_mb={peak_mb:.1f}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +106,7 @@ def _prepare(args, subcommand: str):
     manifest = RunManifest.create(args.config, parsed.text, subcommand,
                                   str(out_dir), parsed.plan.seed, certificates)
     manifest.write(out_dir)
+    args.out_dir = out_dir
     return parsed, ops, out_dir, manifest.config_hash
 
 

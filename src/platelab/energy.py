@@ -99,14 +99,14 @@ def split_potential(u, ops: DiscreteOperators, cfg: PlateConfig,
     which signals that the certified (c, b) are insufficient and need
     refitting with larger constants.
     """
-    return split_from_potential(potential_energy(u, ops, cfg), u, ops, cfg, cert)
+    return split_from_potential(potential_energy(u, ops, cfg), ops.l2_norm_sq(u), cfg, cert)
 
 
-def split_from_potential(pi, u, ops: DiscreteOperators, cfg: PlateConfig,
-                         cert: SourceCertificate):
-    """`split_potential` for a Pi already evaluated at u; checks every row."""
+def split_from_potential(pi, u_sq, cfg: PlateConfig, cert: SourceCertificate):
+    """`split_potential` for Pi and ||u||_0^2 already evaluated at u; checks
+    every row."""
     pad = potential_split_pad(cfg)
-    pi1 = -cert.c * ops.l2_norm_sq(u) - (cert.b * cfg.dom.area + pad)
+    pi1 = -cert.c * u_sq - (cert.b * cfg.dom.area + pad)
     pi0 = pi - pi1
     if np.any(pi0 < -1e-9 * (1.0 + np.abs(pi))):
         raise EnergyError(

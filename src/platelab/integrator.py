@@ -479,10 +479,12 @@ def run(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initial,
 
 
 def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:
-    kin = 0.5 * ops.l2_norm_sq(vs)
-    bend = 0.5 * ops.bending_norm_sq(us)
-    pi = in_row_blocks(energy_mod.potential_energy, us, ops, cfg)
-    pi0, pi1 = energy_mod.split_from_potential(pi, us, ops, cfg, cert)
+    def columns(u, v):
+        return (0.5 * ops.l2_norm_sq(v), 0.5 * ops.bending_norm_sq(u),
+                energy_mod.potential_energy(u, ops, cfg), ops.l2_norm_sq(u))
+
+    kin, bend, pi, u_sq = in_row_blocks(ops, columns, us, vs)
+    pi0, pi1 = energy_mod.split_from_potential(pi, u_sq, cfg, cert)
     E = kin + bend + pi0
     Etot = E + pi1
     residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])

@@ -241,16 +241,30 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.nd
     return out
 
 
-def in_row_blocks(f, u, *args) -> np.ndarray:
-    """f(u, *args) for a row-wise f on a stack u (m, n), taken 256 rows at a
-    time: the same bits, with f's nodal arrays bounded by the block."""
-    return np.concatenate([f(u[i:i + 256], *args) for i in range(0, len(u), 256)])
+ROW_BLOCK_BYTES = 1 << 18       # one nodal array of a row block: 256 KiB
+
+
+def in_row_blocks(ops: DiscreteOperators, f, *stacks):
+    """f(*blocks) on row blocks of the equal-length stacks (m, ...), joined.
+
+    f is row-wise and returns one array or a tuple of arrays, each with a
+    row per stack row (per-row columns); so does this, with the bits of
+    one call on the whole stacks.  A block holds max(1, ROW_BLOCK_BYTES //
+    (8 * nodes)) rows, nodes being the quadrature grid's, so that one
+    nodal array of a block stays within ROW_BLOCK_BYTES.
+    """
+    rows = max(1, ROW_BLOCK_BYTES // (8 * ops.grid.n_nodes))
+    parts = [f(*(s[i:i + rows] for s in stacks)) for i in range(0, len(stacks[0]), rows)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
 
 
 def acceleration(u, v, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
-    """u_tt = M^{-1} (load(u) - K u) - g(||v||_0) v per row of stacks u, v (m, n),
-    with the load taken `in_row_blocks`."""
-    acc = in_row_blocks(force_load, u, ops, cfg)
+    """u_tt = M^{-1} (load(u) - K u) - g(||v||_0) v per row of stacks u, v (m, n);
+    its nodal arrays have a row per stack row, so take long stacks
+    `in_row_blocks`."""
+    acc = force_load(u, ops, cfg)
     acc -= block_matvec(ops.k_blocks, u)
     acc /= ops.m_diag
     sp2 = ops.l2_norm_sq(v)

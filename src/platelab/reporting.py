@@ -131,11 +131,16 @@ class RunManifest:
             "versions": self.versions,
             "certificates": self.certificates,
         })
-        # wall-clock time lives outside the reproducible outputs
-        import datetime
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        with open(Path(out_dir) / "run.log", "a", encoding="utf-8") as fh:
-            fh.write(f"{stamp} {self.subcommand} config_hash={self.config_hash}\n")
+        append_run_log(out_dir, f"{self.subcommand} config_hash={self.config_hash}")
+
+
+def append_run_log(out_dir: Path, line: str) -> None:
+    """Append a line, stamped with the UTC time, to out_dir/run.log: clock
+    times and costs live there, outside the reproducible outputs."""
+    import datetime
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(Path(out_dir) / "run.log", "a", encoding="utf-8") as fh:
+        fh.write(f"{stamp} {line}\n")
 
 
 # ---------------------------------------------------------------------------

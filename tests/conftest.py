@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,14 @@ def random_coeffs(ops, seed, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that f(*args) holds at once, by tracemalloc (allocations
+    made before the call do not count)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

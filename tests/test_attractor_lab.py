@@ -6,6 +6,7 @@ import math
 import gp_reference
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from platelab import attractor_lab
 from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _sample_seed,
@@ -392,17 +393,8 @@ class TestGrassbergerProcaccia:
         assert _gp_estimate(X, theiler, 1.0) == pytest.approx(oracle, rel=1e-5)
 
     def test_peak_memory_flat_in_pairs(self):
-        import tracemalloc
-
-        peaks = []
-        for n_points in (1000, 4000):
-            X = self.orbit(n_points, embed=12)
-            tracemalloc.start()
-            try:
-                attractor_lab._gp_estimate(X, 20, 1.0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(attractor_lab._gp_estimate, self.orbit(n_points, embed=12), 20, 1.0)
+                 for n_points in (1000, 4000)]
         assert peaks[1] <= 1.5 * peaks[0]       # 16 times the pairs
 
 

@@ -502,6 +502,28 @@ class TestDeterminism:
         m0.pop("out_dir"), m1.pop("out_dir")
         assert m0 == m1
 
+    @pytest.mark.parametrize("command, text, code", [
+        ("simulate", SMALL_SIM, 0),
+        ("barrier", SMALL_SIM + "\n[barrier]\nt = 1\ndt = 0.005\n", 0),
+        ("pairs", SMALL_SIM + "\n[pairs]\nn_pairs = 1\nt = 1\ndt = 0.005\n", 0),
+        ("stationary", config_text("gradient") + "[stationary]\nsamples = 1\nt = 0.2\n", 4),
+    ], ids=["simulate", "barrier", "pairs", "stationary"])
+    def test_run_log_takes_the_cost_and_nothing_else_changes(self, tmp_path, command, text,
+                                                             code):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "run"
+        outputs = []
+        for flags in ([], ["--overwrite"]):
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == code
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"})
+        assert "manifest.json" in outputs[0] and len(outputs[0]) >= 2
+        assert outputs[1] == outputs[0]
+        assert not any(b"wall_s" in data or b"peak_rss_mb" in data for data in outputs[0].values())
+        costs = [line for line in (out / "run.log").read_text().splitlines() if "wall_s" in line]
+        assert len(costs) == 2
+        for line in costs:
+            assert re.search(rf" {command} wall_s=\d+\.\d{{3}} peak_rss_mb=\d+\.\d$", line), line
+
     def test_seed_flag_changes_random_runs(self, tmp_path):
         text = SMALL_SIM.replace("initial = mode 1 0 0.5", "initial = random 1.0")
         cfg = write_cfg(tmp_path, text)

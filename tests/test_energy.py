@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from platelab.energy import (EnergyError, poincare_ratio, potential_energy,
                              potential_split_pad, sandwich_constants,
                              split_potential, total_energy)
-from platelab.model import PlateConfig, SourceSpec, certify_source
+from platelab.model import ROW_BLOCK_BYTES, PlateConfig, SourceSpec, certify_source
 
-from conftest import random_coeffs
+from conftest import random_coeffs, traced_peak
 from kron_reference import nodal_derivative
 
 
@@ -211,8 +211,48 @@ class TestSnapshotStacks:
         monkeypatch.setattr(energy, "potential_energy", spy)
         cfg, _, _, _, initial = presets.make("general")
         traj = run(ops12, cfg, SimPlan(dt=1e-3, T=0.6, snapshot_every=1, seed=3), initial)
-        assert rows == [256, 256, 89]                   # 601 snapshots
+        # the most rows whose nodal array fits the budget: 192 on 170 nodes
+        block = ROW_BLOCK_BYTES // (8 * ops12.grid.n_nodes)
+        assert rows == [block] * (601 // block) + [601 % block]     # 601 snapshots
         assert np.array_equal(traj.ledger.Pi, whole_stack(traj.us, ops12, cfg))
+
+    def test_analysis_peaks_flat_in_snapshots(self, dom, monkeypatch):
+        # 16 x 16 (n = 256): one stack row is 2048 bytes.  An analysis that
+        # reads its stacks in row blocks holds one block plus a few floats
+        # per snapshot (its per-row columns), so 4 times the snapshots add
+        # at most 32 floats a snapshot and no peak reaches one stack.
+        from platelab import barrier, integrator, presets
+        from platelab.attractor_lab import _fit_pair, regularity_probe
+        from platelab.discretization import make_operators
+
+        ops = make_operators(16, 16, dom)
+        cfg = presets.make("general")[0]
+        cert = certify_source(cfg)
+        build = integrator._build_ledger
+        peaks, ledger_peaks = {}, []
+
+        def spy(*args):
+            out = []
+            ledger_peaks.append(traced_peak(lambda: out.append(build(*args))))
+            return out[0]
+
+        monkeypatch.setattr(integrator, "_build_ledger", spy)
+        for steps in (800, 3200):
+            ledger_peaks.clear()
+            plan = integrator.SimPlan(dt=1e-3, T=steps * 1e-3, snapshot_every=1, seed=1)
+            t1, t2 = integrator.run_ensemble(ops, cfg, plan, [("mode", 1, 0, 0.5),
+                                                              ("mode", 1, 0, 0.501)], cert)
+            bc = barrier.fit_barrier_constants([t1], ops, cfg, cert)
+            for name, peak in (
+                    ("ledger", max(ledger_peaks)),          # one build per member
+                    ("fit", traced_peak(barrier.fit_barrier_constants, [t1], ops, cfg, cert)),
+                    ("audit", traced_peak(barrier.decay_audit, t1, ops, cfg, cert, bc)),
+                    ("regularity", traced_peak(regularity_probe, t1, ops, cfg)),
+                    ("pair", traced_peak(_fit_pair, ops, t1, t2))):
+                assert peak < t1.us.nbytes, (name, steps, peak)
+                peaks.setdefault(name, []).append(peak)
+        for name, (short, long) in peaks.items():
+            assert long - short <= 32 * 8 * 2400, (name, short, long)
 
     def test_rows_bit_identical_to_single_calls(self, ops12, general):
         cfg, cert, traj = general
@@ -242,18 +282,10 @@ class TestSnapshotStacks:
 
     def test_potential_holds_at_most_two_grids(self, ops12, general):
         # the nodal values and the antiderivative, with no temporaries
-        import tracemalloc
-
         cfg, _, _ = general
         us = np.random.default_rng(1).standard_normal((2000, ops12.n))
         grid_bytes = us.shape[0] * ops12.grid.n_nodes * 8
-        tracemalloc.start()
-        try:
-            potential_energy(us, ops12, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * grid_bytes
+        assert traced_peak(potential_energy, us, ops12, cfg) <= 2.2 * grid_bytes
 
     def test_negative_pi0_in_any_row_raises(self, ops12):
         # a certificate with c = b = 0 cannot cover the negative source

@@ -163,7 +163,7 @@ class TestForceLoad:
 
 class TestAcceleration:
     def test_stack_matches_rows_and_solves_the_equation(self, ops12):
-        # 600 rows: the load runs in three blocks, the last one partial
+        # 600 rows at once against one row at a time
         cfg = cfg_with(alpha=0.5, delta=1.0, beta=1.0, kappa=2.0,
                        damping_coeffs=(0.5, 0.0, 1.0),
                        source=SourceSpec(kind="cubic_minus_load", load=1.0))
