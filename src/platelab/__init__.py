@@ -14,7 +14,6 @@ from .barrier import (BarrierConstants, balance_function, balancing_check,
                       damping_growth_exponent, decay_audit, decay_rate_at_energy,
                       fit_barrier_constants, solve_barrier_scale, toy_constants,
                       ultimate_bound)
-from .attractor_lab import (SweepPlan, absorbing_time, correlation_dimension,
-                            dissipativity_sweep, make_nearby_pair,
-                            quasistability_pairs, regularity_probe,
+from .attractor_lab import (SweepPlan, correlation_dimension, dissipativity_sweep,
+                            make_nearby_pair, quasistability_pairs, regularity_probe,
                             stationary_convergence)

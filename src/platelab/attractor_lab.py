@@ -56,11 +56,17 @@ class SweepPlan(SimPlan):
 @dataclass
 class SweepReport:
     radii: tuple[float, ...]
-    tail_sups: list[list[float]]       # per radius, per sample (phase-space norm)
+    # per radius, per sample; NaN (regularity: FAIL) for a member that blew up
+    tail_sups: list[list[float]]                # phase-space norm
+    entry_times: list[list[float]]              # into the ball of radius meta["r_min"]
+    sup_velocity_bending: list[list[float]]     # regularity_probe of each member
+    sup_accel_l2: list[list[float]]
+    regularity: list[list[str]]
     radius_bounds: list[float]
     spread: float
     R0: float
-    blowups: list[tuple[int, int]]     # (radius_idx, sample_idx)
+    blowups: list[tuple[int, int]]              # (radius_idx, sample_idx)
+    failures: list[tuple[str, float | None]]    # per blow-up: message, last snapshot time
     verdict: str
     meta: dict = field(default_factory=dict)
 
@@ -69,17 +75,16 @@ def _state_norms(traj: Trajectory, ops: DiscreteOperators) -> np.ndarray:
     return np.sqrt(in_row_blocks(ops, ops.state_norm_sq, traj.us, traj.vs))
 
 
-def _tail_norm_sup(traj: Trajectory, ops: DiscreteOperators, tail_fraction: float) -> float:
-    norms = _state_norms(traj, ops)
-    t0 = traj.times[-1] * (1.0 - tail_fraction)
-    mask = traj.times >= t0
-    return float(np.max(norms[mask]))
+def _tail_sup(norms: np.ndarray, times: np.ndarray, tail_fraction: float) -> float:
+    return float(np.max(norms[times >= times[-1] * (1.0 - tail_fraction)]))
 
 
-def _random_start(ops, cfg, base_seed: int, radius: float, radius_idx: int,
-                  sample_idx: int):
-    return initial_state(("random", radius), ops, cfg,
-                         _sample_seed(base_seed, radius_idx, sample_idx))
+def _entry_time(norms: np.ndarray, times: np.ndarray, radius: float) -> float:
+    """The first snapshot time after which the norm stays in the closed ball
+    of this radius, or +inf if the last snapshot lies outside it."""
+    outside = np.flatnonzero(~(norms <= radius))
+    k = int(outside[-1]) + 1 if outside.size else 0
+    return float(times[k]) if k < len(times) else math.inf
 
 
 def fp_histogram(runs) -> dict:
@@ -103,86 +108,59 @@ def _finished(results: list) -> list[Trajectory]:
 def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
                         threads: int = 1,
                         cert: SourceCertificate | None = None) -> SweepReport:
-    """Tail sup of the phase-space norm per initial radius.
+    """Per member: the tail sup of the phase-space norm, the entry time into
+    the ball of radius r_min (the smallest positive radius, or 0), and
+    `regularity_probe`'s sups and verdict.
 
     All radius x sample members advance in this process as one ensemble;
     threads is accepted for compatibility and ignored.  A member whose
     step fails counts as a blow-up, and only that member: the others keep
-    the tail sups they have alone.  Every member counts as one when the
-    integrator cannot be set up.  meta["fp_iterations"] sums the
-    fixed-point histograms {iterations: steps} of the finished members.
+    the results they have alone.  Every member counts as one when the
+    integrator cannot be set up.  `failures` holds each blow-up's message
+    and last snapshot time (None without one).  meta["fp_iterations"] sums
+    the fixed-point histograms {iterations: steps} of the finished members.
 
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or
-    their largest, R0, is below the smallest positive initial radius, so
-    every tested ball ends inside the smallest one (a point attractor).
+    their largest, R0, is below r_min, so every tested ball ends inside
+    the smallest one (a point attractor).
     """
     members = [(i, j) for i in range(len(plan.radii))
                for j in range(plan.samples_per_radius)]
-    starts = [_random_start(ops, cfg, plan.seed, plan.radii[i], i, j) for i, j in members]
-    sups = [[math.nan] * plan.samples_per_radius for _ in plan.radii]
-    blowups, finished = [], []
-    for (radius_idx, sample_idx), res in zip(members,
-                                             run_ensemble(ops, cfg, plan, starts, cert)):
+    starts = [initial_state(("random", plan.radii[i]), ops, cfg,
+                            _sample_seed(plan.seed, i, j)) for i, j in members]
+    r_min = min((r for r in plan.radii if r > 0), default=0.0)
+    sups, entries, sup_v, sup_a, regularity = ([[x] * plan.samples_per_radius for _ in plan.radii]
+                                               for x in (*[math.nan] * 4, "FAIL"))
+    blowups, failures, finished = [], [], []
+    for (i, j), res in zip(members, run_ensemble(ops, cfg, plan, starts, cert)):
         if isinstance(res, IntegratorError):
-            blowups.append((radius_idx, sample_idx))
-        else:
-            sups[radius_idx][sample_idx] = _tail_norm_sup(res, ops, plan.tail_fraction)
-            finished.append(res)
+            blowups.append((i, j))
+            failures.append((str(res), None if res.partial is None
+                             else float(res.partial.times[-1])))
+            continue
+        norms = _state_norms(res, ops)
+        sups[i][j] = _tail_sup(norms, res.times, plan.tail_fraction)
+        entries[i][j] = _entry_time(norms, res.times, r_min)
+        reg = regularity_probe(res, ops, cfg)
+        sup_v[i][j], sup_a[i][j], regularity[i][j] = \
+            reg.sup_velocity_bending, reg.sup_accel_l2, reg.verdict
+        finished.append(res)
     bounds = [max(row) if not any(map(math.isnan, row)) else math.inf for row in sups]
     finite = [b for b in bounds if math.isfinite(b)]
     if blowups or not finite:
-        verdict = "FAIL"
-        spread = math.inf
-        R0 = math.inf
+        verdict, spread, R0 = "FAIL", math.inf, math.inf
     else:
         R0 = max(finite)
         spread = (max(finite) - min(finite)) / max(finite) if max(finite) > 0 else 0.0
-        contracted = R0 < min((r for r in plan.radii if r > 0), default=0.0)
-        verdict = "PASS" if spread <= 0.25 or contracted else "FAIL"
-    return SweepReport(radii=plan.radii, tail_sups=sups, radius_bounds=bounds,
-                       spread=spread, R0=R0, blowups=blowups, verdict=verdict,
+        verdict = "PASS" if spread <= 0.25 or R0 < r_min else "FAIL"
+    return SweepReport(radii=plan.radii, tail_sups=sups, entry_times=entries,
+                       sup_velocity_bending=sup_v, sup_accel_l2=sup_a,
+                       regularity=regularity, radius_bounds=bounds, spread=spread,
+                       R0=R0, blowups=blowups, failures=failures, verdict=verdict,
                        meta={"T": plan.T, "dt": plan.dt,
                              "samples_per_radius": plan.samples_per_radius,
-                             "fp_iterations": fp_histogram(finished)})
-
-
-@dataclass
-class AbsorbingReport:
-    t0: float                       # max entry time over samples
-    entries: list[float]
-    retained: list[tuple[int, Trajectory]]   # never-entered samples, kept
-                                             # for inspection
-
-
-def absorbing_time(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPlan,
-                   radius: float, R0: float) -> AbsorbingReport:
-    """Entry time into the ball of radius R0, maximised over samples.
-
-    A sample's entry time is the first snapshot time after which the
-    phase-space norm stays below R0 for every later recorded time; a
-    sample that never settles inside reports +inf and its trajectory is
-    retained in the report.
-    """
-    starts = [_random_start(ops, cfg, plan.seed, radius, 0, j)
-              for j in range(plan.samples_per_radius)]
-    trajs = _finished(run_ensemble(ops, cfg, plan, starts))
-    entries = []
-    retained = []
-    for j, traj in enumerate(trajs):
-        norms = _state_norms(traj, ops)
-        inside = norms <= R0
-        if inside.all():
-            entries.append(0.0)
-            continue
-        bad = np.where(~inside)[0]
-        last_bad = int(bad[-1])
-        if last_bad + 1 >= len(norms):
-            entries.append(math.inf)
-            retained.append((j, traj))
-        else:
-            entries.append(float(traj.times[last_bad + 1]))
-    return AbsorbingReport(t0=max(entries), entries=entries, retained=retained)
+                             "r_min": r_min, "fp_iterations": fp_histogram(finished)})
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +288,10 @@ def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
 # correlation dimension
 # ---------------------------------------------------------------------------
 
+MIN_PAIRS = 100                         # pairs beyond the Theiler window a fit needs
+_OCTAVES, _PER_OCTAVE = 48, 4096        # pass 1's buckets: 1.6 MB of counts
+
+
 @dataclass
 class DimensionReport:
     embed_dims: tuple[int, ...]
@@ -331,13 +313,13 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
     snapshots are excluded, and the slope of log C(r) against log r is
     fitted over the lower quantile range of the pairwise distances.  A
     cloud that has collapsed to a point (diameter below 1e-8 of the
-    trajectory scale) reports dimension 0.
+    trajectory scale) reports dimension 0.  A tail shorter than min_points,
+    or with fewer than MIN_PAIRS pairs beyond the window, is an error.
     """
     tail = traj.times >= traj.times[-1] * (1.0 - tail_fraction)
     n_points = int(np.count_nonzero(tail))
-    if n_points < min_points:
-        raise ExperimentError(
-            f"need at least {min_points} tail snapshots, got {n_points}")
+    if problems := dimension_shortfalls(n_points, min_points, theiler):
+        raise ExperimentError("; ".join(problems))
 
     cu = ops.modal_coords(traj.us[tail]) * np.sqrt(ops.mu)
     cv = ops.modal_coords(traj.vs[tail])
@@ -355,6 +337,22 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
                                  "modes": [min(d, ops.n) for d in embed_dims]})
 
 
+def dimension_shortfalls(n_points: int, min_points: int, theiler: int) -> list[str]:
+    """Why a tail of n_points snapshots cannot give a dimension estimate, if
+    it cannot (an empty list if it can)."""
+    lags = max(n_points - theiler - 1, 0)           # the lags theiler + 1 .. n_points - 1
+    pairs = lags * (lags + 1) // 2
+    problems = []
+    if n_points < min_points:
+        problems.append(f"min_points = {min_points} exceeds the {n_points} tail snapshots")
+    if theiler < 0:
+        problems.append(f"theiler = {theiler} must be >= 0")
+    elif pairs < MIN_PAIRS:
+        problems.append(f"theiler = {theiler} leaves {pairs} pairs beyond it, fewer than "
+                        f"{MIN_PAIRS}, among the {n_points} tail snapshots")
+    return problems
+
+
 def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
     """How many tail snapshots `correlation_dimension` can find in a run of
     this plan, known before it runs: the tail holds the times >= (1 -
@@ -362,9 +360,6 @@ def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
     accumulated clock of that start is counted in."""
     steps = plan.snapshot_steps()
     return int(np.count_nonzero(steps >= (1.0 - tail_fraction) * steps[-1] * (1.0 - 1e-6)))
-
-
-_OCTAVES, _PER_OCTAVE = 48, 4096        # pass 1's buckets: 1.6 MB of counts
 
 
 def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
@@ -384,7 +379,7 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     The estimate equals that of sorting every distance.
     """
     n, nb = X.shape[0], _OCTAVES * _PER_OCTAVE
-    lags = np.arange(max(theiler, 0) + 1, n)
+    lags = np.arange(theiler + 1, n)
     top = np.float64(4.0 * np.max(np.sum((X - X.mean(axis=0)) ** 2, axis=1)))
     base = max(int(top.view(np.int64) >> 40) - nb + 1, 0)
 
@@ -408,7 +403,7 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
         return 0.0
     cum = np.cumsum(hist, out=hist)     # in place: hist is gone from here on
     P = int(cum[-1])                    # positive distances
-    if P < 100:
+    if P < MIN_PAIRS:
         return 0.0
 
     h = (P - 1) * np.array([0.02, 0.4])             # np.quantile's linear rule
@@ -427,7 +422,8 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
     kept = []
     for k in lags[meets]:               # the lags whose [min, max] meets a kept bucket
         d2 = _sq_dists(X, k)
-        kept.append(d2[keep[bucket(d2)] & (d2 > 0)])
+        if (sel := d2[keep[bucket(d2)] & (d2 > 0)]).size:
+            kept.append(sel)
     v = np.sort(np.concatenate(kept))
 
     def shift(b):                       # index in v of a rank in bucket b, minus the rank

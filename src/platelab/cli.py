@@ -88,9 +88,9 @@ def _prepare(args, subcommand: str):
     if subcommand == "dimension":
         dim = parsed.values["dimension"]
         most = attractor_lab.tail_points_at_most(parsed.plan, dim["tail_fraction"])
-        if most < dim["min_points"]:
-            raise ConfigError([f"[dimension] min_points = {dim['min_points']} exceeds the "
-                               f"{most} tail snapshots of the [sim] run"])
+        if problems := attractor_lab.dimension_shortfalls(most, dim["min_points"],
+                                                          dim["theiler"]):
+            raise ConfigError([f"[dimension] {p} of the [sim] run" for p in problems])
     out_dir = Path(args.out or f"out_{subcommand}")
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise ConfigError([f"output directory {out_dir} is not empty "
@@ -150,11 +150,13 @@ def cmd_sweep(args) -> int:
     parsed, ops, out, chash = _prepare(args, "sweep")
     report = attractor_lab.dissipativity_sweep(ops, parsed.cfg, parsed.plans["sweep"],
                                                cert=parsed.cert)
-    rows = []
-    for i, r in enumerate(report.radii):
-        for j, sup in enumerate(report.tail_sups[i]):
-            rows.append((r, j, sup))
-    write_csv(out / "sweep_series.csv", ("radius", "sample", "tail_sup"), rows, chash)
+    grids = {name: getattr(report, name) for name in (
+        "tail_sups", "entry_times", "sup_velocity_bending", "sup_accel_l2", "regularity")}
+    rows = [(r, j) + tuple(g[i][j] for g in grids.values())
+            for i, r in enumerate(report.radii) for j in range(len(report.tail_sups[i]))]
+    write_csv(out / "sweep_series.csv", ("radius", "sample", "tail_sup", "entry_time",
+                                         "sup_velocity_bending", "sup_accel_l2",
+                                         "regularity"), rows, chash)
     write_json(out / "sweep_report.json", {
         "config_hash": chash,
         "verdict": report.verdict,
@@ -162,8 +164,9 @@ def cmd_sweep(args) -> int:
         "spread": report.spread,
         "radii": list(report.radii),
         "radius_bounds": report.radius_bounds,
-        "tail_sups": report.tail_sups,
+        **grids,
         "blowups": [list(b) for b in report.blowups],
+        "failures": [{"message": m, "t": t} for m, t in report.failures],
         "meta": report.meta,
     })
     if args.plots:

@@ -119,7 +119,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "dimension": {
         "embed_dims": Key(_tuple_of(int), _dim["embed_dims"], "embedding dimensions", _DIMS),
-        "theiler": Key(int, _dim["theiler"], "snapshot gap excluded from pair counts"),
+        "theiler": Key(int, _dim["theiler"], "snapshot gap excluded from pair counts",
+                       _NONNEG),
         "min_points": Key(int, _dim["min_points"], "minimum tail snapshots"),
         "tail_fraction": Key(float, _dim["tail_fraction"], "portion of the [sim] run analysed"),
     },

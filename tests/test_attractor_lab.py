@@ -1,4 +1,5 @@
-"""Experiment drivers: sweep, absorption, pairs, dimension, regularity."""
+"""Experiment drivers: sweep (with entry times and regularity), pairs,
+dimension, regularity."""
 
 import dataclasses
 import math
@@ -9,11 +10,12 @@ import pytest
 from conftest import traced_peak
 
 from platelab import attractor_lab
-from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _sample_seed,
-                                    _tail_norm_sup, absorbing_time, correlation_dimension,
-                                    dissipativity_sweep, make_nearby_pair,
-                                    quasistability_pairs, regularity_probe,
-                                    stationary_convergence, tail_points_at_most)
+from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _entry_time,
+                                    _sample_seed, _state_norms, _tail_sup,
+                                    correlation_dimension, dissipativity_sweep,
+                                    make_nearby_pair, quasistability_pairs,
+                                    regularity_probe, stationary_convergence,
+                                    tail_points_at_most)
 from platelab.discretization import block_matvec
 from platelab.integrator import IntegratorError, SimPlan, Trajectory, run
 from platelab.model import PlateConfig, SourceSpec, damping_gains, force_load
@@ -76,16 +78,23 @@ class TestSweep:
 
     def test_member_tail_sup_is_its_solo_run(self, ops12):
         # the sweep's ensemble gives each member the bits of its solo run
-        # from its own sample seed
+        # from its own sample seed: tail sup, entry time and regularity
         cfg = cfg_with(**DAMPED)
         plan = SweepPlan(radii=(0.5, 2.0), samples_per_radius=2, T=2.0,
                          dt=4e-3, snapshot_every=10, seed=3)
         rep = dissipativity_sweep(ops12, cfg, plan)
+        assert rep.meta["r_min"] == 0.5
         for i, radius in enumerate(plan.radii):
             for j in range(plan.samples_per_radius):
                 solo = run(ops12, cfg, plan.sim_plan(_sample_seed(plan.seed, i, j)),
                            ("random", radius))
-                assert rep.tail_sups[i][j] == _tail_norm_sup(solo, ops12, plan.tail_fraction)
+                norms = _state_norms(solo, ops12)
+                assert rep.tail_sups[i][j] == _tail_sup(norms, solo.times, plan.tail_fraction)
+                assert rep.entry_times[i][j] == _entry_time(norms, solo.times, 0.5)
+                reg = regularity_probe(solo, ops12, cfg)
+                assert rep.sup_velocity_bending[i][j] == reg.sup_velocity_bending
+                assert rep.sup_accel_l2[i][j] == reg.sup_accel_l2
+                assert rep.regularity[i][j] == reg.verdict
 
     def test_failed_member_is_a_blowup(self, dom):
         # undamped flutter: the radius-150 member's fixed point stops
@@ -99,6 +108,10 @@ class TestSweep:
         alone = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.5,), **base))
         assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
         assert rep.tail_sups[0] == alone.tail_sups[0]
+        ((message, t_last),) = rep.failures         # the evidence, parallel to blowups
+        assert "did not converge" in message and 0.0 <= t_last < base["T"]
+        assert math.isnan(rep.entry_times[1][0]) and math.isnan(rep.sup_accel_l2[1][0])
+        assert rep.regularity[1][0] == "FAIL"
 
     def test_setup_failure_blows_up_every_member(self, dom):
         # buckling load alpha = 3 puts a mode at stiffness -2; dt = 3 is too
@@ -115,6 +128,8 @@ class TestSweep:
         rep = dissipativity_sweep(ops, cfg, plan)
         assert rep.blowups == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert rep.verdict == "FAIL"
+        assert all("time step too large" in m and t is None for m, t in rep.failures)
+        assert len(rep.failures) == 4
 
     def test_overflow_blows_up_only_its_member(self, dom):
         # the radius-60 member overflows the strong cubic source; the
@@ -158,38 +173,48 @@ class TestSweep:
 
 
 class TestAbsorbingTime:
+    """The sweep's entry times into the ball of its smallest positive radius.
+    That radius's own members start on the sphere only up to roundoff, so no
+    test pins whether they enter at t = 0 or at the first snapshot."""
+
+    def test_entry_time_rule(self):
+        times = np.arange(5.0)
+        assert _entry_time(np.array([3.0, 1.0, 2.0, 1.0, 0.5]), times, 1.0) == 3.0
+        assert _entry_time(np.array([1.0, 1.0, 1.0]), times[:3], 1.0) == 0.0   # closed ball
+        assert _entry_time(np.array([0.0, 0.0, 2.0]), times[:3], 1.0) == math.inf
+
     def test_inside_ball_is_zero(self, ops12):
+        # the radius-0 members settle on the equilibrium, inside the radius-5 ball
         cfg = cfg_with(**DAMPED)
-        plan = SweepPlan(radii=(0.2,), samples_per_radius=2, T=10.0,
+        plan = SweepPlan(radii=(0.0, 5.0), samples_per_radius=2, T=10.0,
                          dt=4e-3, snapshot_every=10, seed=4)
-        rep = absorbing_time(ops12, cfg, plan, radius=0.2, R0=50.0)
-        assert rep.t0 == 0.0 and all(e == 0.0 for e in rep.entries)
-        assert not rep.retained
+        rep = dissipativity_sweep(ops12, cfg, plan)
+        assert rep.meta["r_min"] == 5.0
+        assert rep.entry_times[0] == [0.0, 0.0]
 
     def test_larger_radius_enters_later(self, ops12):
         cfg = cfg_with(**DAMPED)
-        plan = SweepPlan(radii=(1.0,), samples_per_radius=2, T=30.0,
+        plan = SweepPlan(radii=(1.0, 4.0), samples_per_radius=2, T=30.0,
                          dt=4e-3, snapshot_every=5, seed=4)
-        small = absorbing_time(ops12, cfg, plan, radius=1.0, R0=1.0)
-        large = absorbing_time(ops12, cfg, plan, radius=4.0, R0=1.0)
-        assert large.t0 >= small.t0
+        small, large = dissipativity_sweep(ops12, cfg, plan).entry_times
+        assert max(large) >= max(small)
 
     def test_stronger_damping_enters_sooner(self, ops12):
-        plan = SweepPlan(radii=(3.0,), samples_per_radius=2, T=30.0,
+        plan = SweepPlan(radii=(1.0, 3.0), samples_per_radius=2, T=30.0,
                          dt=4e-3, snapshot_every=5, seed=4)
         weak = cfg_with(**{**DAMPED, "damping_coeffs": (0.3, 0.0, 0.5)})
         strong = cfg_with(**{**DAMPED, "damping_coeffs": (3.0, 0.0, 0.5)})
-        t_weak = absorbing_time(ops12, weak, plan, radius=3.0, R0=1.0).t0
-        t_strong = absorbing_time(ops12, strong, plan, radius=3.0, R0=1.0).t0
+        t_weak = max(dissipativity_sweep(ops12, weak, plan).entry_times[1])
+        t_strong = max(dissipativity_sweep(ops12, strong, plan).entry_times[1])
         assert t_strong <= t_weak
 
-    def test_never_entered_retains_trajectory(self, ops12):
+    def test_never_entered_is_inf(self, ops12):
+        # every member settles near the equilibrium, far outside the 1e-6 ball
         cfg = cfg_with(**DAMPED)
-        plan = SweepPlan(radii=(2.0,), samples_per_radius=1, T=2.0,
+        plan = SweepPlan(radii=(1e-6, 2.0), samples_per_radius=1, T=2.0,
                          dt=4e-3, snapshot_every=5, seed=4)
-        rep = absorbing_time(ops12, cfg, plan, radius=2.0, R0=1e-6)
-        assert rep.t0 == math.inf
-        assert rep.retained and len(rep.retained[0][1]) > 1
+        rep = dissipativity_sweep(ops12, cfg, plan)
+        assert rep.entry_times == [[math.inf], [math.inf]]
 
 
 class TestQuasistability:
@@ -293,6 +318,17 @@ class TestCorrelationDimension:
             assert abs(est - 1.0) <= 0.2
         assert rep.saturated
         assert rep.meta["modes"] == [2, 4, 6]      # d = 8 embeds in all 6 modes
+
+    @pytest.mark.parametrize("theiler", [290, 299, 500, -50])
+    def test_window_without_pairs_rejected(self, ops12, theiler):
+        # 300 tail points leave 45 pairs beyond a window of 290 and none
+        # beyond 299 or 500; a negative window is no window
+        rng = np.random.default_rng(0)
+        us, vs = rng.standard_normal((2, 300, ops12.n))
+        times = np.linspace(1.0, 2.0, 300)         # the whole run is its tail
+        traj = Trajectory(times=times, us=us, vs=vs, ledger=None, meta={})
+        with pytest.raises(ExperimentError, match=f"theiler = {theiler}"):
+            correlation_dimension(traj, ops12, theiler=theiler, min_points=100)
 
     def test_collapsed_cloud_reports_zero(self, ops12):
         # synthetic trajectory: frozen state repeated

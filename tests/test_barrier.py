@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platelab import barrier as bar
-from platelab.attractor_lab import _random_start
+from platelab.attractor_lab import _sample_seed
 from platelab.discretization import make_operators
-from platelab.integrator import SimPlan, run
+from platelab.integrator import SimPlan, initial_state, run
 from platelab.model import PlateConfig, SourceSpec, certify_source, force_load
 from platelab.presets import make
 
@@ -295,7 +295,7 @@ class TestDecayAudit:
         cert = certify_source(cfg)
         bc = bar.fit_barrier_constants([run(ops, cfg, plan, init, cert)], ops, cfg, cert)
         member = run(ops, cfg, SimPlan(dt=2.5e-3, T=0.25, snapshot_every=10, seed=99),
-                     _random_start(ops, cfg, 99, 25.0, 2, 1), cert)
+                     initial_state(("random", 25.0), ops, cfg, _sample_seed(99, 2, 1)), cert)
         audit = bar.decay_audit(member, ops, cfg, cert, bc)
         assert audit.violations == 0
         assert audit.lhs[0] < audit.rhs[0]

@@ -216,6 +216,7 @@ class TestSubcommands:
         ("sim", "fp_maxiter", "0"),
         ("sim", "initial", "mode 5 0 1.0"),    # outside the 3 x 2 basis
         ("dimension", "min_points", "100000"),  # more than the [sim] run's tail holds
+        ("dimension", "theiler", "-50"),
     ])
     def test_bad_experiment_value_exits_before_output(self, tmp_path, capsys,
                                                       section, key, value):
@@ -282,6 +283,9 @@ t = 1
         report = json.loads((tmp_path / "sweep" / "sweep_report.json").read_text())
         assert report["blowups"] == [[0, 0], [1, 0]]
         assert report["meta"]["fp_iterations"] == {}     # no member finished
+        assert [f["t"] for f in report["failures"]] == [0.0, 0.0]    # the first step fails
+        assert all("did not converge in 1 iterations" in f["message"]
+                   for f in report["failures"])
 
     SMALL_GENERAL_SWEEP = config_text("general").replace("mx = 8", "mx = 3").replace(
         "ny = 8", "ny = 2") + "[sweep]\nradii = 1\nsamples_per_radius = 3\nt = 0.1\n"
@@ -316,6 +320,30 @@ t = 1
         hist = report["meta"]["fp_iterations"]
         assert report["blowups"] == []                   # 3 finished members, 50 steps each
         assert sum(hist.values()) == 3 * 50 and min(map(int, hist)) >= 1
+
+    def test_sweep_reports_entry_times_and_regularity(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.SMALL_GENERAL_SWEEP)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert report["meta"]["r_min"] == 1.0 and report["failures"] == []
+        for key in ("entry_times", "sup_velocity_bending", "sup_accel_l2", "regularity"):
+            assert len(report[key]) == 1 and len(report[key][0]) == 3, key
+        series = (out / "sweep_series.csv").read_text().splitlines()
+        assert series[1] == ("radius,sample,tail_sup,entry_time,sup_velocity_bending,"
+                             "sup_accel_l2,regularity")
+        assert len(series) == 2 + 3
+
+    def test_dimension_window_without_pairs_exits_before_output(self, tmp_path, capsys):
+        # 101 tail snapshots leave 15 pairs beyond a Theiler window of 95
+        text = SMALL_SIM.replace("t = 0.5", "t = 2.0").replace("snapshot_every = 5",
+                                                               "snapshot_every = 1")
+        text += "[dimension]\nmin_points = 50\ntheiler = 95\n"
+        out = tmp_path / "dim"
+        assert main(["dimension", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert "[dimension] theiler = 95 leaves 15 pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_barrier_toy_prints_sigma(self, capsys):
         assert main(["barrier", "--toy"]) == 0

@@ -10,8 +10,6 @@ from pathlib import Path
 import platelab
 
 ROOT = Path(__file__).resolve().parent.parent
-# the strong-attractor probes that `sweep` is to report (ROADMAP item 4)
-AWAITING_CALLERS = {"absorbing_time", "regularity_probe"}
 
 
 def _caller_files():
@@ -35,7 +33,7 @@ def test_every_export_has_a_caller():
         own = re.compile(rf"^\s*(def|class)\s+{name}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             uncalled.add(name)
-    assert sorted(uncalled - AWAITING_CALLERS) == []
+    assert sorted(uncalled) == []
 
 
 def test_numerical_core_imports_no_output_layer():
