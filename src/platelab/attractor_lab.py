@@ -419,12 +419,15 @@ def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
         keep[a:b + 1] = True
     kb = np.flatnonzero(keep)
     meets = np.searchsorted(kb, bucket(lo)) < np.searchsorted(kb, bucket(hi), side="right")
-    kept = []
+    v = np.empty(int(np.sum(cum[kb] - np.where(kb > 0, cum[kb - 1], 0))))  # kept d^2 > 0
+    end = 0
     for k in lags[meets]:               # the lags whose [min, max] meets a kept bucket
         d2 = _sq_dists(X, k)
-        if (sel := d2[keep[bucket(d2)] & (d2 > 0)]).size:
-            kept.append(sel)
-    v = np.sort(np.concatenate(kept))
+        sel = d2[keep[bucket(d2)] & (d2 > 0)]
+        v[end:end + sel.size] = sel
+        end += sel.size
+    assert end == v.size, "pass 2 kept other values than pass 1 counted"
+    v.sort()
 
     def shift(b):                       # index in v of a rank in bucket b, minus the rank
         return np.searchsorted(bucket(v), b) - np.where(b > 0, cum[b - 1], 0)

@@ -23,7 +23,8 @@ pointwise nonlinearities (u^+, cubic sources).
 The sines are orthogonal in every x-integral, so M and Gx are diagonal and
 K and Dy couple only equal sine indices m.  They are stored that way, as
 diagonals and (Mx, Ny, Ny) stacks of per-sine blocks, and (K, M) is
-factorised block by block; dense (n, n) matrices are views built on demand.
+factorised block by block.  Dense (n, n) matrices are views built on demand
+for tests and inspection; no library path builds one.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ class DiscreteOperators:
     phi^T M phi = I; mu[j] belongs to column modal_order[j] of the blocks
     (block-major numbering), and lambda_min = mu[0].  basis and dom are the
     grid's.  M, Gx, K, Dy and phi (columns in mu's order) are dense views
-    built on first access.  The norms take one vector (n,) or a stack (m, n).
+    built on first access; they serve tests and inspection, and no library
+    path reads them.  The norms take one vector (n,) or a stack (m, n).
     """
 
     grid: QuadGrid

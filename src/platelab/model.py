@@ -276,33 +276,58 @@ def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> n
     """d(force_load)/du: analytic for smooth parts, semismooth for the kink.
 
     The u^+ term contributes the Gram weighted by the indicator u > 0 at
-    the nodes (one Clarke-subgradient choice).
+    the nodes (one Clarke-subgradient choice).  Assembled in place in one
+    (n, n) array, a sine row of blocks at a time: the Berger rank-one term
+    and the weighted Gram fill every block, the flow term only the diagonal
+    sine blocks.
     """
-    grid = ops.grid
     u = np.asarray(u, dtype=float)
+    Mx, Ny, n = ops.basis.Mx, ops.basis.Ny, ops.n
     gxu = ops.gx_diag * u
-    J = berger_coefficient(u, ops, cfg) * ops.Gx - 2.0 * cfg.delta * np.outer(gxu, gxu)
+    J = np.empty((n, n))
+    for rows, g in zip(J.reshape(Mx, Ny, n), gxu.reshape(Mx, Ny)):
+        np.multiply.outer(g, gxu, out=rows)
+        rows *= -2.0 * cfg.delta
+    J.reshape(-1)[::n + 1] += berger_coefficient(u, ops, cfg) * ops.gx_diag
     if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        vals = grid.eval_coeffs(u)
+        vals = ops.grid.eval_coeffs(u)
         wgt = np.zeros_like(vals)
         if cfg.kappa != 0.0:
             wgt = wgt + cfg.kappa * (vals > 0.0)
         if not cfg.source.is_zero:
             wgt = wgt + cfg.source.f_prime(vals)
-        J = J - _weighted_gram(grid, wgt)
+        _subtract_weighted_gram(J, ops.grid, wgt)
     if cfg.beta != 0.0:
-        J = J - cfg.beta * ops.Dy.T
+        flow = _sine_blocks(J, Mx)
+        flow -= cfg.beta * ops.dy_blocks.transpose(0, 2, 1)
     return J
 
 
-def _weighted_gram(grid: QuadGrid, nodal_weight: np.ndarray) -> np.ndarray:
-    """Gram (w phi_i, phi_j) with nodal weight w: two matmuls, over the
-    products sin(m x) sin(m' x), then over P_k(y) P_k'(y)."""
+def _subtract_weighted_gram(J: np.ndarray, grid: QuadGrid, nodal_weight: np.ndarray) -> None:
+    """J -= the Gram (w phi_i, phi_j) with nodal weight w: one matmul over the
+    products sin(m x) sin(m' x), then per sine row m one over P_k(y) P_k'(y),
+    so no (n, n) temporary is made."""
     Mx, Ny = grid.basis.Mx, grid.basis.Ny
     sxx = (grid.sx[:, None, :] * grid.sx[None, :, :]).reshape(Mx * Mx, -1)
     lyy = (grid.ly[:, None, :] * grid.ly[None, :, :]).reshape(Ny * Ny, -1)
-    T = (sxx @ (grid.weights_2d() * nodal_weight)) @ lyy.T     # [(m, m'), (k, k')]
-    return T.reshape(Mx, Mx, Ny, Ny).transpose(0, 2, 1, 3).reshape(grid.basis.n, -1)
+    S = (sxx @ (grid.weights_2d() * nodal_weight)).reshape(Mx, Mx, -1)    # [m, m', y]
+    for rows, s in zip(J.reshape(Mx, Ny, Mx, Ny), S):                     # [k, m', k']
+        rows -= (s @ lyy.T).reshape(Mx, Ny, Ny).transpose(1, 0, 2)
+
+
+def _sine_blocks(A: np.ndarray, Mx: int) -> np.ndarray:
+    """The diagonal sine blocks of an (n, n) array as a writable (Mx, Ny, Ny) view."""
+    return np.einsum("mimj->mij", A.reshape(Mx, A.shape[0] // Mx, Mx, -1))
+
+
+def _newton_matrix(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
+    """K - force_jacobian(u), in force_jacobian's array: negated, then K's
+    sine blocks added."""
+    A = force_jacobian(u, ops, cfg)
+    np.negative(A, out=A)
+    stiff = _sine_blocks(A, ops.basis.Mx)
+    stiff += ops.k_blocks
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -390,24 +415,29 @@ def solve_stationary(cfg: PlateConfig, ops: DiscreteOperators,
     """Damped (Armijo) semismooth Newton for K u = load(u), at most 80 iterations.
 
     Returns the final iterate either way; `converged` reflects whether
-    the residual dropped below tol.
+    the residual dropped below tol.  The residual applies K by its sine
+    blocks, and the Newton matrix K - J is assembled in one (n, n) array
+    (`force_jacobian`), so no dense view of the operators is built and an
+    iteration holds about 2 n^2 doubles: that matrix and the copy LAPACK
+    factorises.
     """
     n, max_iter = ops.n, 80
     u = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=float).copy()
 
     def residual(a):
-        return ops.K @ a - force_load(a, ops, cfg)
+        return block_matvec(ops.k_blocks, a) - force_load(a, ops, cfg)
 
     r = residual(u)
     rn = float(np.linalg.norm(r))
     for it in range(1, max_iter + 1):
         if rn <= tol:
             return StationaryResult(u=u, residual=rn, iterations=it - 1, converged=True)
-        J = ops.K - force_jacobian(u, ops, cfg)
+        J = _newton_matrix(u, ops, cfg)
         try:
             du = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             du = np.linalg.lstsq(J, -r, rcond=None)[0]
+        del J                   # the next matrix is not assembled beside this one
         step = 1.0
         for _ in range(30):
             u_new = u + step * du

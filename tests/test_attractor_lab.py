@@ -431,7 +431,7 @@ class TestGrassbergerProcaccia:
     def test_peak_memory_flat_in_pairs(self):
         peaks = [traced_peak(attractor_lab._gp_estimate, self.orbit(n_points, embed=12), 20, 1.0)
                  for n_points in (1000, 4000)]
-        assert peaks[1] <= 1.5 * peaks[0]       # 16 times the pairs
+        assert peaks[1] <= 1.35 * peaks[0]      # 16 times the pairs; 1.28 measured
 
 
 class TestRegularity:

@@ -242,13 +242,14 @@ class TestBlockForm:
                           damping_coeffs=(0.2, 0.0, 0.4),
                           source=SourceSpec("cubic_minus_load", load=0.5), dom=self.DOM)
         plan = SimPlan(dt=1e-2, T=0.2)
-        traj = run(ops, cfg, plan, ("random", 1.0))
-        cache = SolverCache(ops, cfg, plan)
-        step(State(traj.us[-1], traj.vs[-1], traj.times[-1]), cache)
-        assert not {"M", "K", "Gx", "Dy", "phi"} & vars(ops).keys()
-        for holder in (ops, cache):
-            for name, a in vars(holder).items():
-                assert not (isinstance(a, np.ndarray) and a.shape == (ops.n, ops.n)), name
+        for start in (("random", 1.0), ("stationary_kick", 0.2)):     # the latter by Newton
+            traj = run(ops, cfg, plan, start)
+            cache = SolverCache(ops, cfg, plan)
+            step(State(traj.us[-1], traj.vs[-1], traj.times[-1]), cache)
+            assert not {"M", "K", "Gx", "Dy", "phi"} & vars(ops).keys()
+            for holder in (ops, cache):
+                for name, a in vars(holder).items():
+                    assert not (isinstance(a, np.ndarray) and a.shape == (ops.n, ops.n)), name
 
     def test_nonpositive_mass_entry_named(self, dom):
         grid = quadrature_grid(build_basis(2, 2, dom))

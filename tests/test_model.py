@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platelab.model import (ModelError, PlateConfig, SourceSpec, _weighted_gram,
-                            acceleration, berger_coefficient, certify_source,
-                            damping_gain, damping_gains, force_jacobian, force_load,
-                            solve_stationary)
+from platelab.discretization import DomainSpec, make_operators
+from platelab.model import (ModelError, PlateConfig, SourceSpec, _newton_matrix,
+                            _subtract_weighted_gram, acceleration, berger_coefficient,
+                            certify_source, damping_gain, damping_gains, force_jacobian,
+                            force_load, solve_stationary)
 from platelab.energy import potential_energy
 
-from conftest import random_coeffs
+from conftest import random_coeffs, traced_peak
 from kron_reference import basis_table, dense_operators
 
 
@@ -263,8 +264,9 @@ class TestStationary:
         w = rng.standard_normal((grid.x_nodes.size, grid.y_nodes.size))
         phi = basis_table(grid)
         direct = np.einsum("iab,ab,jab->ij", phi, grid.weights_2d() * w, phi)
-        assert np.max(np.abs(_weighted_gram(grid, w) - direct)) \
-            <= 1e-13 * np.max(np.abs(direct))
+        gram = np.zeros((ops12.n, ops12.n))
+        _subtract_weighted_gram(gram, grid, w)
+        assert np.max(np.abs(-gram - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_jacobian_matches_finite_differences(self, ops12):
         cfg = cfg_with(alpha=0.5, delta=1.0, kappa=2.0, beta=0.7,
@@ -277,3 +279,50 @@ class TestStationary:
         fd = (force_load(u + h * w, ops12, cfg)
               - force_load(u - h * w, ops12, cfg)) / (2 * h)
         assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5)
+
+
+class TestJacobianAssembly:
+    """The in-place sine-block assembly against a dense one from the
+    Kronecker operators and the nodal basis table."""
+
+    CUBIC = SourceSpec(kind="cubic_minus_load", load=1.0)
+
+    @staticmethod
+    def dense_jacobian(u, ops, cfg):
+        ref = dense_operators(ops.grid, ops.dom.sigma)
+        gxu = ref["Gx"] @ u
+        J = (cfg.alpha - cfg.delta * (gxu @ u)) * ref["Gx"] - 2.0 * cfg.delta * np.outer(gxu, gxu)
+        phi = basis_table(ops.grid)
+        vals = np.einsum("iab,i->ab", phi, u)
+        wgt = cfg.kappa * (vals > 0.0) + cfg.source.f_prime(vals)
+        J -= np.einsum("iab,ab,jab->ij", phi, ops.grid.weights_2d() * wgt, phi)
+        return J - cfg.beta * ref["Dy"].T, ref["K"]
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 4)])
+    @pytest.mark.parametrize("kappa, source, beta", [
+        (2.0, CUBIC, 0.7),          # every term
+        (0.0, SourceSpec(), 0.7),   # no pointwise term
+        (2.0, SourceSpec(), 0.7),   # the kink alone
+        (0.0, CUBIC, 0.7),          # the source alone
+        (2.0, CUBIC, 0.0),          # no flow term
+    ])
+    def test_matches_dense_assembly(self, shape, kappa, source, beta):
+        ops = make_operators(*shape, DomainSpec(l=0.8, sigma=0.25))
+        cfg = cfg_with(alpha=0.5, delta=1.3, kappa=kappa, beta=beta, source=source)
+        u = random_coeffs(ops, 4, scale=0.7)
+        J_ref, K = self.dense_jacobian(u, ops, cfg)
+        J = force_jacobian(u, ops, cfg)
+        assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
+        A_ref = K - J_ref
+        assert np.max(np.abs(_newton_matrix(u, ops, cfg) - A_ref)) \
+            <= 1e-13 * np.max(np.abs(A_ref))
+
+    def test_newton_peak_memory_bounded_by_three_matrices(self):
+        # general physics at 24 x 16 (n = 384); every dense view would cost n^2
+        ops = make_operators(24, 16)
+        cfg = cfg_with(delta=1.0, beta=1.0, kappa=2.0, source=self.CUBIC)
+        guess = random_coeffs(ops, 10)
+        n, Mx, grid = ops.n, ops.basis.Mx, ops.grid
+        tables = 8 * Mx * Mx * (grid.x_nodes.size + grid.y_nodes.size)
+        assert traced_peak(solve_stationary, cfg, ops, guess) <= 3 * 8 * n * n + tables
+        assert solve_stationary(cfg, ops, guess).converged
