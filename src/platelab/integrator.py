@@ -29,7 +29,9 @@ bits it has alone and each failure the outcome of one row; `run_ensemble`
 drives S members that way with one `step` call per time step, and `run`
 is its one-member case.  A member ends with its Trajectory or with the
 IntegratorError that stopped it, which carries the snapshots recorded
-before the failure; this module writes no files.
+before the failure; this module writes no files.  The ledger's damping
+and flux integrals are the per-step trapezoid rule, evaluated per block
+of buffered steps in at most 2 ROW_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from . import energy as energy_mod
 from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
                              block_vecmat)
 from .model import (PlateConfig, SourceCertificate, State, certify_source, damping_gain,
-                    damping_gains, force_load, horner, in_row_blocks, solve_stationary)
+                    ROW_BLOCK_BYTES, damping_gains, force_load, horner, in_row_blocks,
+                    solve_stationary)
 
 
 class IntegratorError(RuntimeError):
@@ -219,28 +222,23 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
     """
     ops, cfg, plan = cache.ops, cache.cfg, cache.plan
     dt, h = plan.dt, 0.5 * plan.dt
-    U0, V0 = np.atleast_2d(state.u), np.atleast_2d(state.v)
+    n = state.u.shape[-1]
+    U0, V0 = state.u.reshape(-1, n), state.v.reshape(-1, n)
     S = len(U0)
-    UM, VM = np.full((2, *U0.shape), np.nan)     # midpoints, settled row by row
     its = [0] * S
     errors = {}
     rows = list(range(S))           # members still iterating
-    u0, v0 = U0, V0
-    if not (np.isfinite(U0).all() and np.isfinite(V0).all()):
-        finite = (np.isfinite(U0).all(axis=1) & np.isfinite(V0).all(axis=1)).tolist()
-        errors = {j: f"non-finite state at t = {state.t}" for j in rows if not finite[j]}
-        rows = [j for j in rows if finite[j]]
-        u0, v0 = U0[rows], V0[rows]
-    base_rhs = (2.0 / dt) * (ops.m_diag * v0) - block_matvec(cache.K_lin, u0)
-    u_m = u0 + h * v0
-    v_m = v0
+    mid = None      # (u_m, v_m) per row, once rows settle at different iterations
+    unstarted = []  # rows whose start is not finite
+    u0 = U0
+    base_rhs = (2.0 / dt) * (ops.m_diag * V0) - block_matvec(cache.K_lin, U0)
+    u_m = U0 + h * V0
+    v_m = V0
     # Newton's warm start: the speed at the start of the step
-    rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(v0), 0.0))
-    last = [math.inf] * len(rows)
-    relaxed = [False] * len(rows)
+    rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(V0), 0.0))
+    last = [math.inf] * S
+    relaxed = [False] * S
     for it in range(1, plan.fp_maxiter + 1):
-        if not rows:
-            break
         load = cache.residual_load(u_m) if cache.has_nl_load else None
         r_modal = block_vecmat(base_rhs if load is None else base_rhs + load, cache.phi)
         rho = solve_midpoint_speed(r_modal, cache, guess=rho)
@@ -269,21 +267,33 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
                 ops.state_norm_sq(u_m[stalled], v_m[stalled]))
             for i, f in zip(stalled, floor.tolist()):
                 done[i] = change[i] <= f < math.inf     # no floor from an overflow
-        # an overflowed load or a NaN speed makes the change non-finite;
-        # such a row fails, and settles as NaN
+        # a non-finite start, an overflowed load or a NaN speed makes the
+        # change non-finite; such a row fails, and settles as NaN
         if not math.isfinite(sum(change)):
             load_ok = [True] * len(rows) if load is None else np.isfinite(load).all(axis=1)
-            for i, (ok, speed) in enumerate(zip(load_ok, rho.tolist())):
-                if not ok or math.isnan(speed):
+            start_ok = ([True] * len(rows) if it > 1 else
+                        (np.isfinite(U0).all(axis=1) & np.isfinite(V0).all(axis=1)).tolist())
+            for i, (fin, ok, speed) in enumerate(zip(start_ok, load_ok, rho.tolist())):
+                if not fin:
+                    errors[rows[i]] = f"non-finite state at t = {state.t}"
+                    unstarted.append(rows[i])
+                elif not ok or math.isnan(speed):
                     errors[rows[i]] = (
                         f"speed solve did not converge in {SPEED_MAXITER} iterations" if ok
                         else f"load evaluation overflowed at t = {state.t}")
-                    u_m[i] = v_m[i] = np.nan
-                    done[i] = True
+                else:
+                    continue
+                u_m[i] = v_m[i] = np.nan
+                done[i] = True
         if any(done):
+            if mid is None and all(done):   # every row settles at once
+                its, rows = [it] * S, []
+                break
+            if mid is None:
+                mid = np.full((2, S, n), np.nan)
             for i, j in enumerate(rows):
                 if done[i]:
-                    UM[j], VM[j], its[j] = u_m[i], v_m[i], it
+                    mid[0, j], mid[1, j], its[j] = u_m[i], v_m[i], it
             rows = [j for j, d in zip(rows, done) if not d]
             if not rows:
                 break
@@ -297,15 +307,23 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
         errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
                      f"(last change {c:.3e} in the phase-space norm); reduce dt")
         its[j] = plan.fp_maxiter
+    for j in unstarted:
+        its[j] = 0
     if iterations is not None:
         iterations[:] = its
+    if rows and mid is None:        # no row converged
+        mid = np.full((2, S, n), np.nan)
+    UM, VM = (u_m, v_m) if mid is None else mid
     U1 = 2.0 * UM - U0
     V1 = 2.0 * VM - V0
-    if errors or not (np.isfinite(U1).all() and np.isfinite(V1).all()):
+    # a non-finite entry makes the product non-finite; an overflow of finite
+    # entries costs only the row check
+    if errors or not math.isfinite(np.vdot(U1, V1)):
         finite = (np.isfinite(U1).all(axis=1) & np.isfinite(V1).all(axis=1)).tolist()
         for j in range(S):
             if not finite[j]:
                 errors.setdefault(j, f"state blew up during the step at t = {state.t}")
+    if errors:
         if failures is None:
             raise IntegratorError(errors[min(errors)])
         failures.update(errors)
@@ -381,8 +399,13 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     A failure of the shared set-up (time step too large, source not
     certified; `partial` is None) ends every member.  Initial conditions
     are materialised with plan.seed and must share their start time.  The
-    damping and flux time integrals are accumulated with the per-step
-    trapezoid rule, so each ledger's identity residual is scheme-consistent.
+    damping and flux time integrals are the per-step trapezoid rule, so
+    each ledger's identity residual is scheme-consistent.  They are taken
+    per block of buffered steps: the end states of up to
+    max(1, ROW_BLOCK_BYTES // (8 S n)) steps, at most 2 ROW_BLOCK_BYTES
+    for u and v, get their integrands in one call, and one cumulative sum
+    adds the increments in step order, with the bits of per-step sums; the
+    snapshots among them are filled at the same time.
     """
     try:
         cert = cert or certify_source(cfg)
@@ -398,37 +421,53 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         raise ValueError("ensemble members must share their start time")
 
     steps = plan.snapshot_steps()
-    n_steps, every, n_snap = int(steps[-1]), plan.snapshot_every, steps.size
+    n_steps, n_snap = int(steps[-1]), steps.size
     S, n = len(starts), ops.n
     times = np.empty(n_snap)
     us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
     damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
-    errors = {}                             # member -> (message, snapshots recorded)
+    errors = {}                             # member -> (message, step that failed)
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
     its = []                                # fixed-point iterations per member
+    block = max(1, ROW_BLOCK_BYTES // (8 * S * n))
+    ub, vb = np.empty((2, block, S, n))     # end states of the buffered steps
+    tb = np.empty(block)
+    coeffs = (0.5 * plan.dt, -cfg.beta * 0.5 * plan.dt)
+
+    def integrands(u, v):
+        # damping g(||v||) ||v||^2 and (u_y, u_t) per row; the ledger
+        # stores -beta times the time integral of the second
+        sp2 = ops.l2_norm_sq(v)
+        return (damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2,
+                bilinear_form(ops.dy_blocks, u, v))
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]),
                   starts[0].t)
-    d_acc = np.zeros(S)
-    f_acc = np.zeros(S)
-    slot = 0
+    times[0] = state.t
+    us[:, 0], vs[:, 0] = state.u, state.v
+    damp[:, 0] = flux[:, 0] = 0.0
+    last = integrands(state.u, state.v)     # at the step before the buffer
+    totals = (damp[:, 0], flux[:, 0])
 
-    def integrands(st: State):
-        # damping g(||v||) ||v||^2 and (u_y, u_t); the ledger stores
-        # -beta times the time integral of the second
-        sp2 = ops.l2_norm_sq(st.v)
-        return (damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2,
-                bilinear_form(ops.dy_blocks, st.u, st.v))
+    def flush(k, b):
+        """Add the trapezoid increments of the b buffered steps that end at
+        step k, each in turn, and fill the snapshots among them."""
+        nonlocal last, totals
+        now = integrands(ub[:b].reshape(-1, n), vb[:b].reshape(-1, n))
+        sums = []
+        for c, x0, x, acc in zip(coeffs, last, now, totals):
+            x = np.concatenate([x0, x]).reshape(b + 1, S)
+            inc = c * (x[:-1] + x[1:])
+            sums.append(np.cumsum(np.concatenate([acc[None], inc]), axis=0))
+        last = tuple(x[-S:] for x in now)
+        totals = tuple(x[-1] for x in sums)
+        lo, hi = np.searchsorted(steps, (k - b + 1, k + 1))
+        j = steps[lo:hi] - (k - b + 1)
+        times[lo:hi] = tb[j]
+        us[:, lo:hi], vs[:, lo:hi] = ub[j].swapaxes(0, 1), vb[j].swapaxes(0, 1)
+        damp[:, lo:hi], flux[:, lo:hi] = sums[0][j + 1].T, sums[1][j + 1].T
 
-    def record():
-        nonlocal slot
-        times[slot] = state.t
-        us[:, slot], vs[:, slot] = state.u, state.v
-        damp[:, slot], flux[:, slot] = d_acc, f_acc
-        slot += 1
-
-    record()
-    g_prev, f_prev = integrands(state)
+    b = 0                                   # steps in the buffer
     for k in range(1, n_steps + 1):
         failed = {}
         state = step(state, cache, failed, its)
@@ -438,23 +477,24 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             # step reports a non-finite row again at every later step
             new = [m for m in failed if m not in errors]
             for m in new:
-                errors[m] = (failed[m], slot)
+                errors[m] = (failed[m], k)
             if len(errors) == S:
+                flush(k - 1, b)
                 break
             state.u[new] = np.nan
             state.v[new] = np.nan
-        g_now, f_now = integrands(state)
-        d_acc = d_acc + 0.5 * plan.dt * (g_prev + g_now)
-        f_acc = f_acc + -cfg.beta * 0.5 * plan.dt * (f_prev + f_now)
-        g_prev, f_prev = g_now, f_now
-        if k % every == 0 or k == n_steps:
-            record()
+        ub[b], vb[b], tb[b] = state.u, state.v, state.t
+        b += 1
+        if b == block or k == n_steps:
+            flush(k, b)
+            b = 0
 
     out = []
     for m in range(S):
         meta = {"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}
         if m in errors:
-            msg, end = errors[m]
+            msg, k = errors[m]
+            end = np.searchsorted(steps, k)     # the snapshots before step k
             out.append(IntegratorError(msg, Trajectory(times=times[:end].copy(), us=us[m, :end],
                                                        vs=vs[m, :end], ledger=None, meta=meta)))
             continue

@@ -47,14 +47,12 @@ def _json_encode(obj, level: int) -> str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":     # the float items in one pass
+            return _json_list([format(x, ".17g") if math.isfinite(x) else f'"{fmt_float(x)}"'
+                               for x in obj.tolist()], level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_encode(v, level + 1) for v in obj]
-        if all(len(s) < 24 and "\n" not in s for s in items) and len(items) <= 12:
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
+        return _json_list([_json_encode(v, level + 1) for v in obj], level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -62,6 +60,16 @@ def _json_encode(obj, level: int) -> str:
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+def _json_list(items: list, level: int) -> str:
+    """A list of encoded items: on one line when they are few and short."""
+    if not items:
+        return "[]"
+    if all(len(s) < 24 and "\n" not in s for s in items) and len(items) <= 12:
+        return "[" + ", ".join(items) + "]"
+    pad = "  " * level
+    return "[\n" + ",\n".join(pad + "  " + s for s in items) + "\n" + pad + "]"
 
 
 def to_json(obj) -> str:
@@ -151,23 +159,29 @@ TRAJECTORY_CONTAINER = "platelab-trajectory-v1"
 
 
 def save_trajectory(path: Path, traj, config_hash: str) -> None:
-    """JSON container: header (hash, dims, dt), then (t, u[], v[]) records."""
+    """JSON container: header (hash, dims, dt), then (t, u[], v[]) records.
+
+    Written one record at a time, with the bytes `to_json` gives the whole
+    container."""
     plan = traj.meta.get("plan")
-    obj = {
+    head = {
         "container": TRAJECTORY_CONTAINER,
         "config_hash": config_hash,
         "Mx": traj.meta.get("Mx"),
         "Ny": traj.meta.get("Ny"),
         "dt": plan.dt if plan is not None else None,
         "n_snapshots": len(traj),
-        "snapshots": [
-            {"t": float(traj.times[i]),
-             "u": traj.us[i].tolist(),
-             "v": traj.vs[i].tolist()}
-            for i in range(len(traj))
-        ],
     }
-    write_json(path, obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + "".join(f'  "{k}": {_json_encode(v, 1)},\n' for k, v in head.items()))
+        if not len(traj):
+            fh.write('  "snapshots": []\n}\n')
+            return
+        fh.write('  "snapshots": [')
+        for i in range(len(traj)):
+            snap = {"t": float(traj.times[i]), "u": traj.us[i], "v": traj.vs[i]}
+            fh.write(("\n" if i == 0 else ",\n") + "    " + _json_encode(snap, 2))
+        fh.write("\n  ]\n}\n")
 
 
 def load_trajectory(path: Path) -> dict:

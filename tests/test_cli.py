@@ -589,6 +589,29 @@ class TestReporting:
             assert parsed.plan == plan, name
             assert parsed.initial == initial, name
 
+    @pytest.mark.parametrize("n_snap, n", [(0, 12), (1, 12), (4, 12), (1, 15), (4, 15)])
+    def test_saved_trajectory_has_the_bytes_of_the_whole_object(self, tmp_path, n_snap, n):
+        # rows of up to 12 short floats go on one line; a longer row, or one
+        # with a 24-character float such as -1.2345678901234567e-300, does not
+        from platelab.integrator import SimPlan, Trajectory
+        from platelab.reporting import TRAJECTORY_CONTAINER, save_trajectory
+
+        rng = np.random.default_rng(n_snap * 100 + n)
+        us = rng.standard_normal((n_snap, n)) * 10.0 ** rng.integers(-300, 300, (n_snap, n))
+        vs = rng.standard_normal((n_snap, n))
+        if n_snap:
+            us[0, :3] = np.nan, np.inf, -np.inf
+            vs[-1, :2] = -0.0, np.nan
+        traj = Trajectory(times=0.1 * np.arange(n_snap), us=us, vs=vs, ledger=None,
+                          meta={"plan": SimPlan(dt=0.1), "Mx": 3, "Ny": n // 3})
+        path = tmp_path / "traj.json"
+        save_trajectory(path, traj, "deadbeef")
+        whole = {"container": TRAJECTORY_CONTAINER, "config_hash": "deadbeef", "Mx": 3,
+                 "Ny": n // 3, "dt": 0.1, "n_snapshots": n_snap,
+                 "snapshots": [{"t": float(traj.times[i]), "u": us[i].tolist(),
+                                "v": vs[i].tolist()} for i in range(n_snap)]}
+        assert path.read_bytes() == to_json(whole).encode("utf-8")
+
     def test_trajectory_container_round_trip(self, tmp_path):
         import platelab as pl
         from platelab.integrator import SimPlan, run

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from platelab import integrator, presets
-from platelab.discretization import make_operators
+from platelab.discretization import bilinear_form, make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import PlateConfig, SourceSpec, damping_gain, force_load
+from platelab.model import PlateConfig, SourceSpec, damping_gain, damping_gains, force_load
 
 
 def cfg_with(**kw):
@@ -91,12 +91,34 @@ class TestStep:
         with pytest.raises(IntegratorError):
             step(st, SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0)))
 
+    def test_stack_rows_settle_with_their_solo_bits(self, ops12):
+        # the finite rows converge after 3, 5 and 2 iterations; the row with
+        # a NaN never iterates
+        cfg = cfg_with(**GENERAL)
+        cache = SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0))
+        good = [initial_state(("random", r), ops12, cfg, seed)
+                for r, seed in ((1.0, 1), (8.0, 2), (0.1, 3))]
+        bad = good[0].u.copy()
+        bad[3] = np.nan
+        U = np.array([good[0].u, bad, good[1].u, good[2].u])
+        V = np.array([good[0].v, good[0].v, good[1].v, good[2].v])
+        failures, its = {}, []
+        out = step(State(U, V), cache, failures, its)
+        assert failures == {1: "non-finite state at t = 0.0"} and its[1] == 0
+        assert np.all(np.isnan(out.u[1])) and np.all(np.isnan(out.v[1]))
+        for row, st in zip((0, 2, 3), good):
+            alone = []
+            solo = step(st, cache, iterations=alone)
+            assert np.array_equal(out.u[row], solo.u) and np.array_equal(out.v[row], solo.v)
+            assert its[row] == alone[0]
+        assert [its[0], its[2], its[3]] == [3, 5, 2]
+
     def test_change_stalled_at_roundoff_converges(self, dom):
         # anti-damped flutter grows to a state norm of several hundred; at
         # step 35 the fixed-point change stops shrinking at 1.45e-11, above
         # fp_tol but about 113 eps times the state norm: roundoff, not a
         # failure to converge
-        from platelab.discretization import make_operators
+        from platelab.discretization import bilinear_form, make_operators
 
         ops = make_operators(3, 2, dom)
         cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-4.0, 0.0))
@@ -108,7 +130,7 @@ class TestStep:
     def test_overflowed_norm_sets_no_roundoff_floor(self, dom):
         # a huge step on a strong cubic: the iterates diverge until the
         # state norm overflows, which must not pass for a roundoff floor
-        from platelab.discretization import make_operators
+        from platelab.discretization import bilinear_form, make_operators
 
         ops = make_operators(2, 1, dom)
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
@@ -324,6 +346,51 @@ class TestEnsemble:
         assert np.array_equal(run(ops, cfg, head, boom).us, partial.us)
         for x, traj in zip(small, (out[0], out[2])):
             assert_same_bits(traj, run(ops, cfg, plan, x))
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_ledger_integrals_are_the_per_step_trapezoid(self, dom, monkeypatch, every):
+        # blocks of 7 steps: 60 steps make 8 full blocks and one of 4; the
+        # member at amplitude 15 fails during the run
+        monkeypatch.setattr(integrator, "ROW_BLOCK_BYTES", 7 * 8 * 3 * 6)
+        flushes = []
+        monkeypatch.setattr(integrator, "bilinear_form",
+                            lambda *a: flushes.append(1) or bilinear_form(*a))
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
+        plan = SimPlan(dt=0.02, T=1.2, snapshot_every=every)
+        inits = [("mode", 1, 0, 0.5), ("mode", 1, 0, 15.0), ("mode", 2, 1, 0.3)]
+        out = run_ensemble(ops, cfg, plan, inits)
+        assert len(flushes) == 1 + 9       # the start, then one per block
+
+        def integrands(st):
+            sp2 = ops.l2_norm_sq(st.v)
+            return (damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2,
+                    bilinear_form(ops.dy_blocks, st.u, st.v))
+
+        starts = [initial_state(x, ops, cfg) for x in inits]
+        state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]))
+        cache = SolverCache(ops, cfg, plan)
+        damp, flux = [np.zeros(3)], [np.zeros(3)]
+        prev = integrands(state)
+        failed_at = None
+        for k in range(1, 61):
+            failed = {}
+            state = step(state, cache, failed)
+            if failed and failed_at is None:
+                assert list(failed) == [1]
+                failed_at = k
+            state.u[list(failed)] = state.v[list(failed)] = np.nan
+            now = integrands(state)
+            damp.append(damp[-1] + 0.5 * plan.dt * (prev[0] + now[0]))
+            flux.append(flux[-1] + -cfg.beta * 0.5 * plan.dt * (prev[1] + now[1]))
+            prev = now
+        snaps = plan.snapshot_steps()
+        assert 1 < failed_at < 60
+        assert isinstance(out[1], IntegratorError)
+        assert len(out[1].partial) == np.count_nonzero(snaps < failed_at)
+        for m in (0, 2):
+            assert np.array_equal(out[m].ledger.damping_integral, np.array(damp)[snaps, m])
+            assert np.array_equal(out[m].ledger.flux_integral, np.array(flux)[snaps, m])
 
     def test_setup_failure_ends_every_member(self, dom):
         # buckling load alpha = 3 puts a mode at stiffness -2; dt = 3 is too
