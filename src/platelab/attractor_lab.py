@@ -466,8 +466,6 @@ def _sq_threshold(r: np.ndarray) -> np.ndarray:
 class RegularityReport:
     sup_velocity_bending: float      # sup ||u_t||_{2,*}^2 over the later window
     sup_accel_l2: float              # sup ||u_tt||_0^2 over the later window
-    half_window: tuple[float, float]
-    quarter_window: tuple[float, float]
     verdict: str
 
 
@@ -494,10 +492,7 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     stable = (abs(svh - svq) <= 0.2 * max(svq, floor)
               and abs(sah - saq) <= 0.2 * max(saq, floor))
     verdict = "PASS" if finite and stable else ("NOT_STABLE" if finite else "FAIL")
-    return RegularityReport(sup_velocity_bending=svh, sup_accel_l2=sah,
-                            half_window=(0.5 * t_end, t_end),
-                            quarter_window=(0.75 * t_end, t_end),
-                            verdict=verdict)
+    return RegularityReport(sup_velocity_bending=svh, sup_accel_l2=sah, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

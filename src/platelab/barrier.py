@@ -20,7 +20,7 @@ or fitted from trajectory data; the fit mode is recorded in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -305,7 +305,6 @@ class DecayAudit:
     bracket: np.ndarray             # eps (1 + E)^gamma - d3
     violations: int
     bracket_violations: int
-    meta: dict = field(default_factory=dict)
 
 
 def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
@@ -319,9 +318,8 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
     the snapshot stride; a margin below -1e-12 (1 + |V|) is a violation.
     """
     led = traj.ledger
-    E0 = float(led.E[0])
     if eps is None:
-        eps = decay_rate_at_energy(E0, bc)
+        eps = decay_rate_at_energy(float(led.E[0]), bc)
 
     def columns(u, v):
         return (np.vecdot(ops.m_diag * v, u), ops.l2_norm_sq(v),
@@ -342,8 +340,7 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
     bracket_violations = int(np.sum(bracket > 0.0))
     return DecayAudit(eps=eps, times=traj.times, lhs=lhs, rhs=rhs, margins=margins,
                       fd_allowance=fd_allowance, bracket=bracket,
-                      violations=violations, bracket_violations=bracket_violations,
-                      meta={"E0": E0, "gamma": bc.gamma, "d3": bc.d3})
+                      violations=violations, bracket_violations=bracket_violations)
 
 
 # ---------------------------------------------------------------------------

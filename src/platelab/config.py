@@ -45,19 +45,24 @@ def _boolean(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
+_INITIAL_ARGS = {"mode": (int, int, float), "random": (float,), "stationary_kick": (float,)}
+
+
 def _parse_initial(spec: str) -> tuple:
     kind, *args = spec.split()
-    if kind == "mode":
-        return ("mode", int(args[0]), int(args[1]), float(args[2]))
-    if kind in ("random", "stationary_kick"):
-        return (kind, float(args[0]))
-    raise ValueError(f"unknown initial-condition tag {kind!r}")
+    if kind not in _INITIAL_ARGS:
+        raise ValueError(f"unknown initial-condition tag {kind!r}")
+    if len(args) != len(convs := _INITIAL_ARGS[kind]):
+        raise ValueError(f"{kind} takes {len(convs)} value(s), got {len(args)}")
+    return (kind, *(conv(a) for conv, a in zip(convs, args)))
 
 
 _COUNT = (lambda x: x >= 1, "must be >= 1")
 _NONNEG = (lambda x: x >= 0, "must be >= 0")
 _POSITIVE = (lambda x: x > 0, "must be > 0")
 _FRACTION = (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
+_PORTION = (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
+_INITIAL = (lambda s: s[0] == "mode" or s[-1] >= 0, "radius or kick must be >= 0")
 _RADII = (lambda r: min(r, default=-1) >= 0 and list(r) == sorted(r),
           "must be one or more nonnegative, increasing radii")
 _DIMS = (lambda d: min(d, default=0) >= 1, "must be one or more integers >= 1")
@@ -98,7 +103,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "fp_tol": Key(float, SimPlan.fp_tol, "fixed-point tolerance", _POSITIVE),
         "fp_maxiter": Key(int, SimPlan.fp_maxiter, "fixed-point iteration cap", _COUNT),
         "seed": Key(int, SimPlan.seed, "random seed; --seed overrides it"),
-        "initial": Key(_parse_initial, ("mode", 1, 0, 0.5), "initial condition"),
+        "initial": Key(_parse_initial, ("mode", 1, 0, 0.5), "initial condition", _INITIAL),
     },
     "sweep": {
         "radii": Key(_tuple_of(float), SweepPlan.radii, "initial radii", _RADII),
@@ -112,7 +117,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "pairs": {
         "n_pairs": Key(int, 5, "number of pairs", _COUNT),
         "gap": Key(float, 1e-3, "phase-space distance of each pair", _POSITIVE),
-        "radius": Key(float, 1.0, "norm of the base state"),
+        "radius": Key(float, 1.0, "norm of the base state", _NONNEG),
         "t": Key(float, 40.0, "horizon", _NONNEG),
         "dt": Key(float, 2e-3, "time step", _POSITIVE),
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
@@ -122,16 +127,18 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "theiler": Key(int, _dim["theiler"], "snapshot gap excluded from pair counts",
                        _NONNEG),
         "min_points": Key(int, _dim["min_points"], "minimum tail snapshots"),
-        "tail_fraction": Key(float, _dim["tail_fraction"], "portion of the [sim] run analysed"),
+        "tail_fraction": Key(float, _dim["tail_fraction"], "portion of the [sim] run analysed",
+                              _PORTION),
     },
     "stationary": {
         "samples": Key(int, _stat["samples"], "number of trajectories", _COUNT),
-        "radius": Key(float, _stat["radius"], "norm of the random initial states"),
+        "radius": Key(float, _stat["radius"], "norm of the random initial states", _NONNEG),
         "t": Key(float, 60.0, "horizon", _NONNEG),
         "dt": Key(float, 2e-3, "time step", _POSITIVE),
         "snapshot_every": Key(int, 25, "steps per snapshot", _COUNT),
-        "speed_tol": Key(float, _stat["speed_tol"], "bound on the final velocity norm"),
-        "dist_tol": Key(float, _stat["dist_tol"], "bound on the distance to the equilibrium"),
+        "speed_tol": Key(float, _stat["speed_tol"], "bound on the final velocity norm", _POSITIVE),
+        "dist_tol": Key(float, _stat["dist_tol"], "bound on the distance to the equilibrium",
+                        _POSITIVE),
     },
     "barrier": {
         "t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),

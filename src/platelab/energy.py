@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteOperators
-from .model import PlateConfig, SourceCertificate
+from .model import PlateConfig, SourceCertificate, nodal_load
 
 
 class EnergyError(ValueError):
@@ -73,20 +73,11 @@ def potential_split_pad(cfg: PlateConfig) -> float:
 def potential_energy(u, ops: DiscreteOperators, cfg: PlateConfig):
     """Pi(u) of one state (n,), or per row of a snapshot stack (m, n); the
     source integral uses the analytic antiderivative at nodes."""
-    grid = ops.grid
     ux_sq = ops.ux_norm_sq(u)
     out = -0.5 * cfg.alpha * ux_sq + 0.25 * cfg.delta * ux_sq ** 2
-    if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        # at most two grid-sized arrays: the nodal values, then reused in
-        # place for the stay term, and the antiderivative
-        vals = grid.eval_coeffs(u)
-        nodal = cfg.source.antiderivative(vals)
-        if cfg.kappa != 0.0:
-            np.maximum(vals, 0.0, out=vals)
-            vals *= vals
-            vals *= 0.5 * cfg.kappa
-            nodal += vals
-        out = out + grid.integrate(nodal)
+    nodal = nodal_load(u, ops, cfg, order=-1)
+    if nodal is not None:
+        out = out + ops.grid.integrate(nodal)
     return out
 
 

@@ -14,11 +14,12 @@ step reads; the modal transforms are batched block products, and in
 modal coordinates every solve is diagonal.  The
 nonlocal damping is closed implicitly by a scalar root solve for
 rho = ||v_m||_0, and the remaining nonlinear loads (stretching, stays,
-source, flow term) are handled by an outer fixed-point iteration.  It
-stops once the a-posteriori bound L/(1 - L) D_k on the distance to the
-fixed point is at most fp_tol, where D_k is the change of the end state
-at iteration k and L = D_k/D_{k-1} <= 0.5 its measured contraction, or
-else once D_k itself is.
+source, flow term) are handled by an outer fixed-point iteration.  With
+D_k the change of the end state at iteration k and L = D_k/D_{k-1} its
+measured contraction, a step stops once D_k <= fp_tol, once the
+a-posteriori bound L/(1 - L) D_k is, with L <= 0.5, or once D_k stops
+shrinking at its roundoff floor (STALL eps ||(u_m, v_m)||); it fails
+after fp_maxiter iterations.
 
 On the purely linear conservative subsystem the scheme conserves the
 discrete quadratic energy exactly (up to roundoff); with nonlinearities
@@ -128,7 +129,6 @@ class SolverCache:
 
 SPEED_MAXITER = 100
 SPEED_TOL = 1e-14   # relative step tolerance of the speed solve
-RELAX = 0.8     # fixed-point relaxation once a member's change grows
 STALL = 1024    # roundoff floor of the fixed-point change, in eps * ||(u_m, v_m)||
 
 
@@ -201,17 +201,17 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
     """One implicit-midpoint step of one state (n,) or of a member stack (S, n)
     of the system of `cache`: its operators, config, dt and fixed-point stop.
 
-    Every member runs its own fixed-point iteration, relaxation switch and
-    convergence test; a converged member is written into the result and
-    frozen while the others iterate, so each row has the same bits
-    whatever rows share the stack.
-    Let D_k be the change of a member's end state between iterations k - 1
-    and k, in the phase-space norm, and L = D_k / D_{k-1} its measured
-    contraction.  The member converges at iteration k when the a-posteriori
-    (Banach) bound L/(1 - L) D_k on its distance to the fixed point is at
-    most fp_tol, a test used only for k >= 2 and L <= 0.5; when D_k
-    itself is at most fp_tol; or when D_k stops shrinking at its
-    roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.
+    Every member runs its own fixed-point iteration and convergence test; a
+    converged member is written into the result and frozen while the
+    others iterate, so each row has the same bits whatever rows share the
+    stack.  Let D_k be the change of a member's end state between
+    iterations k - 1 and k, in the phase-space norm, and L = D_k / D_{k-1}
+    its measured contraction.  The member converges at iteration k when
+    D_k is at most fp_tol; when the a-posteriori (Banach) bound
+    L/(1 - L) D_k on its distance to the fixed point is, a test used only
+    for k >= 2 and L <= 0.5; or when D_k stops shrinking at its roundoff
+    floor, STALL * eps * ||(u_m, v_m)|| or less.  No other rule applies:
+    a member that meets none of these by iteration fp_maxiter fails.
     A member fails on its own (non-finite state, load overflow, speed
     solve without a root, fixed point not converged, blow-up): its row of
     the result is not finite, and the other rows are unaffected.  A failure
@@ -237,7 +237,6 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
     # Newton's warm start: the speed at the start of the step
     rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(V0), 0.0))
     last = [math.inf] * S
-    relaxed = [False] * S
     for it in range(1, plan.fp_maxiter + 1):
         load = cache.residual_load(u_m) if cache.has_nl_load else None
         r_modal = block_vecmat(base_rhs if load is None else base_rhs + load, cache.phi)
@@ -246,9 +245,6 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
                  else cache.base + damping_gains(rho, cfg)[:, None])
         w = r_modal / denom
         v_new = block_matvec(cache.phi, w)
-        if any(relaxed):
-            v_new = np.where(np.array(relaxed)[:, None],
-                             RELAX * v_new + (1.0 - RELAX) * v_m, v_new)
         u_new = u0 + h * v_new
         if load is None:    # linear load: the first iterate is exact (NaN where rho is)
             change = (0.0 * rho).tolist()
@@ -298,10 +294,8 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
             if not rows:
                 break
             keep = [not d for d in done]
-            change, last, relaxed = (
-                [a for a, k in zip(seq, keep) if k] for seq in (change, last, relaxed))
+            change = [c for c, k in zip(change, keep) if k]
             u0, base_rhs, u_m, v_m, rho = (a[keep] for a in (u0, base_rhs, u_m, v_m, rho))
-        relaxed = [rl or c > lc for rl, c, lc in zip(relaxed, change, last)]
         last = change
     for j, c in zip(rows, last):
         errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
@@ -468,26 +462,28 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         damp[:, lo:hi], flux[:, lo:hi] = sums[0][j + 1].T, sums[1][j + 1].T
 
     b = 0                                   # steps in the buffer
-    for k in range(1, n_steps + 1):
-        failed = {}
-        state = step(state, cache, failed, its)
-        for m, i in enumerate(its):
-            fp_hist[m][i] += 1
-        if failed:
-            # step reports a non-finite row again at every later step
-            new = [m for m in failed if m not in errors]
-            for m in new:
-                errors[m] = (failed[m], k)
-            if len(errors) == S:
-                flush(k - 1, b)
-                break
-            state.u[new] = np.nan
-            state.v[new] = np.nan
-        ub[b], vb[b], tb[b] = state.u, state.v, state.t
-        b += 1
-        if b == block or k == n_steps:
-            flush(k, b)
-            b = 0
+    # an overflow or a NaN row is a member's failure, reported by its message
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            failed = {}
+            state = step(state, cache, failed, its)
+            for m, i in enumerate(its):
+                fp_hist[m][i] += 1
+            if failed:
+                # step reports a non-finite row again at every later step
+                new = [m for m in failed if m not in errors]
+                for m in new:
+                    errors[m] = (failed[m], k)
+                if len(errors) == S:
+                    flush(k - 1, b)
+                    break
+                state.u[new] = np.nan
+                state.v[new] = np.nan
+            ub[b], vb[b], tb[b] = state.u, state.v, state.t
+            b += 1
+            if b == block or k == n_steps:
+                flush(k, b)
+                b = 0
 
     out = []
     for m in range(S):

@@ -209,17 +209,29 @@ def berger_coefficient(u, ops: DiscreteOperators, cfg: PlateConfig):
     return cfg.alpha - cfg.delta * ops.ux_norm_sq(u)
 
 
-def _pointwise_load(u, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
-    """(kappa u^+ + f0(u), phi_i) via nodal evaluation; a row whose source
-    overflows is not finite."""
+def nodal_load(u, ops: DiscreteOperators, cfg: PlateConfig, order: int = 0):
+    """The pointwise load kappa u^+ + f0(u) at the quadrature nodes of one
+    state or of each row of a stack (order 0), its derivative kappa [u > 0]
+    + f0'(u) (order 1) or its antiderivative kappa (u^+)^2/2 + F0~(u)
+    (order -1); None when kappa = 0 and f0 = 0.  Order -1 holds at most two
+    grid-sized arrays; a row whose source overflows is not finite."""
+    if cfg.kappa == 0.0 and cfg.source.is_zero:
+        return None
     vals = ops.grid.eval_coeffs(u)
-    if cfg.source.is_zero:
-        nodal = cfg.kappa * np.maximum(vals, 0.0)
-    else:
-        nodal = cfg.source.f(vals)
-        if cfg.kappa != 0.0:
-            nodal += cfg.kappa * np.maximum(vals, 0.0)
-    return ops.grid.project(nodal)
+    src = cfg.source
+    nodal = None if src.is_zero else (src.antiderivative, src.f, src.f_prime)[order + 1](vals)
+    if cfg.kappa != 0.0:
+        if order == 1:
+            stay = cfg.kappa * (vals > 0.0)
+        else:                               # in place: the nodal values are spent
+            stay = np.maximum(vals, 0.0, out=vals)
+            if order < 0:
+                stay *= stay
+            stay *= cfg.kappa if order == 0 else 0.5 * cfg.kappa
+        if nodal is None:
+            return stay
+        nodal += stay
+    return nodal
 
 
 def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
@@ -234,8 +246,9 @@ def force_load(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> np.nd
     u = np.asarray(u, dtype=float)
     gxu = ops.gx_diag * u       # Gx u, also giving ||u_x||^2 = (Gx u, u)
     out = (cfg.alpha - cfg.delta * np.vecdot(gxu, u))[..., None] * gxu
-    if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        out -= _pointwise_load(u, ops, cfg)
+    nodal = nodal_load(u, ops, cfg)
+    if nodal is not None:
+        out -= ops.grid.project(nodal)
     if cfg.beta != 0.0:
         out -= cfg.beta * block_vecmat(u, ops.dy_blocks)
     return out
@@ -289,13 +302,8 @@ def force_jacobian(u: np.ndarray, ops: DiscreteOperators, cfg: PlateConfig) -> n
         np.multiply.outer(g, gxu, out=rows)
         rows *= -2.0 * cfg.delta
     J.reshape(-1)[::n + 1] += berger_coefficient(u, ops, cfg) * ops.gx_diag
-    if cfg.kappa != 0.0 or not cfg.source.is_zero:
-        vals = ops.grid.eval_coeffs(u)
-        wgt = np.zeros_like(vals)
-        if cfg.kappa != 0.0:
-            wgt = wgt + cfg.kappa * (vals > 0.0)
-        if not cfg.source.is_zero:
-            wgt = wgt + cfg.source.f_prime(vals)
+    wgt = nodal_load(u, ops, cfg, order=1)
+    if wgt is not None:
         _subtract_weighted_gram(J, ops.grid, wgt)
     if cfg.beta != 0.0:
         flow = _sine_blocks(J, Mx)

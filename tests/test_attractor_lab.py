@@ -97,8 +97,9 @@ class TestSweep:
                 assert rep.regularity[i][j] == reg.verdict
 
     def test_failed_member_is_a_blowup(self, dom):
-        # undamped flutter: the radius-150 member's fixed point stops
-        # converging; the radius-0.5 member keeps the bits it has alone
+        # undamped flutter: the radius-150 member's fixed point diverges
+        # until its load overflows in the first step; the radius-0.5 member
+        # keeps the bits it has alone
         from platelab.discretization import make_operators
 
         ops = make_operators(3, 2, dom)
@@ -109,7 +110,7 @@ class TestSweep:
         assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
         assert rep.tail_sups[0] == alone.tail_sups[0]
         ((message, t_last),) = rep.failures         # the evidence, parallel to blowups
-        assert "did not converge" in message and 0.0 <= t_last < base["T"]
+        assert message == "load evaluation overflowed at t = 0.0" and t_last == 0.0
         assert math.isnan(rep.entry_times[1][0]) and math.isnan(rep.sup_accel_l2[1][0])
         assert rep.regularity[1][0] == "FAIL"
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,32 @@ source = zero
             parse_config(write_cfg(tmp_path, text))
         joined = "\n".join(err.value.problems)
         assert "Poisson" in joined and "delta" in joined and "all zero" in joined
+
+    @pytest.mark.parametrize("initial", ["random -2.0", "stationary_kick -0.3", "random 1 2"])
+    def test_values_that_would_mean_something_else_rejected(self, tmp_path, initial):
+        # each parsed before: a flipped sign, a dropped token, the whole run
+        # analysed, every sample a FAIL, a negative norm
+        text = MINIMAL + f"""
+[sim]
+initial = {initial}
+[dimension]
+tail_fraction = 2.5
+[stationary]
+speed_tol = 0.0
+dist_tol = -1e-3
+radius = -2.0
+[pairs]
+radius = -1.0
+"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        keys = ["[sim] initial", "[dimension] tail_fraction", "[stationary] speed_tol",
+                "[stationary] dist_tol", "[stationary] radius", "[pairs] radius"]
+        named = [next(k for k in keys if p.startswith(k)) for p in err.value.problems]
+        assert sorted(named) == sorted(keys)
+        edges = MINIMAL + ("[sim]\ninitial = random 0\n[dimension]\ntail_fraction = 1\n"
+                           "[stationary]\nradius = 0\n[pairs]\nradius = 0\n")
+        assert parse_config(write_cfg(tmp_path, edges)).initial == ("random", 0.0)
 
     def test_missing_physical_parameter_reported(self, tmp_path):
         text = MINIMAL.replace("kappa = 2.0\n", "")
@@ -486,7 +513,8 @@ theiler = 10
 
     def test_numerical_failure_exit_and_partial_flush(self, tmp_path):
         # a huge step with a strong cubic and large amplitude defeats the
-        # fixed point; the partial trajectory must land on disk
+        # fixed point; the partial trajectory must land on disk, and the
+        # failure is reported by its own message, with no numpy warning
         text = """
 [plate]
 alpha = 0.0
@@ -506,8 +534,11 @@ initial = mode 1 0 60.0
 """
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "boom"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert (out / "trajectory_partial.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert (load_trajectory(out / "trajectory_partial.json")["config_hash"]
