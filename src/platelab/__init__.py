@@ -3,10 +3,9 @@
 __version__ = "0.1.0"
 
 from .discretization import (Basis, DiscreteOperators, DomainSpec, QuadGrid,
-                             build_basis, build_operators, make_operators,
-                             quadrature_grid)
+                             build_operators, make_operators, quadrature_grid)
 from .model import (PlateConfig, SourceSpec, State, berger_coefficient,
-                    certify_source, damping_gain, force_load, solve_stationary)
+                    certify_source, force_load, solve_stationary)
 from .energy import (EnergyLedger, poincare_ratio, potential_energy,
                      sandwich_constants, split_potential, total_energy)
 from .integrator import SimPlan, Trajectory, initial_state, run, run_ensemble, step

@@ -22,8 +22,8 @@ from .config import ConfigError, parse_config
 from .discretization import DiscretizationError, DomainSpec, make_operators
 from .integrator import IntegratorError, SimPlan, run
 from .model import ModelError
-from .reporting import (RunManifest, append_run_log, fmt_float, save_trajectory,
-                        write_csv, write_json, write_svg)
+from .reporting import (append_run_log, fmt_float, save_trajectory, write_csv, write_json,
+                        write_manifest, write_svg)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,11 +103,10 @@ def _prepare(args, subcommand: str):
                     "q": parsed.cfg.q, "b0_positive": parsed.cfg.b0 > 0.0,
                     "undamped": sum(parsed.cfg.damping_coeffs) == 0.0},
     }
-    manifest = RunManifest.create(args.config, parsed.text, subcommand,
-                                  str(out_dir), parsed.plan.seed, certificates)
-    manifest.write(out_dir)
+    chash = write_manifest(out_dir, args.config, parsed.text, subcommand,
+                           parsed.plan.seed, certificates)
     args.out_dir = out_dir
-    return parsed, ops, out_dir, manifest.config_hash
+    return parsed, ops, out_dir, chash
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +228,15 @@ def _barrier_toy(args) -> int:
     eps = 1.0 / sigma
     print(f"toy sigma(E=1) = {fmt_float(sigma)} (about 2.750)")
     print(f"toy eps(E=1)   = {fmt_float(eps)}")
-    for R in (1.0, 10.0, 100.0):
-        kr, vstar = barrier_mod.ultimate_bound(bc, R)
-        print(f"R = {fmt_float(R)}: K_R = {fmt_float(kr)}, V* = {fmt_float(vstar)}")
+    bounds = {fmt_float(R): barrier_mod.ultimate_bound(bc, R) for R in (1.0, 10.0, 100.0)}
+    for R, (kr, vstar) in bounds.items():
+        print(f"R = {R}: K_R = {fmt_float(kr)}, V* = {fmt_float(vstar)}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "barrier_toy.json", {
             "sigma_E1": sigma, "eps_E1": eps,
-            "ultimate_bounds": {fmt_float(R): list(barrier_mod.ultimate_bound(bc, R))
-                                for R in (1.0, 10.0, 100.0)},
+            "ultimate_bounds": {R: list(b) for R, b in bounds.items()},
         })
     return EXIT_OK
 

@@ -86,11 +86,6 @@ class Basis:
         return self.Mx * self.Ny
 
 
-def build_basis(Mx: int, Ny: int, dom: DomainSpec) -> Basis:
-    """Construct the sine-Legendre tensor basis; rejects zero mode counts."""
-    return Basis(Mx=int(Mx), Ny=int(Ny), dom=dom)
-
-
 @dataclass(frozen=True)
 class QuadGrid:
     """Tensor quadrature grid with factored per-basis tables.
@@ -333,5 +328,5 @@ def make_operators(Mx: int, Ny: int, dom: DomainSpec | None = None,
                    oversample: int = 3) -> DiscreteOperators:
     """One-call helper: basis + grid + operators."""
     dom = dom or DomainSpec()
-    return build_operators(quadrature_grid(build_basis(Mx, Ny, dom), oversample))
+    return build_operators(quadrature_grid(Basis(Mx, Ny, dom), oversample))
 

@@ -19,7 +19,7 @@ D_k the change of the end state at iteration k and L = D_k/D_{k-1} its
 measured contraction, a step stops once D_k <= fp_tol, once the
 a-posteriori bound L/(1 - L) D_k is, with L <= 0.5, or once D_k stops
 shrinking at its roundoff floor (STALL eps ||(u_m, v_m)||); it fails
-after fp_maxiter iterations.
+after fp_maxiter iterations, or at once when its iterate is not finite.
 
 On the purely linear conservative subsystem the scheme conserves the
 discrete quadratic energy exactly (up to roundoff); with nonlinearities
@@ -38,16 +38,15 @@ of buffered steps in at most 2 ROW_BLOCK_BYTES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import energy as energy_mod
 from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
                              block_vecmat)
-from .model import (PlateConfig, SourceCertificate, State, certify_source, damping_gain,
-                    ROW_BLOCK_BYTES, damping_gains, force_load, horner, in_row_blocks,
-                    solve_stationary)
+from .model import (PlateConfig, SourceCertificate, State, certify_source, ROW_BLOCK_BYTES,
+                    damping_gains, force_load, horner, in_row_blocks, solve_stationary)
 
 
 class IntegratorError(RuntimeError):
@@ -110,12 +109,12 @@ class SolverCache:
         self.K_lin = ops.k_blocks - cfg.alpha * gx[:, :, None] * np.eye(gx.shape[1])
         mu, self.phi = block_eigh(self.K_lin, ops.m_diag)
         self.base = 2.0 / plan.dt + 0.5 * plan.dt * mu.ravel()
-        self.base0 = self.base + damping_gain(0.0, cfg)
+        self.base0 = self.base + cfg.b0
         if np.any(self.base0 <= 0.0):
             raise IntegratorError(
                 "time step too large for the negative-stiffness modes "
                 f"(min base {self.base.min():.3e}); reduce dt")
-        self.load_cfg = cfg.with_(alpha=0.0)     # alpha Gx is inside K_lin
+        self.load_cfg = replace(cfg, alpha=0.0)     # alpha Gx is inside K_lin
         self.has_nl_load = (cfg.delta != 0.0 or cfg.kappa != 0.0
                             or cfg.beta != 0.0 or not cfg.source.is_zero)
         self.gain_constant = cfg.q_eff == 0   # g(s) = b_0: no scalar iteration
@@ -130,6 +129,7 @@ class SolverCache:
 SPEED_MAXITER = 100
 SPEED_TOL = 1e-14   # relative step tolerance of the speed solve
 STALL = 1024    # roundoff floor of the fixed-point change, in eps * ||(u_m, v_m)||
+ITERATE_FAILURE = "non-finite iterate at t = {}; reduce dt"
 
 
 def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
@@ -150,7 +150,8 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
     row in one pass over the stack; the scalar update runs per row, and a
     row stops at its own tolerance, so its result has the same bits
     whatever rows share the stack.  A row with no root after SPEED_MAXITER
-    iterations, or with a non-finite r, gets NaN; nothing is raised.
+    iterations, with a non-finite r, or whose gain g overflows, gets NaN;
+    nothing is raised.
     """
     r = np.asarray(r_modal, dtype=float)
     R = r.reshape(-1, r.shape[-1])
@@ -178,7 +179,8 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
         for i, xi, s2, c in zip(live, x, nw2, curv):
             nw = math.sqrt(s2)
             gap = nw - xi
-            new = xi - gap / (-horner(slope_coeffs, xi) * c / nw - 1.0)
+            # nw = 0 at r != 0: g(xi) overflowed, and the speed is lost
+            new = xi - gap / (-horner(slope_coeffs, xi) * c / nw - 1.0) if nw else math.nan
             if not abs(new - xi) > xtol[i]:     # converged, or NaN
                 out[i] = new
                 continue
@@ -212,11 +214,14 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
     for k >= 2 and L <= 0.5; or when D_k stops shrinking at its roundoff
     floor, STALL * eps * ||(u_m, v_m)|| or less.  No other rule applies:
     a member that meets none of these by iteration fp_maxiter fails.
-    A member fails on its own (non-finite state, load overflow, speed
-    solve without a root, fixed point not converged, blow-up): its row of
-    the result is not finite, and the other rows are unaffected.  A failure
-    raises IntegratorError, unless `failures` is a dict: then each message
-    is stored under its row index.  If `iterations` is a list, it is set
+    A member fails on its own in one of three ways: a non-finite start; a
+    non-finite iterate (a change that is not finite, because its load, its
+    speed or its state left the floating-point range, or an end state that
+    overflows), a message that names t and says to reduce dt; or no
+    convergence within fp_maxiter iterations.  Its row of the result is
+    not finite, and the other rows are unaffected.  A failure raises
+    IntegratorError, unless `failures` is a dict: then each message is
+    stored under its row index.  If `iterations` is a list, it is set
     to each row's number of fixed-point iterations (0 for a row that never
     iterated, fp_maxiter for one that did not converge).
     """
@@ -246,8 +251,10 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
         w = r_modal / denom
         v_new = block_matvec(cache.phi, w)
         u_new = u0 + h * v_new
-        if load is None:    # linear load: the first iterate is exact (NaN where rho is)
-            change = (0.0 * rho).tolist()
+        if load is None:
+            # linear load: the first iterate is exact, so its change is 0, or
+            # NaN where the speed is (an infinite speed leaves it finite)
+            change = np.minimum(rho, 0.0).tolist()
         else:
             change = (2.0 * np.sqrt(np.maximum(
                 ops.state_norm_sq(u_new - u_m, v_new - v_m), 0.0))).tolist()
@@ -263,22 +270,19 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
                 ops.state_norm_sq(u_m[stalled], v_m[stalled]))
             for i, f in zip(stalled, floor.tolist()):
                 done[i] = change[i] <= f < math.inf     # no floor from an overflow
-        # a non-finite start, an overflowed load or a NaN speed makes the
-        # change non-finite; such a row fails, and settles as NaN
+        # a non-finite start, load, speed or state makes the change
+        # non-finite; such a row fails, and settles as NaN
         if not math.isfinite(sum(change)):
-            load_ok = [True] * len(rows) if load is None else np.isfinite(load).all(axis=1)
             start_ok = ([True] * len(rows) if it > 1 else
                         (np.isfinite(U0).all(axis=1) & np.isfinite(V0).all(axis=1)).tolist())
-            for i, (fin, ok, speed) in enumerate(zip(start_ok, load_ok, rho.tolist())):
-                if not fin:
+            for i, (c, fin) in enumerate(zip(change, start_ok)):
+                if math.isfinite(c):
+                    continue
+                if fin:
+                    errors[rows[i]] = ITERATE_FAILURE.format(state.t)
+                else:
                     errors[rows[i]] = f"non-finite state at t = {state.t}"
                     unstarted.append(rows[i])
-                elif not ok or math.isnan(speed):
-                    errors[rows[i]] = (
-                        f"speed solve did not converge in {SPEED_MAXITER} iterations" if ok
-                        else f"load evaluation overflowed at t = {state.t}")
-                else:
-                    continue
                 u_m[i] = v_m[i] = np.nan
                 done[i] = True
         if any(done):
@@ -316,7 +320,7 @@ def step(state: State, cache: SolverCache, failures: dict | None = None,
         finite = (np.isfinite(U1).all(axis=1) & np.isfinite(V1).all(axis=1)).tolist()
         for j in range(S):
             if not finite[j]:
-                errors.setdefault(j, f"state blew up during the step at t = {state.t}")
+                errors.setdefault(j, ITERATE_FAILURE.format(state.t))
     if errors:
         if failures is None:
             raise IntegratorError(errors[min(errors)])
@@ -440,7 +444,6 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     times[0] = state.t
     us[:, 0], vs[:, 0] = state.u, state.v
     damp[:, 0] = flux[:, 0] = 0.0
-    last = integrands(state.u, state.v)     # at the step before the buffer
     totals = (damp[:, 0], flux[:, 0])
 
     def flush(k, b):
@@ -464,6 +467,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     b = 0                                   # steps in the buffer
     # an overflow or a NaN row is a member's failure, reported by its message
     with np.errstate(over="ignore", invalid="ignore"):
+        last = integrands(state.u, state.v)     # at the step before the buffer
         for k in range(1, n_steps + 1):
             failed = {}
             state = step(state, cache, failed, its)

@@ -17,7 +17,7 @@ absorbs it) and then tested against the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -153,9 +153,6 @@ class PlateConfig:
             out.append("damping coefficients are all zero (b_0 + b_q must not vanish)")
         return out
 
-    def with_(self, **kw) -> "PlateConfig":
-        return replace(self, **kw)
-
 
 @dataclass
 class State:
@@ -178,15 +175,9 @@ class State:
 # damping
 # ---------------------------------------------------------------------------
 
-def damping_gain(s: float, cfg: PlateConfig) -> float:
-    """g(s) = sum_j b_j s^j for s >= 0; nondecreasing, g(0) = b_0."""
-    if s < 0:
-        raise ModelError(f"damping gain argument must be >= 0, got {s}")
-    return horner(cfg.damping_coeffs, s)
-
-
-def damping_gains(speeds: np.ndarray, cfg: PlateConfig) -> np.ndarray:
-    """g at each of an array of speeds >= 0, with damping_gain's bits."""
+def damping_gains(speeds, cfg: PlateConfig):
+    """g(s) = sum_j b_j s^j at a speed s >= 0 or at each of an array of them;
+    nondecreasing, g(0) = b_0."""
     return horner(cfg.damping_coeffs, speeds)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 
 def fmt_float(x: float) -> str:
     """17-significant-digit, locale-independent float rendering."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     xf = float(x)
     if math.isnan(xf):
         return "nan"
@@ -102,44 +99,30 @@ def config_hash_of_text(text: str) -> str:
 # manifest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    config_path: str
-    config_hash: str
-    subcommand: str
-    out_dir: str
-    seed: int
-    versions: dict
-    certificates: dict
-
-    @staticmethod
-    def create(config_path: str, config_text: str, subcommand: str,
-               out_dir: str, seed: int, certificates: dict | None = None) -> "RunManifest":
-        import platelab
-        import scipy
-        versions = {
+def write_manifest(out_dir: Path, config_path: str, config_text: str, subcommand: str,
+                   seed: int, certificates: dict) -> str:
+    """Write out_dir/manifest.json (config path and hash, subcommand, seed,
+    package versions, certificates), log it to run.log and return the
+    config hash."""
+    import platelab
+    import scipy
+    config_hash = config_hash_of_text(config_text)
+    write_json(Path(out_dir) / "manifest.json", {
+        "config_path": str(config_path),
+        "config_hash": config_hash,
+        "subcommand": subcommand,
+        "out_dir": str(out_dir),
+        "seed": seed,
+        "versions": {
             "platelab": getattr(platelab, "__version__", "0.1.0"),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
-        }
-        return RunManifest(config_path=str(config_path),
-                           config_hash=config_hash_of_text(config_text),
-                           subcommand=subcommand, out_dir=str(out_dir),
-                           seed=seed, versions=versions,
-                           certificates=certificates or {})
-
-    def write(self, out_dir: Path) -> None:
-        write_json(Path(out_dir) / "manifest.json", {
-            "config_path": self.config_path,
-            "config_hash": self.config_hash,
-            "subcommand": self.subcommand,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "versions": self.versions,
-            "certificates": self.certificates,
-        })
-        append_run_log(out_dir, f"{self.subcommand} config_hash={self.config_hash}")
+        },
+        "certificates": certificates,
+    })
+    append_run_log(out_dir, f"{subcommand} config_hash={config_hash}")
+    return config_hash
 
 
 def append_run_log(out_dir: Path, line: str) -> None:

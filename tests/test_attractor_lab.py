@@ -98,8 +98,8 @@ class TestSweep:
 
     def test_failed_member_is_a_blowup(self, dom):
         # undamped flutter: the radius-150 member's fixed point diverges
-        # until its load overflows in the first step; the radius-0.5 member
-        # keeps the bits it has alone
+        # until its iterate overflows in the first step; the radius-0.5
+        # member keeps the bits it has alone
         from platelab.discretization import make_operators
 
         ops = make_operators(3, 2, dom)
@@ -110,7 +110,7 @@ class TestSweep:
         assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
         assert rep.tail_sups[0] == alone.tail_sups[0]
         ((message, t_last),) = rep.failures         # the evidence, parallel to blowups
-        assert message == "load evaluation overflowed at t = 0.0" and t_last == 0.0
+        assert message == "non-finite iterate at t = 0.0; reduce dt" and t_last == 0.0
         assert math.isnan(rep.entry_times[1][0]) and math.isnan(rep.sup_accel_l2[1][0])
         assert rep.regularity[1][0] == "FAIL"
 
@@ -457,6 +457,31 @@ class TestRegularity:
                 sup = max(sup, ops12.bending_norm_sq(traj.vs[i]))
             halves.append(sup)
         assert halves[1] <= halves[0]
+
+    @staticmethod
+    def flutter_run(ops, damping, amplitude):
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=damping)
+        traj = run(ops, cfg, SimPlan(dt=1e-2, T=10.0, snapshot_every=2),
+                   ("mode", 1, 0, amplitude))
+        return traj, regularity_probe(traj, ops, cfg)
+
+    def test_growing_member_is_not_stable(self, ops12):
+        # anti-damped flutter: the state norm grows from 0.089 to 0.230, and
+        # the last quarter's sups (0.250, 0.270) exceed 1.2 times those of
+        # the quarter before (0.148, 0.157)
+        traj, rep = self.flutter_run(ops12, (-0.2, 0.0), 0.05)
+        assert rep.verdict == "NOT_STABLE"
+        half = traj.times >= 0.5 * traj.times[-1]
+        assert rep.sup_velocity_bending == float(np.max(ops12.bending_norm_sq(traj.vs[half])))
+
+    def test_decaying_member_passes(self, ops12):
+        # damped flutter: the state norm decays from 1.77 to 0.052, and the
+        # last quarter's sups (0.037, 0.038) sit below those of the quarter
+        # before (0.158, 0.137), which stay the reported sups
+        _, rep = self.flutter_run(ops12, (0.5, 0.0, 1.0), 1.0)
+        assert rep.verdict == "PASS"
+        assert rep.sup_velocity_bending == pytest.approx(0.158, abs=5e-4)
+        assert rep.sup_accel_l2 == pytest.approx(0.137, abs=5e-4)
 
     def test_stride_invariance_on_sustained_motion(self, ops12):
         # stride stability needs an orbit that keeps moving; a decaying

@@ -9,21 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from kron_reference import (basis_table, dense_operators, embedding_constant, evaluate,
                             nodal_derivative)
-from platelab.discretization import (DiscretizationError, DomainSpec, build_basis,
-                                     build_operators, make_operators, quadrature_grid)
+from platelab.discretization import (Basis, DiscretizationError, DomainSpec, build_operators,
+                                     make_operators, quadrature_grid)
 from platelab.integrator import SimPlan, SolverCache, run, step
 from platelab.model import PlateConfig, SourceSpec, State
 
 
 class TestBasis:
     def test_single_mode_is_sin_x(self, dom):
-        basis = build_basis(1, 1, dom)
+        basis = Basis(1, 1, dom)
         x = np.linspace(0, np.pi, 7)
         vals = evaluate(basis, [1.0], x, np.zeros_like(x))
         assert np.allclose(vals, np.sin(x), atol=1e-14)
 
     def test_members_vanish_on_short_edges(self, dom):
-        basis = build_basis(2, 1, dom)
+        basis = Basis(2, 1, dom)
         ys = np.linspace(-dom.l, dom.l, 5)
         for coeffs in np.eye(basis.n):
             for xe in (0.0, np.pi):
@@ -32,7 +32,7 @@ class TestBasis:
     def test_twelve_functions_independent(self):
         # Gram determinant of the mass matrix stays positive
         dom = DomainSpec(l=0.5, sigma=0.3)
-        basis = build_basis(3, 4, dom)
+        basis = Basis(3, 4, dom)
         assert basis.n == 12
         grid = quadrature_grid(basis)
         M = dense_operators(grid, dom.sigma)["M"]
@@ -41,9 +41,9 @@ class TestBasis:
 
     def test_zero_counts_rejected(self, dom):
         with pytest.raises(DiscretizationError):
-            build_basis(0, 1, dom)
+            Basis(0, 1, dom)
         with pytest.raises(DiscretizationError):
-            build_basis(1, 0, dom)
+            Basis(1, 0, dom)
 
     def test_domain_validation(self):
         with pytest.raises(DiscretizationError):
@@ -56,7 +56,7 @@ class TestQuadrature:
     def test_weight_sum_is_area(self):
         for l in (1.0, 0.5, 2.5):
             dom = DomainSpec(l=l)
-            grid = quadrature_grid(build_basis(3, 3, dom))
+            grid = quadrature_grid(Basis(3, 3, dom))
             assert abs(grid.weight_sum - 2 * np.pi * l) < 1e-12 * 2 * np.pi * l
 
     def test_sin_squared_integral(self, ops3, dom):
@@ -68,14 +68,14 @@ class TestQuadrature:
 
     def test_legendre_one_integral(self, dom):
         # int_Omega L_1(y/l)^2 sin^2 x = (pi/2) * (2 l / 3)
-        basis = build_basis(1, 2, dom)
+        basis = Basis(1, 2, dom)
         grid = quadrature_grid(basis)
         e = np.array([0.0, 1.0])
         val = grid.integrate(grid.eval_coeffs(e) ** 2)
         assert abs(val - (np.pi / 2) * (2 * dom.l / 3)) < 1e-12
 
     def test_oversample_precondition(self, dom):
-        basis = build_basis(2, 2, dom)
+        basis = Basis(2, 2, dom)
         with pytest.raises(DiscretizationError):
             quadrature_grid(basis, oversample=1)
 
@@ -252,7 +252,7 @@ class TestBlockForm:
                     assert not (isinstance(a, np.ndarray) and a.shape == (ops.n, ops.n)), name
 
     def test_nonpositive_mass_entry_named(self, dom):
-        grid = quadrature_grid(build_basis(2, 2, dom))
+        grid = quadrature_grid(Basis(2, 2, dom))
         bad = dataclasses.replace(grid, y_weights=-grid.y_weights)
         with pytest.raises(DiscretizationError, match="mass entry"):
             build_operators(bad)
@@ -260,7 +260,7 @@ class TestBlockForm:
     def test_nonpositive_block_eigenvalue_named(self, dom):
         # without x-derivatives the stiffness form sees only u_yy, which
         # vanishes on the Legendre degrees 0 and 1
-        grid = quadrature_grid(build_basis(2, 3, dom))
+        grid = quadrature_grid(Basis(2, 3, dom))
         bad = dataclasses.replace(grid, dsx=0.0 * grid.dsx, d2sx=0.0 * grid.d2sx)
         with pytest.raises(DiscretizationError, match="stiffness block m = 1"):
             build_operators(bad)

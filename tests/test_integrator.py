@@ -12,7 +12,7 @@ from platelab.discretization import bilinear_form, make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import PlateConfig, SourceSpec, damping_gain, damping_gains, force_load
+from platelab.model import PlateConfig, SourceSpec, damping_gains, force_load
 
 
 def cfg_with(**kw):
@@ -131,8 +131,9 @@ class TestStep:
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
         st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
-        with pytest.raises(IntegratorError, match="overflowed"), np.errstate(all="ignore"):
+        with pytest.raises(IntegratorError) as info, np.errstate(all="ignore"):
             step(st, SolverCache(ops, cfg, SimPlan(dt=0.5, T=10.0)))
+        assert str(info.value) == "non-finite iterate at t = 0.0; reduce dt"
 
 
 class TestStopRule:
@@ -166,7 +167,7 @@ class TestStopRule:
         # a strong cubic at a large step: from the 10.0 mode the change grows
         # from iteration 1 to 2 (L > 1), where a bare L/(1 - L) D_2 is
         # negative; that member must not be accepted but diverge until its
-        # load overflows, while its batch-mate converges
+        # iterate overflows, while its batch-mate converges
         ops = make_operators(2, 1, dom)
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
@@ -183,7 +184,7 @@ class TestStopRule:
         with np.errstate(all="ignore"):
             out = step(State(np.array([grows.u, small.u]), np.array([grows.v, small.v])),
                        cache, failures=failures, iterations=its)
-        assert failures == {0: "load evaluation overflowed at t = 0.0"}
+        assert failures == {0: "non-finite iterate at t = 0.0; reduce dt"}
         assert 2 < its[0] < plan.fp_maxiter and 2 <= its[1] < plan.fp_maxiter
         assert np.array_equal(out.u[1], step(small, cache).u)
 
@@ -214,7 +215,7 @@ class TestSpeedSolve:
         r = 50.0 * r
         rho = solve_midpoint_speed(r, cache)
         recomputed = float(np.linalg.norm(
-            r / (cache.base + damping_gain(rho, cfg))))
+            r / (cache.base + damping_gains(rho, cfg))))
         assert rho == pytest.approx(recomputed, rel=1e-12)
         undamped_norm = float(np.linalg.norm(r / (cache.base + 0.5)))
         assert rho < undamped_norm  # overdamping shrinks the speed
@@ -230,7 +231,7 @@ class TestSpeedSolve:
         stacked = solve_midpoint_speed(R, cache, guess=guess)
         for r, g, rho in zip(R, guess, stacked):
             assert solve_midpoint_speed(r, cache, guess=g) == rho
-            recomputed = float(np.linalg.norm(r / (cache.base + damping_gain(rho, cfg))))
+            recomputed = float(np.linalg.norm(r / (cache.base + damping_gains(rho, cfg))))
             assert rho == pytest.approx(recomputed, rel=1e-12, abs=0.0)
         assert stacked[3] == 0.0
 
@@ -406,33 +407,55 @@ class TestEnsemble:
         (dict(delta=1.0), 1e120),
     ], ids=["cubic-source", "berger-term"])
     def test_overflow_ends_only_its_member(self, dom, physics, amplitude):
-        # the large member overflows the load in the first step, through the
-        # strong cubic source or through the Berger term alone; the small
-        # member keeps the bits it has alone
+        # the large member's iterate overflows in the first step, through
+        # the strong cubic source or through the Berger term alone; the
+        # small member keeps the bits it has alone
         ops = make_operators(2, 1, dom)
         cfg = cfg_with(damping_coeffs=(1.0, 0.0), **physics)
         plan = SimPlan(dt=0.5, T=10.0)
         with np.errstate(all="ignore"):
             out = run_ensemble(ops, cfg, plan, [("mode", 1, 0, amplitude), ("mode", 1, 0, 0.1)])
-            with pytest.raises(IntegratorError, match="overflowed"):
+            with pytest.raises(IntegratorError) as info:
                 run(ops, cfg, plan, ("mode", 1, 0, amplitude))
+        assert str(info.value) == "non-finite iterate at t = 0.0; reduce dt"
         err = out[0]
         assert isinstance(err, IntegratorError)
-        assert str(err).startswith("load evaluation overflowed at t = 0.0")
+        assert str(err) == "non-finite iterate at t = 0.0; reduce dt"
         assert len(err.partial) == 1 and err.partial.times[0] == 0.0
         assert_same_bits(out[1], run(ops, cfg, plan, ("mode", 1, 0, 0.1)))
 
     def test_speed_solve_miss_ends_only_its_member(self, ops12, monkeypatch):
-        # one Newton iteration cannot close the speed of the moving member;
-        # the member at rest (a fixed point, as the source has no load)
-        # needs no speed solve and keeps the bits it has alone
+        # one Newton iteration cannot close the speed of the moving member,
+        # whose NaN speed makes its iterate non-finite; the member at rest
+        # (a fixed point, as the source has no load) needs no speed solve
+        # and keeps the bits it has alone
         monkeypatch.setattr(integrator, "SPEED_MAXITER", 1)
         cfg = cfg_with(**dict(GENERAL, source=SourceSpec(kind="cubic_minus_load", load=0.0)))
         plan = SimPlan(dt=1e-2, T=0.05)
         out = run_ensemble(ops12, cfg, plan, [("mode", 1, 0, 0.0), ("random", 1.0)])
         assert_same_bits(out[0], run(ops12, cfg, plan, ("mode", 1, 0, 0.0)))
         assert isinstance(out[1], IntegratorError)
-        assert str(out[1]) == "speed solve did not converge in 1 iterations"
+        assert str(out[1]) == "non-finite iterate at t = 0.0; reduce dt"
+
+    @pytest.mark.parametrize("cfg, dt, radii", [
+        # chaotic physics at dt 0.2: each fixed point diverges in step 1
+        # until the norm of the modal right-hand side, the top of the speed
+        # solve's bracket, overflows
+        (presets.make("chaotic")[0], 0.2, (30.0, 100.0, 300.0)),
+        # a linear plate with cubic damping: the start speed overflows, and
+        # the damping gain at it
+        (PlateConfig(damping_coeffs=(0.5, 0.0, 1.0)), 0.01, (1e155, 1e200)),
+    ], ids=["rhs-norm", "gain"])
+    def test_overflowed_speed_is_a_non_finite_iterate(self, ops12, cfg, dt, radii):
+        # the iterate has left the floating-point range: one message, not a
+        # miss of the speed solve; the radius-1 member keeps its solo bits
+        plan = SimPlan(dt=dt, T=10 * dt, seed=17)
+        *out, small = run_ensemble(ops12, cfg, plan, [("random", r) for r in (*radii, 1.0)])
+        for err in out:
+            assert isinstance(err, IntegratorError)
+            assert str(err) == "non-finite iterate at t = 0.0; reduce dt"
+            assert len(err.partial) == 1 and err.partial.times[0] == 0.0
+        assert_same_bits(small, run(ops12, cfg, plan, ("random", 1.0)))
 
     def test_step_records_member_failures(self, ops12):
         cfg = cfg_with(**GENERAL)
