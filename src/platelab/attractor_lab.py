@@ -136,8 +136,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     for (i, j), res in zip(members, run_ensemble(ops, cfg, plan, starts, cert)):
         if isinstance(res, IntegratorError):
             blowups.append((i, j))
-            failures.append((str(res), None if res.partial is None
-                             else float(res.partial.times[-1])))
+            failures.append((str(res), float(res.partial.times[-1]) if res.partial else None))
             continue
         norms = _state_norms(res, ops)
         sups[i][j] = _tail_sup(norms, res.times, plan.tail_fraction)

@@ -352,17 +352,18 @@ def cmd_selftest(_args) -> int:
     cache = SolverCache(ops1, cfg1, plan1)
     omega2 = ops1.k_blocks[0, 0, 0] / ops1.m_diag[0]
     a = omega2 * plan1.dt ** 2 / 4.0
-    st = State(np.array([1.0]), np.array([0.0]))
+    st = State(np.array([[1.0]]), np.array([[0.0]]))
     u, v = 1.0, 0.0
     drift = 0.0
     ok_map = True
     E0 = 0.5 * (omega2 * u * u + v * v)
     for _ in range(200):
-        st = step(st, cache)
+        st, failed, _ = step(st, cache)
         u, v = ((1 - a) * u + plan1.dt * v) / (1 + a), \
                ((1 - a) * v - omega2 * plan1.dt * u) / (1 + a)
-        drift = max(drift, abs(0.5 * (omega2 * st.u[0] ** 2 + st.v[0] ** 2) - E0))
-        ok_map = ok_map and abs(st.u[0] - u) < 1e-11 and abs(st.v[0] - v) < 1e-11
+        (su,), (sv,) = st.u[0], st.v[0]
+        drift = max(drift, abs(0.5 * (omega2 * su ** 2 + sv ** 2) - E0))
+        ok_map = ok_map and not failed and abs(su - u) < 1e-11 and abs(sv - v) < 1e-11
     check("midpoint matches the exact 1-DOF rotation map", ok_map)
     check("1-DOF energy drift <= 1e-12", drift <= 1e-12 * max(1.0, E0))
 

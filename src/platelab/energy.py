@@ -29,7 +29,7 @@ from .model import PlateConfig, SourceCertificate, nodal_load
 
 
 class EnergyError(ValueError):
-    pass
+    row = None      # the first failing row of a checked stack, where one is known
 
 
 LEDGER_COLUMNS = ("t", "kinetic", "bending", "Pi", "Pi0", "Pi1", "E", "Etot",
@@ -86,23 +86,28 @@ def split_potential(u, ops: DiscreteOperators, cfg: PlateConfig,
     """(Pi0, Pi1) with Pi0 + Pi1 = Pi exactly and Pi0 >= 0 asserted.
 
     Takes one state or a snapshot stack, like `potential_energy`.
-    Raises EnergyError when Pi0 comes out negative beyond roundoff,
-    which signals that the certified (c, b) are insufficient and need
-    refitting with larger constants.
+    Raises EnergyError when Pi0 comes out negative beyond roundoff: the
+    certified (c, b) need refitting with larger constants, or, with delta
+    = 0 < alpha, ||u_x||^2 exceeds alpha/2.
     """
     return split_from_potential(potential_energy(u, ops, cfg), ops.l2_norm_sq(u), cfg, cert)
 
 
 def split_from_potential(pi, u_sq, cfg: PlateConfig, cert: SourceCertificate):
     """`split_potential` for Pi and ||u||_0^2 already evaluated at u; checks
-    every row."""
+    every row, and an EnergyError's `row` is the first that fails."""
     pad = potential_split_pad(cfg)
     pi1 = -cert.c * u_sq - (cert.b * cfg.dom.area + pad)
     pi0 = pi - pi1
-    if np.any(pi0 < -1e-9 * (1.0 + np.abs(pi))):
-        raise EnergyError(
-            f"Pi0 = {np.min(pi0):.6g} < 0: certified (c, b) = ({cert.c}, {cert.b}) "
-            "are insufficient; refit the source certificate with larger constants")
+    bad = np.flatnonzero(pi0 < -1e-9 * (1.0 + np.abs(pi)))
+    if bad.size:
+        exc = EnergyError(f"Pi0 = {np.min(pi0):.6g} < 0: " + (
+            "with delta = 0 the pad alpha^2/4 bounds -alpha/2 ||u_x||^2 only while "
+            "||u_x||^2 <= alpha/2; take delta > 0" if cfg.delta == 0.0 and cfg.alpha > 0.0 else
+            f"certified (c, b) = ({cert.c}, {cert.b}) are insufficient; refit the "
+            "source certificate with larger constants"))
+        exc.row = int(bad[0])
+        raise exc
     return pi0, pi1
 
 

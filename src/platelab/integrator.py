@@ -11,28 +11,30 @@ solved exactly through the generalized eigendecomposition of
 (K - alpha Gx, M), factorised block by block (per sine index) once per
 SolverCache, which also holds the operators, config and plan that every
 step reads; the modal transforms are batched block products, and in
-modal coordinates every solve is diagonal.  The
-nonlocal damping is closed implicitly by a scalar root solve for
-rho = ||v_m||_0, and the remaining nonlinear loads (stretching, stays,
-source, flow term) are handled by an outer fixed-point iteration.  With
-D_k the change of the end state at iteration k and L = D_k/D_{k-1} its
-measured contraction, a step stops once D_k <= fp_tol, once the
-a-posteriori bound L/(1 - L) D_k is, with L <= 0.5, or once D_k stops
-shrinking at its roundoff floor (STALL eps ||(u_m, v_m)||); it fails
-after fp_maxiter iterations, or at once when its iterate is not finite.
+modal coordinates every solve is diagonal.  The nonlocal damping is
+closed implicitly by a scalar root solve for rho = ||v_m||_0 (none for
+a constant gain).  A linear load settles in one midpoint solve; the
+nonlinear loads (stretching, stays, source, flow term) take an outer
+fixed-point iteration.  With D_k the change of the end state at
+iteration k and L = D_k/D_{k-1} its measured contraction, a step stops
+once D_k <= fp_tol, once the a-posteriori bound L/(1 - L) D_k is, with
+L <= 0.5, or once D_k stops shrinking at its roundoff floor (STALL eps
+||(u_m, v_m)||); it fails after fp_maxiter iterations, or at once when
+its iterate is not finite.
 
 On the purely linear conservative subsystem the scheme conserves the
 discrete quadratic energy exactly (up to roundoff); with nonlinearities
 the energy-identity defect is O(dt^2) per unit time.
 
-`step` also advances a member stack (S, n) row by row, each row with the
-bits it has alone and each failure the outcome of one row; `run_ensemble`
-drives S members that way with one `step` call per time step, and `run`
-is its one-member case.  A member ends with its Trajectory or with the
-IntegratorError that stopped it, which carries the snapshots recorded
-before the failure; this module writes no files.  The ledger's damping
-and flux integrals are the per-step trapezoid rule, evaluated per block
-of buffered steps in at most 2 ROW_BLOCK_BYTES.
+`step` advances a member stack (S, n) row by row, each row with the bits
+it has alone, and returns each row's outcome: its failure, if any, and
+its fixed-point iterations.  `run_ensemble` drives S members with one
+`step` call per time step, and `run` is its one-member case.  A member
+ends with its Trajectory or with the IntegratorError that stopped it (a
+failed step, or a ledger that cannot be built), which carries the
+snapshots recorded before the failure; this module writes no files.
+The ledger's damping and flux integrals are the per-step trapezoid rule,
+evaluated per block of buffered steps in at most 2 ROW_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -129,42 +131,34 @@ class SolverCache:
 SPEED_MAXITER = 100
 SPEED_TOL = 1e-14   # relative step tolerance of the speed solve
 STALL = 1024    # roundoff floor of the fixed-point change, in eps * ||(u_m, v_m)||
-ITERATE_FAILURE = "non-finite iterate at t = {}; reduce dt"
 
 
-def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
-    """Root of rho = ||v_m(rho)||_0 closing the implicit nonlocal damping.
+def solve_midpoint_speed(R: np.ndarray, cache: SolverCache, guess=None) -> np.ndarray:
+    """Root of rho = ||v_m(rho)||_0 closing the implicit nonlocal damping,
+    one per row of the modal right-hand sides R (S, n).
 
     v_m(rho)_i = r_i / (base_i + g(rho)) in modal coordinates.  The gap
     ||v_m(rho)|| - rho is strictly decreasing for nonnegative damping
     coefficients, with derivative -g'(rho) sum_i r_i^2/(base_i + g)^3 /
     ||v_m|| - 1, so the root is unique and lies in [0, rho0], rho0 =
-    ||v_m(0)||.  Newton's method runs from `guess` (default rho0),
-    bisecting the bracket whenever a step leaves it, until a step is at
-    most SPEED_TOL (1 + rho0).  Linear damping (g constant) short-circuits
-    to the closed form.
+    ||v_m(0)||.  Newton's method runs from `guess` (one per row, default
+    rho0), bisecting the bracket whenever a step leaves it, until a step is
+    at most SPEED_TOL (1 + rho0).
 
-    r_modal is one vector (n,), giving a float, or a member stack (S, n),
-    giving one speed per row (guess then holds one per row).  Each Newton
-    iteration evaluates the gap and its derivative for every unfinished
-    row in one pass over the stack; the scalar update runs per row, and a
-    row stops at its own tolerance, so its result has the same bits
-    whatever rows share the stack.  A row with no root after SPEED_MAXITER
-    iterations, with a non-finite r, or whose gain g overflows, gets NaN;
-    nothing is raised.
+    Each Newton iteration evaluates the gap and its derivative for every
+    unfinished row in one pass over the stack; the scalar update runs per
+    row, and a row stops at its own tolerance, so its result has the same
+    bits whatever rows share the stack.  A row with no root after
+    SPEED_MAXITER iterations, with a non-finite r, or whose gain g
+    overflows, gets NaN; nothing is raised.
     """
-    r = np.asarray(r_modal, dtype=float)
-    R = r.reshape(-1, r.shape[-1])
     w = R / cache.base0
-    rho0 = np.sqrt(np.vecdot(w, w))
-    if cache.gain_constant:
-        return rho0 if r.ndim > 1 else float(rho0[0])
-    out = rho0.tolist()                 # rho0 = 0 (or NaN) is its own answer
+    out = np.sqrt(np.vecdot(w, w)).tolist()     # rho0 = 0 (or NaN) is its own answer
     xtol = [SPEED_TOL * (1.0 + h) for h in out]
     hi = list(out)
     lo = [0.0] * len(hi)
     rho = list(hi) if guess is None else [min(h, g) for g, h in      # NaN: rho0
-                                           zip(np.ravel(guess).tolist(), hi)]
+                                           zip(guess.tolist(), hi)]
     live = [i for i, h in enumerate(hi) if h > 0.0]
     coeffs, slope_coeffs, base = cache.cfg.damping_coeffs, cache.slope_coeffs, cache.base
     for _ in range(SPEED_MAXITER):
@@ -195,139 +189,124 @@ def solve_midpoint_speed(r_modal: np.ndarray, cache: SolverCache, guess=None):
         live = unfinished
     for i in live:                      # no root in SPEED_MAXITER iterations
         out[i] = math.nan
-    return np.array(out) if r.ndim > 1 else out[0]
+    return np.array(out)
 
 
-def step(state: State, cache: SolverCache, failures: dict | None = None,
-         iterations: list | None = None) -> State:
-    """One implicit-midpoint step of one state (n,) or of a member stack (S, n)
-    of the system of `cache`: its operators, config, dt and fixed-point stop.
-
-    Every member runs its own fixed-point iteration and convergence test; a
-    converged member is written into the result and frozen while the
-    others iterate, so each row has the same bits whatever rows share the
-    stack.  Let D_k be the change of a member's end state between
-    iterations k - 1 and k, in the phase-space norm, and L = D_k / D_{k-1}
-    its measured contraction.  The member converges at iteration k when
-    D_k is at most fp_tol; when the a-posteriori (Banach) bound
-    L/(1 - L) D_k on its distance to the fixed point is, a test used only
-    for k >= 2 and L <= 0.5; or when D_k stops shrinking at its roundoff
-    floor, STALL * eps * ||(u_m, v_m)|| or less.  No other rule applies:
-    a member that meets none of these by iteration fp_maxiter fails.
-    A member fails on its own in one of three ways: a non-finite start; a
-    non-finite iterate (a change that is not finite, because its load, its
-    speed or its state left the floating-point range, or an end state that
-    overflows), a message that names t and says to reduce dt; or no
-    convergence within fp_maxiter iterations.  Its row of the result is
-    not finite, and the other rows are unaffected.  A failure raises
-    IntegratorError, unless `failures` is a dict: then each message is
-    stored under its row index.  If `iterations` is a list, it is set
-    to each row's number of fixed-point iterations (0 for a row that never
-    iterated, fp_maxiter for one that did not converge).
-    """
-    ops, cfg, plan = cache.ops, cache.cfg, cache.plan
-    dt, h = plan.dt, 0.5 * plan.dt
-    n = state.u.shape[-1]
-    U0, V0 = state.u.reshape(-1, n), state.v.reshape(-1, n)
-    S = len(U0)
-    its = [0] * S
-    errors = {}
-    rows = list(range(S))           # members still iterating
-    mid = None      # (u_m, v_m) per row, once rows settle at different iterations
-    unstarted = []  # rows whose start is not finite
-    u0 = U0
-    base_rhs = (2.0 / dt) * (ops.m_diag * V0) - block_matvec(cache.K_lin, U0)
-    u_m = U0 + h * V0
-    v_m = V0
-    # Newton's warm start: the speed at the start of the step
-    rho = None if cache.gain_constant else np.sqrt(np.maximum(ops.l2_norm_sq(V0), 0.0))
-    last = [math.inf] * S
-    for it in range(1, plan.fp_maxiter + 1):
-        load = cache.residual_load(u_m) if cache.has_nl_load else None
-        r_modal = block_vecmat(base_rhs if load is None else base_rhs + load, cache.phi)
+def _midpoint(rhs: np.ndarray, u0: np.ndarray, rho: np.ndarray, cache: SolverCache):
+    """(u_m, v_m, rho): the midpoints of the rows of nodal right-hand sides
+    rhs (S, n) from start displacements u0, with the damping gain g(rho) at
+    their speeds rho, which go in as the speed solve's warm start and come
+    out as its roots; a constant gain g = b_0 needs no root and keeps them."""
+    r_modal = block_vecmat(rhs, cache.phi)
+    if cache.gain_constant:
+        w = r_modal / cache.base0
+    else:
         rho = solve_midpoint_speed(r_modal, cache, guess=rho)
-        denom = (cache.base0 if cache.gain_constant
-                 else cache.base + damping_gains(rho, cfg)[:, None])
-        w = r_modal / denom
-        v_new = block_matvec(cache.phi, w)
-        u_new = u0 + h * v_new
-        if load is None:
-            # linear load: the first iterate is exact, so its change is 0, or
-            # NaN where the speed is (an infinite speed leaves it finite)
-            change = np.minimum(rho, 0.0).tolist()
-        else:
+        w = r_modal / (cache.base + damping_gains(rho, cache.cfg)[:, None])
+    v_m = block_matvec(cache.phi, w)
+    return u0 + 0.5 * cache.plan.dt * v_m, v_m, rho
+
+
+def step(state: State, cache: SolverCache) -> tuple[State, dict, list]:
+    """One implicit-midpoint step of a member stack (S, n) of the system of
+    `cache`: its operators, config, dt and fixed-point stop.
+
+    Returns (State, failures, iterations): the end states, the message of
+    each failed row under its row index, and each row's number of
+    fixed-point iterations.  A linear load (no stretching, stays, source
+    or flow term) settles in one midpoint solve, as its first iterate is
+    exact.  Otherwise every row runs its own fixed-point iteration and
+    convergence test; a converged row is written into the result and
+    frozen while the others iterate, so each row has the same bits
+    whatever rows share the stack.  Let D_k be the change of a row's end
+    state between iterations k - 1 and k, in the phase-space norm, and L =
+    D_k / D_{k-1} its measured contraction.  The row converges at
+    iteration k when D_k is at most fp_tol; when the a-posteriori (Banach)
+    bound L/(1 - L) D_k on its distance to the fixed point is, a test used
+    only for k >= 2 and L <= 0.5; or when D_k stops shrinking at its
+    roundoff floor, STALL * eps * ||(u_m, v_m)|| or less.  No other rule
+    applies: a row that meets none of these by iteration fp_maxiter fails.
+
+    A row fails on its own, and nothing is raised, in one of three ways: a
+    non-finite start (0 iterations); a non-finite iterate (a change that is
+    not finite, because its load, its speed or its state left the
+    floating-point range, or an end state that overflows), a message that
+    names t and says to reduce dt; or no convergence within fp_maxiter
+    iterations.  Its row of the result is NaN, and the other rows are
+    unaffected.
+    """
+    ops, plan = cache.ops, cache.plan
+    U0, V0 = state.u, state.v
+    S, n = U0.shape
+    errors = {}
+    base_rhs = (2.0 / plan.dt) * (ops.m_diag * V0) - block_matvec(cache.K_lin, U0)
+    # Newton's warm start: the speed at the start of the step
+    rho = np.sqrt(np.maximum(ops.l2_norm_sq(V0), 0.0))
+    if not cache.has_nl_load:      # the first iterate is exact
+        UM, VM, _ = _midpoint(base_rhs, U0, rho, cache)
+        its = [1] * S
+    else:
+        its = [0] * S
+        rows = list(range(S))           # rows still iterating
+        mid = None      # (u_m, v_m) per row, once rows settle at different iterations
+        u0, u_m, v_m = U0, U0 + 0.5 * plan.dt * V0, V0
+        last = [math.inf] * S
+        for it in range(1, plan.fp_maxiter + 1):
+            u_new, v_new, rho = _midpoint(base_rhs + cache.residual_load(u_m), u0, rho, cache)
             change = (2.0 * np.sqrt(np.maximum(
                 ops.state_norm_sq(u_new - u_m, v_new - v_m), 0.0))).tolist()
-        u_m, v_m = u_new, v_new
-        # non-finite rows fail below; at k = 1 last is inf, so L <= 0.5 cannot hold
-        done = [not c > plan.fp_tol
-                or c <= 0.5 * lc < math.inf and c * c / (lc - c) <= plan.fp_tol
-                for c, lc in zip(change, last)]
-        stalled = [i for i, (c, lc, d) in enumerate(zip(change, last, done))
-                   if not d and c >= lc]
-        if stalled:     # at its roundoff floor the change stops shrinking
-            floor = STALL * np.finfo(float).eps * np.sqrt(
-                ops.state_norm_sq(u_m[stalled], v_m[stalled]))
-            for i, f in zip(stalled, floor.tolist()):
-                done[i] = change[i] <= f < math.inf     # no floor from an overflow
-        # a non-finite start, load, speed or state makes the change
-        # non-finite; such a row fails, and settles as NaN
-        if not math.isfinite(sum(change)):
-            start_ok = ([True] * len(rows) if it > 1 else
-                        (np.isfinite(U0).all(axis=1) & np.isfinite(V0).all(axis=1)).tolist())
-            for i, (c, fin) in enumerate(zip(change, start_ok)):
-                if math.isfinite(c):
-                    continue
-                if fin:
-                    errors[rows[i]] = ITERATE_FAILURE.format(state.t)
-                else:
-                    errors[rows[i]] = f"non-finite state at t = {state.t}"
-                    unstarted.append(rows[i])
-                u_m[i] = v_m[i] = np.nan
-                done[i] = True
-        if any(done):
-            if mid is None and all(done):   # every row settles at once
-                its, rows = [it] * S, []
-                break
-            if mid is None:
-                mid = np.full((2, S, n), np.nan)
-            for i, j in enumerate(rows):
-                if done[i]:
-                    mid[0, j], mid[1, j], its[j] = u_m[i], v_m[i], it
-            rows = [j for j, d in zip(rows, done) if not d]
-            if not rows:
-                break
-            keep = [not d for d in done]
-            change = [c for c, k in zip(change, keep) if k]
-            u0, base_rhs, u_m, v_m, rho = (a[keep] for a in (u0, base_rhs, u_m, v_m, rho))
-        last = change
-    for j, c in zip(rows, last):
-        errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
-                     f"(last change {c:.3e} in the phase-space norm); reduce dt")
-        its[j] = plan.fp_maxiter
-    for j in unstarted:
-        its[j] = 0
-    if iterations is not None:
-        iterations[:] = its
-    if rows and mid is None:        # no row converged
-        mid = np.full((2, S, n), np.nan)
-    UM, VM = (u_m, v_m) if mid is None else mid
-    U1 = 2.0 * UM - U0
-    V1 = 2.0 * VM - V0
+            u_m, v_m = u_new, v_new
+            # non-finite rows fail below; at k = 1 last is inf, so L <= 0.5 cannot hold
+            done = [not c > plan.fp_tol
+                    or c <= 0.5 * lc < math.inf and c * c / (lc - c) <= plan.fp_tol
+                    for c, lc in zip(change, last)]
+            stalled = [i for i, (c, lc, d) in enumerate(zip(change, last, done))
+                       if not d and c >= lc]
+            if stalled:     # at its roundoff floor the change stops shrinking
+                floor = STALL * np.finfo(float).eps * np.sqrt(
+                    ops.state_norm_sq(u_m[stalled], v_m[stalled]))
+                for i, f in zip(stalled, floor.tolist()):
+                    done[i] = change[i] <= f < math.inf     # no floor from an overflow
+            # a non-finite start, load, speed or state makes the change
+            # non-finite; such a row settles as NaN and fails in the scan below
+            for i, c in enumerate(change):
+                if not math.isfinite(c):
+                    u_m[i] = v_m[i] = np.nan
+                    done[i] = True
+            if any(done):
+                if mid is None and all(done):   # every row settles at once
+                    its, rows = [it] * S, []
+                    break
+                if mid is None:
+                    mid = np.full((2, S, n), np.nan)
+                for i, j in enumerate(rows):
+                    if done[i]:
+                        mid[0, j], mid[1, j], its[j] = u_m[i], v_m[i], it
+                rows = [j for j, d in zip(rows, done) if not d]
+                if not rows:
+                    break
+                keep = [not d for d in done]
+                change = [c for c, k in zip(change, keep) if k]
+                u0, base_rhs, u_m, v_m, rho = (a[keep] for a in (u0, base_rhs, u_m, v_m, rho))
+            last = change
+        for j, c in zip(rows, last):
+            errors[j] = (f"fixed point did not converge in {plan.fp_maxiter} iterations "
+                         f"(last change {c:.3e} in the phase-space norm); reduce dt")
+            its[j] = plan.fp_maxiter
+        UM, VM = (u_m, v_m) if mid is None else mid
+    U1, V1 = 2.0 * UM - U0, 2.0 * VM - V0
     # a non-finite entry makes the product non-finite; an overflow of finite
-    # entries costs only the row check
+    # entries costs only the row scan
     if errors or not math.isfinite(np.vdot(U1, V1)):
-        finite = (np.isfinite(U1).all(axis=1) & np.isfinite(V1).all(axis=1)).tolist()
+        start, end = ((np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)).tolist()
+                      for u, v in ((U0, V0), (U1, V1)))
         for j in range(S):
-            if not finite[j]:
-                errors.setdefault(j, ITERATE_FAILURE.format(state.t))
-    if errors:
-        if failures is None:
-            raise IntegratorError(errors[min(errors)])
-        failures.update(errors)
-    if np.ndim(state.u) == 1:
-        U1, V1 = U1[0], V1[0]
-    return State(U1, V1, state.t + dt)
+            if not start[j]:
+                errors[j], its[j] = f"non-finite state at t = {state.t}", 0
+            elif not end[j]:
+                errors.setdefault(j, f"non-finite iterate at t = {state.t}; reduce dt")
+        U1[list(errors)] = V1[list(errors)] = np.nan
+    return State(U1, V1, state.t + plan.dt), errors, its
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +371,11 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     ledger and, in meta["fp_iterations"], the histogram {iterations: steps}
     of its fixed-point iteration counts, or the IntegratorError that ended
     it, whose `partial` holds the snapshots recorded before the failure.
-    A failure in a step ends only the member that caused it, which keeps
-    its row of the stack as NaN; the others continue with their own bits.
+    A failure in a step ends only the member that caused it, whose row of
+    the stack `step` leaves NaN; the others continue with their own bits.
+    So does a ledger with a non-finite entry or a negative Pi0: its error
+    names the time of the first bad snapshot, and `partial` holds the
+    snapshots before that one.
     A failure of the shared set-up (time step too large, source not
     certified; `partial` is None) ends every member.  Initial conditions
     are materialised with plan.seed and must share their start time.  The
@@ -424,9 +406,8 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     times = np.empty(n_snap)
     us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
     damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
-    errors = {}                             # member -> (message, step that failed)
+    errors = {}                     # member -> (message, the snapshots it keeps)
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
-    its = []                                # fixed-point iterations per member
     block = max(1, ROW_BLOCK_BYTES // (8 * S * n))
     ub, vb = np.empty((2, block, S, n))     # end states of the buffered steps
     tb = np.empty(block)
@@ -469,38 +450,37 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     with np.errstate(over="ignore", invalid="ignore"):
         last = integrands(state.u, state.v)     # at the step before the buffer
         for k in range(1, n_steps + 1):
-            failed = {}
-            state = step(state, cache, failed, its)
+            state, failed, its = step(state, cache)
             for m, i in enumerate(its):
                 fp_hist[m][i] += 1
-            if failed:
-                # step reports a non-finite row again at every later step
-                new = [m for m in failed if m not in errors]
-                for m in new:
-                    errors[m] = (failed[m], k)
-                if len(errors) == S:
-                    flush(k - 1, b)
-                    break
-                state.u[new] = np.nan
-                state.v[new] = np.nan
+            for m, msg in failed.items():
+                if m not in errors:     # a failed (NaN) row fails again at every later step
+                    errors[m] = (msg, np.searchsorted(steps, k))    # the snapshots before k
+            if len(errors) == S:
+                flush(k - 1, b)
+                break
             ub[b], vb[b], tb[b] = state.u, state.v, state.t
             b += 1
             if b == block or k == n_steps:
                 flush(k, b)
                 b = 0
 
-    out = []
-    for m in range(S):
-        meta = {"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}
-        if m in errors:
-            msg, k = errors[m]
-            end = np.searchsorted(steps, k)     # the snapshots before step k
+        out = []
+        for m in range(S):
+            meta = {"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}
+            if m not in errors:
+                try:
+                    ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
+                except energy_mod.EnergyError as exc:
+                    errors[m] = (f"energy ledger fails at t = {times[exc.row]}: {exc}", exc.row)
+                else:
+                    meta["fp_iterations"] = {k: c for k, c in enumerate(fp_hist[m]) if c}
+                    out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger,
+                                          meta=meta))
+                    continue
+            msg, end = errors[m]
             out.append(IntegratorError(msg, Trajectory(times=times[:end].copy(), us=us[m, :end],
                                                        vs=vs[m, :end], ledger=None, meta=meta)))
-            continue
-        ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
-        meta["fp_iterations"] = {k: c for k, c in enumerate(fp_hist[m]) if c}
-        out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger, meta=meta))
     return out
 
 
@@ -519,15 +499,29 @@ def run(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initial,
 
 
 def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:
+    """The energy ledger of one member's snapshots.  Raises EnergyError at
+    its first bad snapshot, the error's `row`: the first with a non-finite
+    entry, or an earlier one whose Pi0 is negative beyond roundoff."""
     def columns(u, v):
         return (0.5 * ops.l2_norm_sq(v), 0.5 * ops.bending_norm_sq(u),
                 energy_mod.potential_energy(u, ops, cfg), ops.l2_norm_sq(u))
 
+    def finite_rows(x):     # the rows before the first non-finite one
+        return int(np.argmin(np.isfinite(np.append(x, np.inf))))
+
     kin, bend, pi, u_sq = in_row_blocks(ops, columns, us, vs)
-    pi0, pi1 = energy_mod.split_from_potential(pi, u_sq, cfg, cert)
-    E = kin + bend + pi0
-    Etot = E + pi1
-    residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])
+    # a non-finite entry makes its row's sum non-finite; the split checks the rows before it
+    end = finite_rows(kin + bend + pi + u_sq + damp + flux)
+    pi0, pi1 = energy_mod.split_from_potential(pi[:end], u_sq[:end], cfg, cert)
+    if end == len(times):
+        E = kin + bend + pi0
+        Etot = E + pi1
+        residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])
+        end = finite_rows(residual)     # every entry of its row and of row 0 feeds it
+    if end < len(times):
+        exc = energy_mod.EnergyError("an entry is not finite")
+        exc.row = end
+        raise exc
     return energy_mod.EnergyLedger(t=times, kinetic=kin, bending=bend, Pi=pi,
                                    Pi0=pi0, Pi1=pi1, E=E, Etot=Etot,
                                    damping_integral=damp, flux_integral=flux,

@@ -544,6 +544,53 @@ initial = mode 1 0 60.0
         assert (load_trajectory(out / "trajectory_partial.json")["config_hash"]
                 == manifest["config_hash"])
 
+    def test_overflowed_ledger_exit_and_partial_flush(self, tmp_path, capsys):
+        # the squared norms of a 1e160 start overflow: the member's ledger is
+        # not finite from its first snapshot, so no snapshot precedes it
+        text = config_text("conservative").replace("initial = mode 1 0 1.0",
+                                                   "initial = random 1e160")
+        cfg = write_cfg(tmp_path, text.replace("T = 680.0", "T = 1.0"))
+        out = tmp_path / "huge"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert ("numerical failure: energy ledger fails at t = 0.0: an entry is not finite"
+                in capsys.readouterr().err)
+        assert load_trajectory(out / "trajectory_partial.json")["snapshots"] == []
+        assert not (out / "ledger.csv").exists()
+
+    def test_ledger_failure_ends_only_its_member(self, tmp_path):
+        # with delta = 0 the Berger pad alpha^2/4 cannot bound -alpha/2
+        # ||u_x||^2 at radius 3, so that member's Pi0 is negative; the
+        # radius-0.1 member settles as it does alone
+        text = """
+[plate]
+alpha = 0.5
+delta = 0.0
+beta = 0.0
+kappa = 0.0
+damping = 0.5 0.0 1.0
+source = zero
+[basis]
+mx = 4
+ny = 3
+[sweep]
+radii = 0.1 3
+samples_per_radius = 1
+t = 1.0
+dt = 0.01
+"""
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 4
+        report = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())
+        assert report["blowups"] == [[1, 0]]
+        (failure,) = report["failures"]
+        assert failure["message"].startswith("energy ledger fails at t = 0.0: Pi0 = ")
+        assert "with delta = 0" in failure["message"] and failure["t"] is None
+        assert 0.0 < report["tail_sups"][0][0] < 0.1
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

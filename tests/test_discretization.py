@@ -245,7 +245,7 @@ class TestBlockForm:
         for start in (("random", 1.0), ("stationary_kick", 0.2)):     # the latter by Newton
             traj = run(ops, cfg, plan, start)
             cache = SolverCache(ops, cfg, plan)
-            step(State(traj.us[-1], traj.vs[-1], traj.times[-1]), cache)
+            step(State(traj.us[-1:], traj.vs[-1:], traj.times[-1]), cache)
             assert not {"M", "K", "Gx", "Dy", "phi"} & vars(ops).keys()
             for holder in (ops, cache):
                 for name, a in vars(holder).items():

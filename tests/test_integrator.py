@@ -19,12 +19,18 @@ def cfg_with(**kw):
     return PlateConfig(**kw)
 
 
+UNSTARTED = "non-finite state at t = 0.0"
+OVERFLOWED = "non-finite iterate at t = 0.0; reduce dt"
+GENERAL = dict(delta=1.0, beta=1.0, kappa=2.0, damping_coeffs=(0.5, 0.0, 1.0),
+               source=SourceSpec(kind="cubic_minus_load", load=1.0))
+
+
 class TestStep:
     def test_zero_state_stays_zero(self, ops12):
         cfg = cfg_with(delta=1.0, kappa=1.0, damping_coeffs=(1.0, 0.0, 1.0))
         plan = SimPlan(dt=1e-2, T=1.0)
-        st = State(np.zeros(ops12.n), np.zeros(ops12.n))
-        out = step(st, SolverCache(ops12, cfg, plan))
+        st = State(np.zeros((1, ops12.n)), np.zeros((1, ops12.n)))
+        out, _, _ = step(st, SolverCache(ops12, cfg, plan))
         assert np.max(np.abs(out.u)) == 0.0 and np.max(np.abs(out.v)) == 0.0
 
     def test_linear_mode_matches_exact_rotation(self, ops1):
@@ -35,14 +41,14 @@ class TestStep:
         cache = SolverCache(ops1, cfg, plan)
         w2 = ops1.K[0, 0] / ops1.M[0, 0]
         a = w2 * plan.dt ** 2 / 4
-        st = State(np.array([1.0]), np.array([0.0]))
+        st = State(np.array([[1.0]]), np.array([[0.0]]))
         u, v = 1.0, 0.0
         for _ in range(500):
-            st = step(st, cache)
+            st, _, _ = step(st, cache)
             u, v = ((1 - a) * u + plan.dt * v) / (1 + a), \
                    ((1 - a) * v - w2 * plan.dt * u) / (1 + a)
-        assert abs(st.u[0] - u) < 1e-11
-        assert abs(st.v[0] - v) < 1e-11
+        assert abs(st.u[0, 0] - u) < 1e-11
+        assert abs(st.v[0, 0] - v) < 1e-11
 
     def test_discrete_frequency_second_order(self, ops1):
         # midpoint frequency is (2/dt) atan(w dt / 2) = w (1 + O(dt^2))
@@ -58,11 +64,11 @@ class TestStep:
         theta = 2 * math.atan(w * dt / 2)
         steps_per_period = round(2 * math.pi / theta)
         # pick dt so a period is nearly an integer number of steps
-        st = State(np.array([1.0]), np.array([0.0]))
+        st = State(np.array([[1.0]]), np.array([[0.0]]))
         for _ in range(steps_per_period):
-            st = step(st, cache)
+            st, _, _ = step(st, cache)
         phase_defect = abs(steps_per_period * theta - 2 * math.pi)
-        assert abs(st.u[0] - math.cos(phase_defect)) < 1e-6
+        assert abs(st.u[0, 0] - math.cos(phase_defect)) < 1e-6
 
     def test_second_order_self_convergence(self, ops12):
         cfg = cfg_with(alpha=0.5, delta=1.0, beta=1.0, kappa=2.0,
@@ -87,31 +93,56 @@ class TestStep:
 
     def test_nonfinite_state_rejected(self, ops12):
         cfg = cfg_with(delta=1.0)
-        st = State(np.full(ops12.n, np.nan), np.zeros(ops12.n))
-        with pytest.raises(IntegratorError):
-            step(st, SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0)))
+        st = State(np.full((1, ops12.n), np.nan), np.zeros((1, ops12.n)))
+        _, failures, its = step(st, SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0)))
+        assert failures == {0: "non-finite state at t = 0.0"} and its == [0]
 
-    def test_stack_rows_settle_with_their_solo_bits(self, ops12):
-        # the finite rows converge after 3, 5 and 2 iterations; the row with
-        # a NaN never iterates
-        cfg = cfg_with(**GENERAL)
-        cache = SolverCache(ops12, cfg, SimPlan(dt=1e-2, T=1.0))
-        good = [initial_state(("random", r), ops12, cfg, seed)
-                for r, seed in ((1.0, 1), (8.0, 2), (0.1, 3))]
-        bad = good[0].u.copy()
+    @pytest.mark.parametrize("physics, dt, rows, failed, iterations", [
+        # the finite rows converge after 3, 5 and 2 iterations
+        (GENERAL, 1e-2, [(1.0, 1), "nan", (8.0, 2), (0.1, 3)], {1: UNSTARTED}, [3, 0, 5, 2]),
+        # a linear load settles in one pass; the scaled row's end state overflows
+        (dict(damping_coeffs=(0.0, 0.0)), 5e-2, [(1.0, 1), "nan", "huge"],
+         {1: UNSTARTED, 2: OVERFLOWED}, [1, 0, 1]),
+        (dict(damping_coeffs=(0.5, 0.0, 1.0)), 5e-2, [(1.0, 1), "nan", "huge"],
+         {1: UNSTARTED, 2: OVERFLOWED}, [1, 0, 1]),
+    ], ids=["general", "undamped", "cubic-damping"])
+    def test_stack_rows_settle_with_their_solo_bits(self, ops12, physics, dt, rows, failed,
+                                                     iterations):
+        # the row with a NaN never iterates; "huge" is the first row times 1e307
+        cfg = cfg_with(**physics)
+        cache = SolverCache(ops12, cfg, SimPlan(dt=dt, T=1.0))
+        first = initial_state(("random", rows[0][0]), ops12, cfg, rows[0][1])
+        bad = first.u.copy()
         bad[3] = np.nan
-        U = np.array([good[0].u, bad, good[1].u, good[2].u])
-        V = np.array([good[0].v, good[0].v, good[1].v, good[2].v])
-        failures, its = {}, []
-        out = step(State(U, V), cache, failures, its)
-        assert failures == {1: "non-finite state at t = 0.0"} and its[1] == 0
-        assert np.all(np.isnan(out.u[1])) and np.all(np.isnan(out.v[1]))
-        for row, st in zip((0, 2, 3), good):
-            alone = []
-            solo = step(st, cache, iterations=alone)
-            assert np.array_equal(out.u[row], solo.u) and np.array_equal(out.v[row], solo.v)
-            assert its[row] == alone[0]
-        assert [its[0], its[2], its[3]] == [3, 5, 2]
+        starts = [State(bad, first.v) if x == "nan" else
+                  State(first.u * 1e307, first.v * 1e307) if x == "huge" else
+                  initial_state(("random", x[0]), ops12, cfg, x[1]) for x in rows]
+        with np.errstate(all="ignore"):
+            out, failures, its = step(State(np.array([st.u for st in starts]),
+                                            np.array([st.v for st in starts])), cache)
+        assert failures == failed and its == iterations
+        for row in failed:
+            assert np.all(np.isnan(out.u[row])) and np.all(np.isnan(out.v[row]))
+        for row, st in enumerate(starts):
+            if row not in failed:
+                solo, none, alone = step(State(st.u[None], st.v[None]), cache)
+                assert np.array_equal(out.u[row], solo.u[0])
+                assert np.array_equal(out.v[row], solo.v[0])
+                assert not none and its[row] == alone[0]
+
+    @pytest.mark.parametrize("preset, iterations", [("point", 0), ("general", 1)])
+    def test_speed_solves_per_iteration(self, monkeypatch, preset, iterations):
+        # a constant damping gain needs no speed root; a speed-dependent one
+        # needs one per fixed-point iteration
+        cfg, (mx, ny), oversample, plan, initial = presets.make(preset)
+        ops = make_operators(mx, ny, cfg.dom, oversample)
+        st = initial_state(initial, ops, cfg, plan.seed)
+        calls = []
+        monkeypatch.setattr(integrator, "solve_midpoint_speed",
+                            lambda *a, **k: calls.append(1) or solve_midpoint_speed(*a, **k))
+        _, failures, its = step(State(st.u[None], st.v[None]), SolverCache(ops, cfg, plan))
+        assert not failures and its[0] >= 1
+        assert len(calls) == iterations * its[0]
 
     def test_change_stalled_at_roundoff_converges(self, ops12):
         # from a state of norm 1e7 the fixed-point change stops shrinking
@@ -131,9 +162,10 @@ class TestStep:
         cfg = cfg_with(damping_coeffs=(1.0, 0.0),
                        source=SourceSpec(kind="cubic_minus_load", load=0.0))
         st = initial_state(("mode", 1, 0, 60.0), ops, cfg)
-        with pytest.raises(IntegratorError) as info, np.errstate(all="ignore"):
-            step(st, SolverCache(ops, cfg, SimPlan(dt=0.5, T=10.0)))
-        assert str(info.value) == "non-finite iterate at t = 0.0; reduce dt"
+        with np.errstate(all="ignore"):
+            _, failures, _ = step(State(st.u[None], st.v[None]),
+                                  SolverCache(ops, cfg, SimPlan(dt=0.5, T=10.0)))
+        assert failures == {0: "non-finite iterate at t = 0.0; reduce dt"}
 
 
 class TestStopRule:
@@ -155,11 +187,10 @@ class TestStopRule:
         # same states with fp_tol = 1e-15
         ops, cfg, plan, traj = preset_run
         starts = State(traj.us[:-1], traj.vs[:-1], 0.0)
-        its = []
-        out = step(starts, SolverCache(ops, cfg, plan), iterations=its)
+        out, _, its = step(starts, SolverCache(ops, cfg, plan))
         assert its == [2] * 2000
         assert np.array_equal(out.u, traj.us[1:]) and np.array_equal(out.v, traj.vs[1:])
-        ref = step(starts, SolverCache(ops, cfg, replace(plan, fp_tol=1e-15)))
+        ref, _, _ = step(starts, SolverCache(ops, cfg, replace(plan, fp_tol=1e-15)))
         err = np.sqrt(ops.state_norm_sq(out.u - ref.u, out.v - ref.v))
         assert err.max() <= plan.fp_tol
 
@@ -175,18 +206,19 @@ class TestStopRule:
         grows, small = (initial_state(("mode", 1, 0, a), ops, cfg) for a in (10.0, 2.0))
 
         def last_change(maxiter):
-            with pytest.raises(IntegratorError, match="did not converge") as info:
-                step(grows, SolverCache(ops, cfg, replace(plan, fp_maxiter=maxiter)))
-            return float(re.search(r"last change (\S+)", str(info.value)).group(1))
+            _, failures, _ = step(State(grows.u[None], grows.v[None]),
+                                  SolverCache(ops, cfg, replace(plan, fp_maxiter=maxiter)))
+            assert "did not converge" in failures[0]
+            return float(re.search(r"last change (\S+)", failures[0]).group(1))
 
         assert last_change(2) > last_change(1)
-        failures, its, cache = {}, [], SolverCache(ops, cfg, plan)
+        cache = SolverCache(ops, cfg, plan)
         with np.errstate(all="ignore"):
-            out = step(State(np.array([grows.u, small.u]), np.array([grows.v, small.v])),
-                       cache, failures=failures, iterations=its)
+            out, failures, its = step(State(np.array([grows.u, small.u]),
+                                            np.array([grows.v, small.v])), cache)
         assert failures == {0: "non-finite iterate at t = 0.0; reduce dt"}
         assert 2 < its[0] < plan.fp_maxiter and 2 <= its[1] < plan.fp_maxiter
-        assert np.array_equal(out.u[1], step(small, cache).u)
+        assert np.array_equal(out.u[1], step(State(small.u[None], small.v[None]), cache)[0].u[0])
 
 
 class TestSpeedSolve:
@@ -198,14 +230,14 @@ class TestSpeedSolve:
     def test_undamped_is_direct_norm(self, ops12):
         cfg = cfg_with(damping_coeffs=(0.0, 0.0))
         cache, r = self._cache_and_modal_rhs(ops12, cfg, 1e-2)
-        rho = solve_midpoint_speed(r, cache)
+        (rho,) = solve_midpoint_speed(r[None], cache)
         direct = float(np.linalg.norm(r / cache.base))
         assert rho == pytest.approx(direct, rel=1e-14)
 
     def test_linear_damping_closed_form(self, ops12):
         cfg = cfg_with(damping_coeffs=(2.0, 0.0))
         cache, r = self._cache_and_modal_rhs(ops12, cfg, 1e-2)
-        rho = solve_midpoint_speed(r, cache)
+        (rho,) = solve_midpoint_speed(r[None], cache)
         closed = float(np.linalg.norm(r / (cache.base + 2.0)))
         assert rho == pytest.approx(closed, rel=1e-14)
 
@@ -213,7 +245,7 @@ class TestSpeedSolve:
         cfg = cfg_with(damping_coeffs=(0.5, 0.0, 10.0))
         cache, r = self._cache_and_modal_rhs(ops12, cfg, 1e-2)
         r = 50.0 * r
-        rho = solve_midpoint_speed(r, cache)
+        (rho,) = solve_midpoint_speed(r[None], cache)
         recomputed = float(np.linalg.norm(
             r / (cache.base + damping_gains(rho, cfg))))
         assert rho == pytest.approx(recomputed, rel=1e-12)
@@ -230,7 +262,7 @@ class TestSpeedSolve:
         guess = np.array([0.0, 1.0, 2.0, 0.5, 1e3])
         stacked = solve_midpoint_speed(R, cache, guess=guess)
         for r, g, rho in zip(R, guess, stacked):
-            assert solve_midpoint_speed(r, cache, guess=g) == rho
+            assert solve_midpoint_speed(r[None], cache, guess=np.array([g])) == [rho]
             recomputed = float(np.linalg.norm(r / (cache.base + damping_gains(rho, cfg))))
             assert rho == pytest.approx(recomputed, rel=1e-12, abs=0.0)
         assert stacked[3] == 0.0
@@ -285,8 +317,6 @@ class TestRun:
         assert len(traj) > 1
 
 
-GENERAL = dict(delta=1.0, beta=1.0, kappa=2.0, damping_coeffs=(0.5, 0.0, 1.0),
-               source=SourceSpec(kind="cubic_minus_load", load=1.0))
 LEDGER_FIELDS = ("t", "kinetic", "bending", "Pi", "Pi0", "Pi1", "E", "Etot",
                  "damping_integral", "flux_integral", "identity_residual")
 
@@ -372,8 +402,7 @@ class TestEnsemble:
         prev = integrands(state)
         failed_at = None
         for k in range(1, 61):
-            failed = {}
-            state = step(state, cache, failed)
+            state, failed, _ = step(state, cache)
             if failed and failed_at is None:
                 assert list(failed) == [1]
                 failed_at = k
@@ -463,14 +492,12 @@ class TestEnsemble:
         good = initial_state(("random", 1.0), ops12, cfg, 1)
         U = np.array([good.u, np.full(ops12.n, np.nan), good.u])
         V = np.array([good.v, np.zeros(ops12.n), good.v])
-        failures = {}
-        out = step(State(U, V), cache, failures=failures)
+        out, failures, _ = step(State(U, V), cache)
         assert list(failures) == [1] and "non-finite" in failures[1]
         assert np.all(np.isnan(out.u[1]))
-        alone = step(good, cache)
-        assert np.array_equal(out.u[0], alone.u) and np.array_equal(out.u[2], alone.u)
-        with pytest.raises(IntegratorError, match="non-finite"):
-            step(State(U, V), cache)
+        alone, _, _ = step(State(good.u[None], good.v[None]), cache)
+        assert np.array_equal(out.u[0], alone.u[0]) and np.array_equal(out.u[2], alone.u[0])
+        assert step(State(U, V), cache)[1] == failures
 
 
 class TestInitialConditions:
