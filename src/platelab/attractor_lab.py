@@ -55,19 +55,20 @@ class SweepPlan(SimPlan):
 
 @dataclass
 class SweepReport:
+    """Its fields, in order, are the keys of sweep_report.json."""
+    verdict: str
+    R0: float
+    spread: float
     radii: tuple[float, ...]
+    radius_bounds: list[float]
     # per radius, per sample; NaN (regularity: FAIL) for a member that blew up
     tail_sups: list[list[float]]                # phase-space norm
     entry_times: list[list[float]]              # into the ball of radius meta["r_min"]
     sup_velocity_bending: list[list[float]]     # regularity_probe of each member
     sup_accel_l2: list[list[float]]
     regularity: list[list[str]]
-    radius_bounds: list[float]
-    spread: float
-    R0: float
     blowups: list[tuple[int, int]]              # (radius_idx, sample_idx)
-    failures: list[tuple[str, float | None]]    # per blow-up: message, last snapshot time
-    verdict: str
+    failures: list[dict]                        # per blow-up: "message", "t" (last snapshot)
     meta: dict = field(default_factory=dict)
 
 
@@ -116,9 +117,10 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     threads is accepted for compatibility and ignored.  A member whose
     step fails counts as a blow-up, and only that member: the others keep
     the results they have alone.  Every member counts as one when the
-    integrator cannot be set up.  `failures` holds each blow-up's message
-    and last snapshot time (None without one).  meta["fp_iterations"] sums
-    the fixed-point histograms {iterations: steps} of the finished members.
+    integrator cannot be set up.  `failures` holds a record per blow-up:
+    its "message" and "t", its last snapshot time (None without one).
+    meta["fp_iterations"] sums the fixed-point histograms {iterations:
+    steps} of the finished members.
 
     PASS iff no sample blows up and either the per-radius bounds agree
     within 25% relative spread (a single absorbing radius R0 emerges), or
@@ -136,7 +138,8 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
     for (i, j), res in zip(members, run_ensemble(ops, cfg, plan, starts, cert)):
         if isinstance(res, IntegratorError):
             blowups.append((i, j))
-            failures.append((str(res), float(res.partial.times[-1]) if res.partial else None))
+            failures.append({"message": str(res),
+                             "t": float(res.partial.times[-1]) if res.partial else None})
             continue
         norms = _state_norms(res, ops)
         sups[i][j] = _tail_sup(norms, res.times, plan.tail_fraction)
@@ -153,10 +156,10 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
         R0 = max(finite)
         spread = (max(finite) - min(finite)) / max(finite) if max(finite) > 0 else 0.0
         verdict = "PASS" if spread <= 0.25 or R0 < r_min else "FAIL"
-    return SweepReport(radii=plan.radii, tail_sups=sups, entry_times=entries,
+    return SweepReport(verdict=verdict, R0=R0, spread=spread, radii=plan.radii,
+                       radius_bounds=bounds, tail_sups=sups, entry_times=entries,
                        sup_velocity_bending=sup_v, sup_accel_l2=sup_a,
-                       regularity=regularity, radius_bounds=bounds, spread=spread,
-                       R0=R0, blowups=blowups, failures=failures, verdict=verdict,
+                       regularity=regularity, blowups=blowups, failures=failures,
                        meta={"T": plan.T, "dt": plan.dt,
                              "samples_per_radius": plan.samples_per_radius,
                              "r_min": r_min, "fp_iterations": fp_histogram(finished)})
@@ -293,6 +296,7 @@ _OCTAVES, _PER_OCTAVE = 48, 4096        # pass 1's buckets: 1.6 MB of counts
 
 @dataclass
 class DimensionReport:
+    """Its fields, in order, are the keys of dimension_report.json."""
     embed_dims: tuple[int, ...]
     estimates: list[float]
     n_points: int
@@ -508,9 +512,11 @@ class StationarySample:
 
 @dataclass
 class StationaryReport:
-    samples: list[StationarySample]
+    """Its fields, in order, are the keys of stationary_report.json, and
+    those of each sample's record are StationarySample's."""
     verdict: str
     note: str = ""
+    samples: list[StationarySample] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
@@ -527,19 +533,18 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
     histograms {iterations: steps}.
     """
     if cfg.beta != 0.0:
-        return StationaryReport(samples=[], verdict="SKIPPED",
+        return StationaryReport(verdict="SKIPPED",
                                 note="beta != 0: no gradient structure, "
                                      "stationary convergence not applicable")
     if cfg.b0 <= 0.0:
-        return StationaryReport(samples=[], verdict="SKIPPED",
-                                note="b_0 = 0: damping degenerate at rest")
+        return StationaryReport(verdict="SKIPPED", note="b_0 = 0: damping degenerate at rest")
     seeds = [_sample_seed(plan.seed, 7, j) for j in range(samples)]
     starts = [initial_state(("random", radius), ops, cfg, seed) for seed in seeds]
     trajs = _finished(run_ensemble(ops, cfg, plan, starts, cert))
     out = []
     for seed, traj in zip(seeds, trajs):
         uT, vT = traj.us[-1], traj.vs[-1]
-        speed = math.sqrt(max(ops.l2_norm_sq(vT), 0.0))
+        speed = math.sqrt(ops.l2_norm_sq(vT))
         res = solve_stationary(cfg, ops, uT, tol=newton_tol)
         dist = math.sqrt(max(ops.bending_norm_sq(uT - res.u), 0.0))
         ok = (speed <= speed_tol and res.converged
@@ -547,5 +552,5 @@ def stationary_convergence(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPl
         out.append(StationarySample(seed=seed, final_speed=speed, distance=dist,
                                     newton_residual=res.residual, ok=ok))
     verdict = "PASS" if out and all(s.ok for s in out) else "FAIL"
-    return StationaryReport(samples=out, verdict=verdict,
+    return StationaryReport(verdict=verdict, samples=out,
                             meta={"fp_iterations": fp_histogram(trajs)})

@@ -217,7 +217,7 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
 
     def columns(u, v):
         sp2 = ops.l2_norm_sq(v)
-        gain = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)
+        gain = damping_gains(np.sqrt(sp2), cfg)
         return (sp2,
                 gain * sp2,                                     # (D u_t, u_t)
                 gain * np.vecdot(ops.m_diag * v, u),            # (D u_t, u)
@@ -328,7 +328,7 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
 
     vu, sp2, uy_ut, acc_u = in_row_blocks(ops, columns, traj.us, traj.vs)
     V = led.Etot + eps * vu
-    ddot = damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2
+    ddot = damping_gains(np.sqrt(sp2), cfg) * sp2
     dV = -ddot - cfg.beta * uy_ut + eps * (sp2 + acc_u)
     lhs = dV + eps * V
     bracket = eps * (1.0 + led.E) ** bc.gamma - bc.d3

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -37,6 +38,13 @@ class Key(NamedTuple):
     required: bool = False  # missing is a problem; the default lets parsing go on
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _tuple_of(conv):
     return lambda raw: tuple(conv(tok) for tok in raw.split())
 
@@ -45,7 +53,7 @@ def _boolean(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-_INITIAL_ARGS = {"mode": (int, int, float), "random": (float,), "stationary_kick": (float,)}
+_INITIAL_ARGS = {"mode": (int, int, _finite), "random": (_finite,), "stationary_kick": (_finite,)}
 
 
 def _parse_initial(spec: str) -> tuple:
@@ -73,21 +81,21 @@ _dim, _stat = ({k: p.default for k, p in inspect.signature(f).parameters.items()
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "domain": {
-        "l": Key(float, DomainSpec.l, "half-width of the strip in y, l > 0"),
-        "sigma": Key(float, DomainSpec.sigma, "Poisson ratio, 0 < sigma < 1/2"),
+        "l": Key(_finite, DomainSpec.l, "half-width of the strip in y, l > 0"),
+        "sigma": Key(_finite, DomainSpec.sigma, "Poisson ratio, 0 < sigma < 1/2"),
     },
     "plate": {
-        "alpha": Key(float, PlateConfig.alpha, "axial prestress (any sign)", required=True),
-        "delta": Key(float, PlateConfig.delta, "stretching stiffness, >= 0", required=True),
-        "beta": Key(float, PlateConfig.beta, "flow parameter (any sign)", required=True),
-        "kappa": Key(float, PlateConfig.kappa, "stay coefficient, >= 0", required=True),
-        "damping": Key(_tuple_of(float), PlateConfig.damping_coeffs, "b_0 ... b_q",
+        "alpha": Key(_finite, PlateConfig.alpha, "axial prestress (any sign)", required=True),
+        "delta": Key(_finite, PlateConfig.delta, "stretching stiffness, >= 0", required=True),
+        "beta": Key(_finite, PlateConfig.beta, "flow parameter (any sign)", required=True),
+        "kappa": Key(_finite, PlateConfig.kappa, "stay coefficient, >= 0", required=True),
+        "damping": Key(_tuple_of(_finite), PlateConfig.damping_coeffs, "b_0 ... b_q",
                        required=True),
         "source": Key(str, SourceSpec.kind, "zero, cubic_minus_load or custom",
                       required=True),
-        "load": Key(float, None, "cubic_minus_load only: f0(s) = s^3 - load"),
-        "source_table_s": Key(_tuple_of(float), None, "custom only: spline knots"),
-        "source_table_f": Key(_tuple_of(float), None, "custom only: spline values"),
+        "load": Key(_finite, None, "cubic_minus_load only: f0(s) = s^3 - load"),
+        "source_table_s": Key(_tuple_of(_finite), None, "custom only: spline knots"),
+        "source_table_f": Key(_tuple_of(_finite), None, "custom only: spline values"),
         "allow_undamped": Key(_boolean, False, "allow all-zero damping (controls)"),
     },
     "basis": {
@@ -97,29 +105,29 @@ SCHEMA: dict[str, dict[str, Key]] = {
                           (lambda x: x >= 2, "must be >= 2")),
     },
     "sim": {
-        "dt": Key(float, SimPlan.dt, "time step", _POSITIVE),
-        "t": Key(float, SimPlan.T, "horizon", _NONNEG),
+        "dt": Key(_finite, SimPlan.dt, "time step", _POSITIVE),
+        "t": Key(_finite, SimPlan.T, "horizon", _NONNEG),
         "snapshot_every": Key(int, SimPlan.snapshot_every, "steps per snapshot", _COUNT),
-        "fp_tol": Key(float, SimPlan.fp_tol, "fixed-point tolerance", _POSITIVE),
+        "fp_tol": Key(_finite, SimPlan.fp_tol, "fixed-point tolerance", _POSITIVE),
         "fp_maxiter": Key(int, SimPlan.fp_maxiter, "fixed-point iteration cap", _COUNT),
-        "seed": Key(int, SimPlan.seed, "random seed; --seed overrides it"),
+        "seed": Key(int, SimPlan.seed, "random seed; --seed overrides it", _NONNEG),
         "initial": Key(_parse_initial, ("mode", 1, 0, 0.5), "initial condition", _INITIAL),
     },
     "sweep": {
-        "radii": Key(_tuple_of(float), SweepPlan.radii, "initial radii", _RADII),
+        "radii": Key(_tuple_of(_finite), SweepPlan.radii, "initial radii", _RADII),
         "samples_per_radius": Key(int, SweepPlan.samples_per_radius, "samples", _COUNT),
-        "t": Key(float, SweepPlan.T, "horizon per sample", _NONNEG),
-        "dt": Key(float, SweepPlan.dt, "time step", _POSITIVE),
+        "t": Key(_finite, SweepPlan.T, "horizon per sample", _NONNEG),
+        "dt": Key(_finite, SweepPlan.dt, "time step", _POSITIVE),
         "snapshot_every": Key(int, SweepPlan.snapshot_every, "steps per snapshot", _COUNT),
-        "tail_fraction": Key(float, SweepPlan.tail_fraction, "ultimate part of [0, T]",
+        "tail_fraction": Key(_finite, SweepPlan.tail_fraction, "ultimate part of [0, T]",
                              _FRACTION),
     },
     "pairs": {
         "n_pairs": Key(int, 5, "number of pairs", _COUNT),
-        "gap": Key(float, 1e-3, "phase-space distance of each pair", _POSITIVE),
-        "radius": Key(float, 1.0, "norm of the base state", _NONNEG),
-        "t": Key(float, 40.0, "horizon", _NONNEG),
-        "dt": Key(float, 2e-3, "time step", _POSITIVE),
+        "gap": Key(_finite, 1e-3, "phase-space distance of each pair", _POSITIVE),
+        "radius": Key(_finite, 1.0, "norm of the base state", _NONNEG),
+        "t": Key(_finite, 40.0, "horizon", _NONNEG),
+        "dt": Key(_finite, 2e-3, "time step", _POSITIVE),
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
     },
     "dimension": {
@@ -127,24 +135,25 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "theiler": Key(int, _dim["theiler"], "snapshot gap excluded from pair counts",
                        _NONNEG),
         "min_points": Key(int, _dim["min_points"], "minimum tail snapshots"),
-        "tail_fraction": Key(float, _dim["tail_fraction"], "portion of the [sim] run analysed",
+        "tail_fraction": Key(_finite, _dim["tail_fraction"], "portion of the [sim] run analysed",
                               _PORTION),
     },
     "stationary": {
         "samples": Key(int, _stat["samples"], "number of trajectories", _COUNT),
-        "radius": Key(float, _stat["radius"], "norm of the random initial states", _NONNEG),
-        "t": Key(float, 60.0, "horizon", _NONNEG),
-        "dt": Key(float, 2e-3, "time step", _POSITIVE),
+        "radius": Key(_finite, _stat["radius"], "norm of the random initial states", _NONNEG),
+        "t": Key(_finite, 60.0, "horizon", _NONNEG),
+        "dt": Key(_finite, 2e-3, "time step", _POSITIVE),
         "snapshot_every": Key(int, 25, "steps per snapshot", _COUNT),
-        "speed_tol": Key(float, _stat["speed_tol"], "bound on the final velocity norm", _POSITIVE),
-        "dist_tol": Key(float, _stat["dist_tol"], "bound on the distance to the equilibrium",
+        "speed_tol": Key(_finite, _stat["speed_tol"], "bound on the final velocity norm",
+                         _POSITIVE),
+        "dist_tol": Key(_finite, _stat["dist_tol"], "bound on the distance to the equilibrium",
                         _POSITIVE),
     },
     "barrier": {
-        "t": Key(float, 20.0, "horizon of the fitting trajectory", _NONNEG),
-        "dt": Key(float, 2e-3, "time step of that trajectory", _POSITIVE),
+        "t": Key(_finite, 20.0, "horizon of the fitting trajectory", _NONNEG),
+        "dt": Key(_finite, 2e-3, "time step of that trajectory", _POSITIVE),
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
-        "levels": Key(_tuple_of(float), (1.0, 10.0, 100.0),
+        "levels": Key(_tuple_of(_finite), (1.0, 10.0, 100.0),
                       "initial levels of the ultimate bound",
                       (lambda ls: min(ls, default=0) >= 0, "must all be >= 0")),
     },
@@ -181,6 +190,8 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
         raise ConfigError([f"malformed config: {exc}"]) from exc
 
     problems += [f"unknown section [{s}]" for s in cp.sections() if s not in SCHEMA]
+    if seed_override is not None and seed_override < 0:
+        problems.append(f"--seed must be >= 0, got {seed_override}")
     if not cp.has_section("plate"):
         problems.append("missing required section [plate]")
     values = {}    # a missing or bad key takes its default, so later checks still run

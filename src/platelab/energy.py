@@ -20,7 +20,7 @@ that trajectories are audited against is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,13 +32,10 @@ class EnergyError(ValueError):
     row = None      # the first failing row of a checked stack, where one is known
 
 
-LEDGER_COLUMNS = ("t", "kinetic", "bending", "Pi", "Pi0", "Pi1", "E", "Etot",
-                  "damping_integral", "flux_integral", "identity_residual")
-
-
 @dataclass
 class EnergyLedger:
-    """Column-aligned per-snapshot energy bookkeeping, one row per snapshot."""
+    """Column-aligned per-snapshot energy bookkeeping, one row per snapshot.
+    Its fields, in order, are the columns of ledger.csv."""
 
     t: np.ndarray
     kinetic: np.ndarray
@@ -58,6 +55,9 @@ class EnergyLedger:
     def rows(self):
         for i in range(len(self.t)):
             yield tuple(getattr(self, c)[i] for c in LEDGER_COLUMNS)
+
+
+LEDGER_COLUMNS = tuple(f.name for f in fields(EnergyLedger))
 
 
 def potential_split_pad(cfg: PlateConfig) -> float:

@@ -241,7 +241,7 @@ def step(state: State, cache: SolverCache) -> tuple[State, dict, list]:
     errors = {}
     base_rhs = (2.0 / plan.dt) * (ops.m_diag * V0) - block_matvec(cache.K_lin, U0)
     # Newton's warm start: the speed at the start of the step
-    rho = np.sqrt(np.maximum(ops.l2_norm_sq(V0), 0.0))
+    rho = np.sqrt(ops.l2_norm_sq(V0))
     if not cache.has_nl_load:      # the first iterate is exact
         UM, VM, _ = _midpoint(base_rhs, U0, rho, cache)
         its = [1] * S
@@ -417,7 +417,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         # damping g(||v||) ||v||^2 and (u_y, u_t) per row; the ledger
         # stores -beta times the time integral of the second
         sp2 = ops.l2_norm_sq(v)
-        return (damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg) * sp2,
+        return (damping_gains(np.sqrt(sp2), cfg) * sp2,
                 bilinear_form(ops.dy_blocks, u, v))
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]),

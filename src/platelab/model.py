@@ -272,7 +272,7 @@ def acceleration(u, v, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
     acc -= block_matvec(ops.k_blocks, u)
     acc /= ops.m_diag
     sp2 = ops.l2_norm_sq(v)
-    acc -= damping_gains(np.sqrt(np.maximum(sp2, 0.0)), cfg)[:, None] * v
+    acc -= damping_gains(np.sqrt(sp2), cfg)[:, None] * v
     return acc
 
 

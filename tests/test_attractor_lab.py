@@ -109,8 +109,8 @@ class TestSweep:
         alone = dissipativity_sweep(ops, cfg, SweepPlan(radii=(0.5,), **base))
         assert rep.blowups == [(1, 0)] and rep.verdict == "FAIL"
         assert rep.tail_sups[0] == alone.tail_sups[0]
-        ((message, t_last),) = rep.failures         # the evidence, parallel to blowups
-        assert message == "non-finite iterate at t = 0.0; reduce dt" and t_last == 0.0
+        (failure,) = rep.failures                  # the evidence, parallel to blowups
+        assert failure == {"message": "non-finite iterate at t = 0.0; reduce dt", "t": 0.0}
         assert math.isnan(rep.entry_times[1][0]) and math.isnan(rep.sup_accel_l2[1][0])
         assert rep.regularity[1][0] == "FAIL"
 
@@ -129,7 +129,8 @@ class TestSweep:
         rep = dissipativity_sweep(ops, cfg, plan)
         assert rep.blowups == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert rep.verdict == "FAIL"
-        assert all("time step too large" in m and t is None for m, t in rep.failures)
+        assert all("time step too large" in f["message"] and f["t"] is None
+                   for f in rep.failures)
         assert len(rep.failures) == 4
 
     def test_overflow_blows_up_only_its_member(self, dom):

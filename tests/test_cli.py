@@ -3,11 +3,13 @@
 import json
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from platelab import attractor_lab
 from platelab.cli import main
 from platelab.config import SCHEMA, ConfigError, parse_config
 from platelab.presets import config_text, make, preset_names
@@ -84,10 +86,13 @@ source = zero
     @pytest.mark.parametrize("initial", ["random -2.0", "stationary_kick -0.3", "random 1 2"])
     def test_values_that_would_mean_something_else_rejected(self, tmp_path, initial):
         # each parsed before: a flipped sign, a dropped token, the whole run
-        # analysed, every sample a FAIL, a negative norm
-        text = MINIMAL + f"""
+        # analysed, every sample a FAIL, a negative norm or seed, a value
+        # that is not a number
+        text = MINIMAL.replace("beta = 0.5", "beta = nan") + f"""
 [sim]
 initial = {initial}
+seed = -3
+t = inf
 [dimension]
 tail_fraction = 2.5
 [stationary]
@@ -96,11 +101,13 @@ dist_tol = -1e-3
 radius = -2.0
 [pairs]
 radius = -1.0
+gap = nan
 """
         with pytest.raises(ConfigError) as err:
             parse_config(write_cfg(tmp_path, text))
-        keys = ["[sim] initial", "[dimension] tail_fraction", "[stationary] speed_tol",
-                "[stationary] dist_tol", "[stationary] radius", "[pairs] radius"]
+        keys = ["[sim] initial", "[sim] seed", "[sim] t", "[dimension] tail_fraction",
+                "[stationary] speed_tol", "[stationary] dist_tol", "[stationary] radius",
+                "[pairs] radius", "[pairs] gap", "[plate] beta"]
         named = [next(k for k in keys if p.startswith(k)) for p in err.value.problems]
         assert sorted(named) == sorted(keys)
         edges = MINIMAL + ("[sim]\ninitial = random 0\n[dimension]\ntail_fraction = 1\n"
@@ -255,6 +262,30 @@ class TestSubcommands:
                      "--out", str(out)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, config_text("gradient"))),
+                     "--out", str(out), "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", "[sweep]\nradii = 1\nsamples_per_radius = 1\nt = 0.1\ndt = 0.01\n"),
+        ("dimension", "[dimension]\nmin_points = 20\ntheiler = 0\n"),
+        ("stationary", "[stationary]\nsamples = 1\nt = 0.2\n"),
+    ], ids=["sweep", "dimension", "stationary"])
+    def test_report_keys_are_its_result_fields(self, tmp_path, command, extra):
+        base = config_text("gradient") if command == "stationary" else \
+            SMALL_SIM.replace("snapshot_every = 5", "snapshot_every = 1")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, base + extra)),
+                     "--out", str(out)]) in (0, 4)
+        report = json.loads((out / f"{command}_report.json").read_text())
+        result = getattr(attractor_lab, f"{command.title()}Report")
+        assert list(report) == ["config_hash"] + [f.name for f in fields(result)]
+        for sample in report.get("samples", []):
+            assert list(sample) == [f.name for f in fields(attractor_lab.StationarySample)]
 
     def test_sweep_verdict_fail_exit_code(self, tmp_path):
         # undamped with a flow term: growth, no single ultimate bound
