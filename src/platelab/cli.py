@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (IntegratorError, DiscretizationError, ModelError,
             barrier_mod.BarrierError, attractor_lab.ExperimentError,
-            energy_mod.EnergyError) as exc:
+            energy_mod.EnergyError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

@@ -4,9 +4,11 @@
 converter, default (read from the plan class or function that owns it),
 one-line doc (docs/config.md is checked against it) and range check.
 `parse_config` rejects unknown entries, converts and checks every key,
-and reports all problems at once in one ConfigError, before a command
-writes any output.  The physical parameters (alpha, delta, beta, kappa,
-damping, source) carry no silent defaults: a config must state them.
+builds the source, domain and run plans, whose constructors hold the
+rules that span keys, and reports all problems at once, each under its
+section, in one ConfigError, before a command writes any output.  The
+physical parameters (alpha, delta, beta, kappa, damping, source) carry
+no silent defaults: a config must state them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .attractor_lab import SweepPlan, correlation_dimension, stationary_convergence
+from .attractor_lab import (ExperimentError, SweepPlan, correlation_dimension,
+                            stationary_convergence)
 from .discretization import DiscretizationError, DomainSpec
 from .integrator import SimPlan
 from .model import ModelError, PlateConfig, SourceCertificate, SourceSpec, certify_source
@@ -86,11 +89,14 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "plate": {
         "alpha": Key(_finite, PlateConfig.alpha, "axial prestress (any sign)", required=True),
-        "delta": Key(_finite, PlateConfig.delta, "stretching stiffness, >= 0", required=True),
+        "delta": Key(_finite, PlateConfig.delta, "stretching stiffness, >= 0", _NONNEG,
+                     required=True),
         "beta": Key(_finite, PlateConfig.beta, "flow parameter (any sign)", required=True),
-        "kappa": Key(_finite, PlateConfig.kappa, "stay coefficient, >= 0", required=True),
+        "kappa": Key(_finite, PlateConfig.kappa, "stay coefficient, >= 0", _NONNEG,
+                     required=True),
         "damping": Key(_tuple_of(_finite), PlateConfig.damping_coeffs, "b_0 ... b_q",
-                       required=True),
+                       (lambda b: len(b) >= 2 and min(b) >= 0,
+                        "must be two or more coefficients, each >= 0"), required=True),
         "source": Key(str, SourceSpec.kind, "zero, cubic_minus_load or custom",
                       required=True),
         "load": Key(_finite, None, "cubic_minus_load only: f0(s) = s^3 - load"),
@@ -218,38 +224,26 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
             out[key] = value
 
     plate = values["plate"]
-    source = SourceSpec()
+    if plate["source"] == "cubic_minus_load" and not cp.has_option("plate", "load"):
+        problems.append("[plate] source = cubic_minus_load requires `load`")
+    if sum(plate["damping"]) == 0.0 and not plate["allow_undamped"]:
+        problems.append("[plate] damping coefficients are all zero (the damping gain must "
+                        "satisfy b_0 + b_q > 0; set allow_undamped for control experiments)")
     try:
-        if plate["source"] == "cubic_minus_load":
-            if plate["load"] is None:
-                problems.append("[plate] source = cubic_minus_load requires `load`")
-            source = SourceSpec(kind="cubic_minus_load", load=plate["load"] or 0.0)
-        elif plate["source"] == "custom":
-            ts, tf = plate["source_table_s"] or (), plate["source_table_f"] or ()
-            if len(ts) != len(tf):
-                problems.append("[plate] source tables must have equal length")
-            source = SourceSpec(kind="custom", table_s=ts, table_f=tf)
-        elif plate["source"] != "zero":
-            problems.append(f"[plate] unknown source {plate['source']!r}")
+        source = SourceSpec(kind=plate["source"], load=plate["load"] or 0.0,
+                            table_s=plate["source_table_s"] or (),
+                            table_f=plate["source_table_f"] or ())
     except ModelError as exc:
-        problems.append(str(exc))
-
+        problems.append(f"[plate] {exc}")
+        source = SourceSpec()
     try:
         dom = DomainSpec(**values["domain"])
     except DiscretizationError as exc:
-        problems.append(str(exc))
+        problems.append(f"[domain] {exc}")
         dom = DomainSpec()
-
     cfg = PlateConfig(alpha=plate["alpha"], delta=plate["delta"], beta=plate["beta"],
                       kappa=plate["kappa"], damping_coeffs=plate["damping"],
                       source=source, dom=dom)
-    for p in cfg.violations():
-        if "all zero" in p:
-            if plate["allow_undamped"]:
-                continue
-            p += (" (the damping gain must satisfy b_0 + b_q > 0; set "
-                  "allow_undamped for control experiments)")
-        problems.append(p)
 
     sim, basis = values["sim"], values["basis"]
     if sim["initial"][0] == "mode":
@@ -258,29 +252,34 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
             problems.append(f"[sim] initial mode ({m}, {k}) lies outside the "
                             f"{basis['mx']} x {basis['ny']} basis")
 
+    def plan_of(section, kind=SimPlan, own_keys=()):
+        """Every run takes [sim]'s solver keys and seed, and its section's time plan."""
+        own = values[section]
+        try:
+            return kind(T=own["t"], dt=own["dt"], snapshot_every=own["snapshot_every"],
+                        fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
+                        seed=sim["seed"] if seed_override is None else seed_override,
+                        **{key: own[key] for key in own_keys})
+        except (ValueError, ExperimentError) as exc:
+            problems.append(f"[{section}] {exc}")
+
+    plans = {"sim": plan_of("sim"),
+             "sweep": plan_of("sweep", SweepPlan, own_keys=("radii", "samples_per_radius",
+                                                            "tail_fraction")),
+             "pairs": plan_of("pairs"), "stationary": plan_of("stationary"),
+             "barrier": plan_of("barrier")}
+
     # runtime validation of the source assumption; the certificate goes
     # into the manifest of every run
     if not problems:
         cert = certify_source(cfg)
         if not cert.ok:
-            problems.append(f"source violates the dissipativity bound: "
+            problems.append(f"[plate] source violates the dissipativity bound: "
                             f"{cert.message} (witness s = {cert.witness})")
     if problems:
         raise ConfigError(problems)
 
-    def plan_of(section, kind=SimPlan, own_keys=()):
-        """Every run takes [sim]'s solver keys and seed, and its section's time plan."""
-        own = values[section]
-        return kind(T=own["t"], dt=own["dt"], snapshot_every=own["snapshot_every"],
-                    fp_tol=sim["fp_tol"], fp_maxiter=sim["fp_maxiter"],
-                    seed=sim["seed"] if seed_override is None else seed_override,
-                    **{key: own[key] for key in own_keys})
-
-    plans = {"sweep": plan_of("sweep", SweepPlan, own_keys=("radii", "samples_per_radius",
-                                                            "tail_fraction")),
-             "pairs": plan_of("pairs"), "stationary": plan_of("stationary"),
-             "barrier": plan_of("barrier")}
-    return ParsedConfig(cfg=cfg, plan=plan_of("sim"), plans=plans, initial=sim["initial"],
+    return ParsedConfig(cfg=cfg, plan=plans.pop("sim"), plans=plans, initial=sim["initial"],
                         mx=basis["mx"], ny=basis["ny"], oversample=basis["oversample"],
                         cert=cert, sections={name: dict(cp[name]) for name in cp.sections()},
                         text=text, values=values)

@@ -48,17 +48,13 @@ class DomainSpec:
     sigma: float = 0.3
 
     def __post_init__(self):
-        problems = self.violations()
+        problems = []
+        if not self.l > 0:
+            problems.append(f"half-width l must be positive, got {self.l}")
+        if not 0.0 < self.sigma < 0.5:
+            problems.append(f"Poisson ratio must lie in (0, 1/2), got {self.sigma}")
         if problems:
             raise DiscretizationError("; ".join(problems))
-
-    def violations(self) -> list[str]:
-        out = []
-        if not self.l > 0:
-            out.append(f"half-width l must be positive, got {self.l}")
-        if not 0.0 < self.sigma < 0.5:
-            out.append(f"Poisson ratio must lie in (0, 1/2), got {self.sigma}")
-        return out
 
     @property
     def area(self) -> float:

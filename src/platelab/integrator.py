@@ -74,6 +74,8 @@ class SimPlan:
         if (self.dt <= 0 or self.T < 0 or self.fp_tol <= 0 or self.fp_maxiter < 1
                 or self.snapshot_every < 1):
             raise ValueError(f"invalid simulation plan: {self}")
+        if self.T / self.dt > 2 ** 53:     # the largest step count a float holds exactly
+            raise ValueError(f"t/dt = {self.T / self.dt:.6g} steps exceeds 2**53")
 
     def snapshot_steps(self) -> np.ndarray:
         """The steps a run records: 0, every snapshot_every-th and the last of

@@ -53,8 +53,13 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "cubic_minus_load", "custom"):
             raise ModelError(f"unknown source kind {self.kind!r}")
-        if self.kind == "custom" and len(self.table_s) < 4:
-            raise ModelError("custom source needs at least 4 table points")
+        if self.kind == "custom":
+            if len(self.table_s) < 4:
+                raise ModelError("custom source needs at least 4 table points")
+            if len(self.table_s) != len(self.table_f):
+                raise ModelError("source tables must have equal length")
+            if any(a >= b for a, b in zip(self.table_s, self.table_s[1:])):
+                raise ModelError("custom source knots must be strictly increasing")
 
     @cached_property
     def _spline(self):
@@ -112,9 +117,8 @@ class PlateConfig:
     damping_coeffs = (b_0, ..., b_q) defines the velocity-norm gain
     g(s) = sum_j b_j s^j.  The canonical two-term damping b_0 + b_q s^q
     is the tuple with zeros in between.  All-zero damping is
-    representable (control experiments need it) but `violations` flags
-    it, and the strict config parser rejects it unless explicitly
-    allowed.
+    representable (control experiments need it); the strict config
+    parser rejects it unless explicitly allowed.
     """
 
     alpha: float = 0.0
@@ -138,20 +142,6 @@ class PlateConfig:
     @property
     def b0(self) -> float:
         return self.damping_coeffs[0]
-
-    def violations(self) -> list[str]:
-        out = list(self.dom.violations())
-        if self.delta < 0:
-            out.append(f"stretching stiffness delta must be >= 0, got {self.delta}")
-        if self.kappa < 0:
-            out.append(f"stay coefficient kappa must be >= 0, got {self.kappa}")
-        if self.q < 1:
-            out.append(f"damping degree q must be >= 1, got {self.q}")
-        if any(b < 0 for b in self.damping_coeffs):
-            out.append(f"damping coefficients must be >= 0, got {self.damping_coeffs}")
-        if sum(self.damping_coeffs) == 0.0:
-            out.append("damping coefficients are all zero (b_0 + b_q must not vanish)")
-        return out
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, output formats, determinism."""
 
+import configparser
 import json
 import re
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platelab import attractor_lab
+from platelab import attractor_lab, cli
 from platelab.cli import main
 from platelab.config import SCHEMA, ConfigError, parse_config
 from platelab.presets import config_text, make, preset_names
@@ -25,6 +26,14 @@ kappa = 2.0
 damping = 1.0 0.0
 source = zero
 """
+
+
+# raw values that are empty, non-finite, out of range, huge, of the wrong
+# shape or decreasing, for every key of SCHEMA
+HOSTILE = ["", "nan", "inf", "-inf", "-1", "0", "-0.0", "1e400", "1e300", "-1e300", "1e-300",
+           "1e16", "9007199254740993", "abc", "true", "1 2 3", "0 0", "2 1 0 -1 -2",
+           "-2 -1 0 1 1", "-2 -1 0 1 2", "mode 9 9 1", "mode 1 0 1e308", "random 1e308",
+           "stationary_kick inf", "custom", "cubic_minus_load", "0.5"]
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -130,6 +139,43 @@ gap = nan
         with pytest.raises(ConfigError) as err:
             parse_config(write_cfg(tmp_path, text))
         assert any("dissipativity" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("knots", ["2 1 0 -1 -2", "-2 -1 0 1 1"])
+    def test_custom_source_knots_must_increase(self, tmp_path, knots):
+        text = MINIMAL.replace("source = zero", f"source = custom\nsource_table_s = {knots}\n"
+                                                "source_table_f = 8 1 0 -1 -8")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == ["[plate] custom source knots must be strictly increasing"]
+
+    def test_bad_load_reported_once(self, tmp_path):
+        text = MINIMAL.replace("source = zero", "source = cubic_minus_load\nload = nan")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == ["[plate] load = 'nan': must be finite"]
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items()
+                                              for k in keys])
+    def test_no_value_escapes_config_error(self, tmp_path, section, key):
+        """Every hostile raw value of every key, on a zero and on a custom
+        source, either parses or is a ConfigError."""
+        custom = MINIMAL.replace("source = zero", "source = custom\n"
+                                 "source_table_s = -2 -1 0 1 2\nsource_table_f = -8 -1 0 1 8")
+        escaped = []
+        for base in (MINIMAL, custom):
+            for raw in HOSTILE:
+                cp = configparser.ConfigParser()
+                cp.read_string(base)
+                cp.read_dict({section: {key: raw}})
+                with open(tmp_path / "case.cfg", "w", encoding="utf-8") as fh:
+                    cp.write(fh)
+                try:
+                    parse_config(tmp_path / "case.cfg")
+                except ConfigError:
+                    pass
+                except Exception as exc:        # any other exception is an escape
+                    escaped.append((raw, base is custom, repr(exc)))
+        assert escaped == []
 
     def test_seed_override(self, tmp_path):
         parsed = parse_config(write_cfg(tmp_path, MINIMAL), seed_override=99)
@@ -269,6 +315,26 @@ class TestSubcommands:
                      "--out", str(out), "--seed", "-1"]) == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "dimension"])
+    def test_horizon_beyond_exact_step_count_exits_before_output(self, tmp_path, capsys,
+                                                                 command):
+        text = config_text("gradient").replace("T = 60.0", "T = 1e30")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert "[sim] t/dt = 5e+32 steps exceeds 2**53" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_run_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def run(*args):
+            raise MemoryError("Unable to allocate 146. TiB")
+        monkeypatch.setattr(cli, "run", run)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, SMALL_SIM)),
+                     "--out", str(out)]) == 3
+        assert "numerical failure: Unable to allocate 146. TiB" in capsys.readouterr().err
+        assert "simulate wall_s=" in (out / "run.log").read_text()
 
     @pytest.mark.parametrize("command, extra", [
         ("sweep", "[sweep]\nradii = 1\nsamples_per_radius = 1\nt = 0.1\ndt = 0.01\n"),
