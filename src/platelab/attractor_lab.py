@@ -76,8 +76,9 @@ def _state_norms(traj: Trajectory, ops: DiscreteOperators) -> np.ndarray:
     return np.sqrt(in_row_blocks(ops, ops.state_norm_sq, traj.us, traj.vs))
 
 
-def _tail_sup(norms: np.ndarray, times: np.ndarray, tail_fraction: float) -> float:
-    return float(np.max(norms[times >= times[-1] * (1.0 - tail_fraction)]))
+def tail_start(times: np.ndarray, fraction: float) -> int:
+    """The index of the first of the increasing times t >= (1 - fraction) times[-1]."""
+    return int(np.searchsorted(times, times[-1] * (1.0 - fraction)))
 
 
 def _entry_time(norms: np.ndarray, times: np.ndarray, radius: float) -> float:
@@ -142,7 +143,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
                              "t": float(res.partial.times[-1]) if res.partial else None})
             continue
         norms = _state_norms(res, ops)
-        sups[i][j] = _tail_sup(norms, res.times, plan.tail_fraction)
+        sups[i][j] = float(np.max(norms[tail_start(res.times, plan.tail_fraction):]))
         entries[i][j] = _entry_time(norms, res.times, r_min)
         reg = regularity_probe(res, ops, cfg)
         sup_v[i][j], sup_a[i][j], regularity[i][j] = \
@@ -319,13 +320,13 @@ def correlation_dimension(traj: Trajectory, ops: DiscreteOperators,
     trajectory scale) reports dimension 0.  A tail shorter than min_points,
     or with fewer than MIN_PAIRS pairs beyond the window, is an error.
     """
-    tail = traj.times >= traj.times[-1] * (1.0 - tail_fraction)
-    n_points = int(np.count_nonzero(tail))
+    start = tail_start(traj.times, tail_fraction)
+    n_points = len(traj.times) - start
     if problems := dimension_shortfalls(n_points, min_points, theiler):
         raise ExperimentError("; ".join(problems))
 
-    cu = ops.modal_coords(traj.us[tail]) * np.sqrt(ops.mu)
-    cv = ops.modal_coords(traj.vs[tail])
+    cu = ops.modal_coords(traj.us[start:]) * np.sqrt(ops.mu)
+    cv = ops.modal_coords(traj.vs[start:])
     scale = float(np.max(np.sqrt(np.sum(cu ** 2 + cv ** 2, axis=1))))
     scale = max(scale, 1e-300)
 
@@ -356,13 +357,11 @@ def dimension_shortfalls(n_points: int, min_points: int, theiler: int) -> list[s
     return problems
 
 
-def tail_points_at_most(plan: SimPlan, tail_fraction: float) -> int:
-    """How many tail snapshots `correlation_dimension` can find in a run of
-    this plan, known before it runs: the tail holds the times >= (1 -
-    tail_fraction) t_end, and a snapshot within the roundoff of the
-    accumulated clock of that start is counted in."""
-    steps = plan.snapshot_steps()
-    return int(np.count_nonzero(steps >= (1.0 - tail_fraction) * steps[-1] * (1.0 - 1e-6)))
+def tail_points(plan: SimPlan, tail_fraction: float) -> int:
+    """The exact number of tail snapshots of a run of this plan from t = 0,
+    known before it runs: its snapshot times are dt * plan.snapshot_steps()."""
+    times = plan.dt * plan.snapshot_steps()
+    return len(times) - tail_start(times, tail_fraction)
 
 
 def _gp_estimate(X: np.ndarray, theiler: int, scale: float) -> float:
@@ -482,17 +481,16 @@ def regularity_probe(traj: Trajectory, ops: DiscreteOperators,
     last quarter is at most 1.2 times the sup over the quarter before,
     floored at 1e-12 (the floor too when that quarter has no snapshot).
     """
-    t_end = traj.times[-1]
-    half = int(np.searchsorted(traj.times, 0.5 * t_end))     # times increase
+    half = tail_start(traj.times, 0.5)
 
     def columns(u, v):
         return ops.bending_norm_sq(v), ops.l2_norm_sq(acceleration(u, v, ops, cfg))
 
     sv, sa = in_row_blocks(ops, columns, traj.us[half:], traj.vs[half:])
-    late = traj.times[half:] >= 0.75 * t_end
+    late = tail_start(traj.times, 0.25) - half      # the last quarter's first row
     svh, sah = float(np.max(sv)), float(np.max(sa))
     finite = all(map(math.isfinite, (svh, sah)))
-    stable = all(np.max(x[late]) <= 1.2 * np.max(x[~late], initial=1e-12) for x in (sv, sa))
+    stable = all(np.max(x[late:]) <= 1.2 * np.max(x[:late], initial=1e-12) for x in (sv, sa))
     verdict = "PASS" if finite and stable else ("NOT_STABLE" if finite else "FAIL")
     return RegularityReport(sup_velocity_bending=svh, sup_accel_l2=sah, verdict=verdict)
 

@@ -87,16 +87,17 @@ def _prepare(args, subcommand: str):
     parsed = parse_config(args.config, seed_override=args.seed)
     if subcommand == "dimension":
         dim = parsed.values["dimension"]
-        most = attractor_lab.tail_points_at_most(parsed.plan, dim["tail_fraction"])
-        if problems := attractor_lab.dimension_shortfalls(most, dim["min_points"],
+        points = attractor_lab.tail_points(parsed.plan, dim["tail_fraction"])
+        if problems := attractor_lab.dimension_shortfalls(points, dim["min_points"],
                                                           dim["theiler"]):
             raise ConfigError([f"[dimension] {p} of the [sim] run" for p in problems])
     out_dir = Path(args.out or f"out_{subcommand}")
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise ConfigError([f"output directory {out_dir} is not empty "
                            "(pass --overwrite to reuse it)"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # a basis that cannot be allocated leaves no output directory
     ops = make_operators(parsed.mx, parsed.ny, parsed.cfg.dom, parsed.oversample)
+    out_dir.mkdir(parents=True, exist_ok=True)
     certificates = {
         "source_dissipativity": asdict(parsed.cert),
         "damping": {"coefficients": list(parsed.cfg.damping_coeffs),

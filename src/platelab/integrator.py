@@ -29,7 +29,8 @@ the energy-identity defect is O(dt^2) per unit time.
 `step` advances a member stack (S, n) row by row, each row with the bits
 it has alone, and returns each row's outcome: its failure, if any, and
 its fixed-point iterations.  `run_ensemble` drives S members with one
-`step` call per time step, and `run` is its one-member case.  A member
+`step` call per time step, step k ending at t0 + k dt (the plan's clock,
+not a running sum), and `run` is its one-member case.  A member
 ends with its Trajectory or with the IntegratorError that stopped it (a
 failed step, or a ledger that cannot be built), which carries the
 snapshots recorded before the failure; this module writes no files.
@@ -380,10 +381,12 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     snapshots before that one.
     A failure of the shared set-up (time step too large, source not
     certified; `partial` is None) ends every member.  Initial conditions
-    are materialised with plan.seed and must share their start time.  The
-    damping and flux time integrals are the per-step trapezoid rule, so
-    each ledger's identity residual is scheme-consistent.  They are taken
-    per block of buffered steps: the end states of up to
+    are materialised with plan.seed and must share their start time t0.
+    Step k ends at t0 + k dt, the time the next step's failure names, and
+    the snapshot times are t0 + dt * plan.snapshot_steps().  The damping
+    and flux time integrals are the per-step trapezoid rule, so each
+    ledger's identity residual is scheme-consistent.  They are taken per
+    block of buffered steps: the end states of up to
     max(1, ROW_BLOCK_BYTES // (8 S n)) steps, at most 2 ROW_BLOCK_BYTES
     for u and v, get their integrands in one call, and one cumulative sum
     adds the increments in step order, with the bits of per-step sums; the
@@ -405,14 +408,14 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     steps = plan.snapshot_steps()
     n_steps, n_snap = int(steps[-1]), steps.size
     S, n = len(starts), ops.n
-    times = np.empty(n_snap)
+    t0 = starts[0].t
+    times = t0 + plan.dt * steps
     us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
     damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
     errors = {}                     # member -> (message, the snapshots it keeps)
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
     block = max(1, ROW_BLOCK_BYTES // (8 * S * n))
     ub, vb = np.empty((2, block, S, n))     # end states of the buffered steps
-    tb = np.empty(block)
     coeffs = (0.5 * plan.dt, -cfg.beta * 0.5 * plan.dt)
 
     def integrands(u, v):
@@ -422,9 +425,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         return (damping_gains(np.sqrt(sp2), cfg) * sp2,
                 bilinear_form(ops.dy_blocks, u, v))
 
-    state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]),
-                  starts[0].t)
-    times[0] = state.t
+    state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]), t0)
     us[:, 0], vs[:, 0] = state.u, state.v
     damp[:, 0] = flux[:, 0] = 0.0
     totals = (damp[:, 0], flux[:, 0])
@@ -443,7 +444,6 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         totals = tuple(x[-1] for x in sums)
         lo, hi = np.searchsorted(steps, (k - b + 1, k + 1))
         j = steps[lo:hi] - (k - b + 1)
-        times[lo:hi] = tb[j]
         us[:, lo:hi], vs[:, lo:hi] = ub[j].swapaxes(0, 1), vb[j].swapaxes(0, 1)
         damp[:, lo:hi], flux[:, lo:hi] = sums[0][j + 1].T, sums[1][j + 1].T
 
@@ -453,6 +453,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         last = integrands(state.u, state.v)     # at the step before the buffer
         for k in range(1, n_steps + 1):
             state, failed, its = step(state, cache)
+            state.t = t0 + k * plan.dt
             for m, i in enumerate(its):
                 fp_hist[m][i] += 1
             for m, msg in failed.items():
@@ -461,7 +462,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             if len(errors) == S:
                 flush(k - 1, b)
                 break
-            ub[b], vb[b], tb[b] = state.u, state.v, state.t
+            ub[b], vb[b] = state.u, state.v
             b += 1
             if b == block or k == n_steps:
                 flush(k, b)

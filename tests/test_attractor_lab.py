@@ -11,11 +11,11 @@ from conftest import traced_peak
 
 from platelab import attractor_lab
 from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _entry_time,
-                                    _sample_seed, _state_norms, _tail_sup,
+                                    _sample_seed, _state_norms,
                                     correlation_dimension, dissipativity_sweep,
                                     make_nearby_pair, quasistability_pairs,
                                     regularity_probe, stationary_convergence,
-                                    tail_points_at_most)
+                                    tail_points, tail_start)
 from platelab.discretization import block_matvec
 from platelab.integrator import IntegratorError, SimPlan, Trajectory, run
 from platelab.model import PlateConfig, SourceSpec, damping_gains, force_load
@@ -89,7 +89,8 @@ class TestSweep:
                 solo = run(ops12, cfg, plan.sim_plan(_sample_seed(plan.seed, i, j)),
                            ("random", radius))
                 norms = _state_norms(solo, ops12)
-                assert rep.tail_sups[i][j] == _tail_sup(norms, solo.times, plan.tail_fraction)
+                tail = norms[tail_start(solo.times, plan.tail_fraction):]
+                assert rep.tail_sups[i][j] == np.max(tail)
                 assert rep.entry_times[i][j] == _entry_time(norms, solo.times, 0.5)
                 reg = regularity_probe(solo, ops12, cfg)
                 assert rep.sup_velocity_bending[i][j] == reg.sup_velocity_bending
@@ -301,13 +302,15 @@ class TestCorrelationDimension:
         (0.3, 0.1, 1, 1.0 / 3.0),
         (2.0, 0.003, 10, 0.25),
         (0.0, 0.01, 3, 0.5),
+        (80.0, 0.01, 1, 0.5),           # audit-dense's orbit
     ])
     def test_tail_count_known_before_the_run(self, ops1, T, dt, every, fraction):
+        # a clock summed step by step finds one snapshot fewer than the plan
+        # in the first, third and last of these
         plan = SimPlan(dt=dt, T=T, snapshot_every=every)
         traj = run(ops1, cfg_with(**DAMPED), plan, ("mode", 1, 0, 0.5))
         found = np.count_nonzero(traj.times >= traj.times[-1] * (1.0 - fraction))
-        # a snapshot on the tail's start is counted even if the clock's roundoff drops it
-        assert found <= tail_points_at_most(plan, fraction) <= found + 1
+        assert found == tail_points(plan, fraction)
 
     def test_periodic_orbit_dimension_one(self, dom):
         from platelab.discretization import make_operators

@@ -241,6 +241,30 @@ initial = mode 1 0 0.5
 """
 
 
+# conservative single mode: a periodic orbit with dimension ~1
+CIRCLE = """
+[plate]
+alpha = 0.0
+delta = 0.0
+beta = 0.0
+kappa = 0.0
+damping = 0.0 0.0
+source = zero
+allow_undamped = true
+[basis]
+mx = 2
+ny = 1
+[sim]
+dt = 0.01
+t = 90.0
+snapshot_every = 2
+initial = mode 1 0 1.0
+[dimension]
+min_points = 2000
+theiler = 10
+"""
+
+
 class TestSubcommands:
     def test_simulate_writes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SIM)
@@ -335,6 +359,16 @@ class TestSubcommands:
                      "--out", str(out)]) == 3
         assert "numerical failure: Unable to allocate 146. TiB" in capsys.readouterr().err
         assert "simulate wall_s=" in (out / "run.log").read_text()
+
+    def test_unbuildable_basis_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        def make_operators(*args):
+            raise MemoryError("Unable to allocate 256. PiB")
+        monkeypatch.setattr(cli, "make_operators", make_operators)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, SMALL_SIM)),
+                     "--out", str(out)]) == 3
+        assert "numerical failure: Unable to allocate 256. PiB" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("sweep", "[sweep]\nradii = 1\nsamples_per_radius = 1\nt = 0.1\ndt = 0.01\n"),
@@ -469,6 +503,17 @@ t = 1
         assert "[dimension] theiler = 95 leaves 15 pairs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dimension_pre_check_is_exact(self, tmp_path):
+        # 180 steps of 0.01 from t = 0 leave 91 snapshots at t >= 0.9; on a
+        # clock summed step by step the 90th falls below half the end time
+        text = CIRCLE.replace("t = 90.0", "t = 1.8").replace("snapshot_every = 2",
+                                                             "snapshot_every = 1")
+        text = text.replace("min_points = 2000", "min_points = 91")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "dim"
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "dimension_report.json").read_text())["n_points"] == 91
+
     def test_barrier_toy_prints_sigma(self, capsys):
         assert main(["barrier", "--toy"]) == 0
         out = capsys.readouterr().out
@@ -499,29 +544,7 @@ t = 1
         assert series[1] == "pair,t,separation,lower_order"
 
     def test_dimension_subcommand(self, tmp_path):
-        # conservative single mode: a periodic orbit with dimension ~1
-        text = """
-[plate]
-alpha = 0.0
-delta = 0.0
-beta = 0.0
-kappa = 0.0
-damping = 0.0 0.0
-source = zero
-allow_undamped = true
-[basis]
-mx = 2
-ny = 1
-[sim]
-dt = 0.01
-t = 90.0
-snapshot_every = 2
-initial = mode 1 0 1.0
-[dimension]
-min_points = 2000
-theiler = 10
-"""
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, CIRCLE)
         out = tmp_path / "dim"
         assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == 0
         rep = json.loads((out / "dimension_report.json").read_text())

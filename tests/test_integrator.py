@@ -285,6 +285,37 @@ class TestRun:
         traj = run(ops12, cfg, SimPlan(dt=1e-2, T=0.0), ("mode", 1, 0, 0.3))
         assert len(traj) == 1 and traj.times[0] == 0.0
 
+    @pytest.mark.parametrize("t0, dt, every", [(0.0, 0.01, 7), (0.3, 0.1, 3)])
+    def test_times_are_the_plan_clock(self, ops12, t0, dt, every):
+        # not a running sum: 0.3 + 0.1 + 0.1 + 0.1 is 0.6, where 0.3 + 3 * 0.1
+        # is 0.6000000000000001, and 14 sums of 0.01 miss 14 * 0.01
+        cfg = cfg_with(**GENERAL)
+        plan = SimPlan(dt=dt, T=1.0, snapshot_every=every)
+        start = initial_state(("random", 1.0), ops12, cfg, 5)
+        traj = run(ops12, cfg, plan, State(start.u, start.v, t0))
+        assert np.array_equal(traj.times, t0 + dt * plan.snapshot_steps())
+
+    def test_failure_names_the_exact_time_of_its_step(self, ops12, monkeypatch):
+        # a NaN put into member 1 before step 8 ends it there; that step
+        # starts at 0.3 + 7 * 0.1 = 1.0, where a running sum reads 0.9999999999999999
+        clock = []
+
+        def poisoned(state, cache):
+            clock.append(state.t)
+            if len(clock) == 8:
+                state.u[1] = np.nan
+            return real(state, cache)
+
+        real = integrator.step
+        monkeypatch.setattr(integrator, "step", poisoned)
+        cfg = cfg_with(**GENERAL)
+        start = initial_state(("random", 1.0), ops12, cfg, 5)
+        plan = SimPlan(dt=0.1, T=1.2)
+        ok, err = run_ensemble(ops12, cfg, plan, [State(start.u, start.v, 0.3)] * 2)
+        assert clock == [0.3 + k * 0.1 for k in range(12)]
+        assert str(err) == "non-finite state at t = 1.0"
+        assert np.array_equal(err.partial.times, ok.times[:8]) and ok.times[7] == 1.0
+
     def test_seeded_runs_identical(self, ops12):
         cfg = cfg_with(delta=1.0, beta=0.5, kappa=1.0,
                        damping_coeffs=(0.5, 0.0, 1.0))
