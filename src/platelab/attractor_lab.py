@@ -72,10 +72,6 @@ class SweepReport:
     meta: dict = field(default_factory=dict)
 
 
-def _state_norms(traj: Trajectory, ops: DiscreteOperators) -> np.ndarray:
-    return np.sqrt(in_row_blocks(ops, ops.state_norm_sq, traj.us, traj.vs))
-
-
 def tail_start(times: np.ndarray, fraction: float) -> int:
     """The index of the first of the increasing times t >= (1 - fraction) times[-1]."""
     return int(np.searchsorted(times, times[-1] * (1.0 - fraction)))
@@ -142,7 +138,7 @@ def dissipativity_sweep(ops: DiscreteOperators, cfg: PlateConfig, plan: SweepPla
             failures.append({"message": str(res),
                              "t": float(res.partial.times[-1]) if res.partial else None})
             continue
-        norms = _state_norms(res, ops)
+        norms = np.sqrt(2.0 * (res.ledger.kinetic + res.ledger.bending))   # phase-space norm
         sups[i][j] = float(np.max(norms[tail_start(res.times, plan.tail_fraction):]))
         entries[i][j] = _entry_time(norms, res.times, r_min)
         reg = regularity_probe(res, ops, cfg)

@@ -216,19 +216,17 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     b_exp = balance_exponent(max(q_eff, 1))
 
     def columns(u, v):
-        sp2 = ops.l2_norm_sq(v)
-        gain = damping_gains(np.sqrt(sp2), cfg)
-        return (sp2,
-                gain * sp2,                                     # (D u_t, u_t)
-                gain * np.vecdot(ops.m_diag * v, u),            # (D u_t, u)
-                -cfg.beta * bilinear_form(ops.dy_blocks, u, u),  # (N(u), u)
-                -cfg.beta * bilinear_form(ops.dy_blocks, u, v),  # (N(u), u_t)
-                ops.bending_norm_sq(u))
+        # (D u_t, u_t) and (u_y, u_t), then (M u_t, u) and (u_y, u)
+        return (*energy_mod.rates(u, v, ops, cfg), np.vecdot(ops.m_diag * v, u),
+                bilinear_form(ops.dy_blocks, u, u))
 
     per_traj = [in_row_blocks(ops, columns, traj.us, traj.vs) for traj in trajectories]
-    sp2, ddot, du_u, flow_u, flow_ut, bend2 = map(np.concatenate, zip(*per_traj))
-    E = np.concatenate([traj.ledger.E for traj in trajectories])
-    pi0 = np.concatenate([traj.ledger.Pi0 for traj in trajectories])
+    ddot, uy_ut, vu, uy_u = map(np.concatenate, zip(*per_traj))
+    kin, bend, E, pi0 = (np.concatenate([getattr(traj.ledger, f) for traj in trajectories])
+                         for f in ("kinetic", "bending", "E", "Pi0"))
+    sp2, bend2 = 2.0 * kin, 2.0 * bend                          # ||u_t||_0^2, a(u, u)
+    du_u = damping_gains(np.sqrt(sp2), cfg) * vu                # (D u_t, u)
+    flow_u, flow_ut = -cfg.beta * uy_u, -cfg.beta * uy_ut       # (N(u), u), (N(u), u_t)
 
     # (A1)-type velocity control
     if cfg.b0 > 0.0:
@@ -322,14 +320,12 @@ def decay_audit(traj, ops: DiscreteOperators, cfg: PlateConfig,
         eps = decay_rate_at_energy(float(led.E[0]), bc)
 
     def columns(u, v):
-        return (np.vecdot(ops.m_diag * v, u), ops.l2_norm_sq(v),
-                bilinear_form(ops.dy_blocks, u, v),
+        return (np.vecdot(ops.m_diag * v, u), *energy_mod.rates(u, v, ops, cfg),
                 np.vecdot(ops.m_diag * acceleration(u, v, ops, cfg), u))
 
-    vu, sp2, uy_ut, acc_u = in_row_blocks(ops, columns, traj.us, traj.vs)
+    vu, ddot, uy_ut, acc_u = in_row_blocks(ops, columns, traj.us, traj.vs)
     V = led.Etot + eps * vu
-    ddot = damping_gains(np.sqrt(sp2), cfg) * sp2
-    dV = -ddot - cfg.beta * uy_ut + eps * (sp2 + acc_u)
+    dV = -ddot - cfg.beta * uy_ut + eps * (2.0 * led.kinetic + acc_u)
     lhs = dV + eps * V
     bracket = eps * (1.0 + led.E) ** bc.gamma - bc.d3
     rhs = bc.d0 * (eps + bc.b(bc.d1 / eps)) + bc.d2 * bracket * ddot

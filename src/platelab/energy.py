@@ -16,6 +16,9 @@ The positive energy is E = kinetic + bending + Pi0, and the balance
 that trajectories are audited against is
 
     Etot(t) + int_s^t g(||u_t||) ||u_t||^2  =  Etot(s) - beta int_s^t (u_y, u_t).
+
+`_columns` (kinetic, bending, Pi) and `rates` (the damping rate and the
+flux) define each quantity of the ledger once; `build_ledger` joins them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .discretization import DiscreteOperators
-from .model import PlateConfig, SourceCertificate, nodal_load
+from .discretization import DiscreteOperators, bilinear_form
+from .model import PlateConfig, SourceCertificate, damping_gains, in_row_blocks, nodal_load
 
 
 class EnergyError(ValueError):
@@ -111,14 +114,54 @@ def split_from_potential(pi, u_sq, cfg: PlateConfig, cert: SourceCertificate):
     return pi0, pi1
 
 
+def _columns(u, v, ops: DiscreteOperators, cfg: PlateConfig):
+    """(kinetic, bending, Pi, ||u||_0^2) of a state or per row of stacks u, v."""
+    return (0.5 * ops.l2_norm_sq(v), 0.5 * ops.bending_norm_sq(u),
+            potential_energy(u, ops, cfg), ops.l2_norm_sq(u))
+
+
 def total_energy(u, v, ops: DiscreteOperators, cfg: PlateConfig,
                  cert: SourceCertificate):
     """(E, Etot): positive energy and total energy of a state or a stack."""
-    kin = 0.5 * ops.l2_norm_sq(v)
-    bend = 0.5 * ops.bending_norm_sq(u)
-    pi0, pi1 = split_potential(u, ops, cfg, cert)
+    kin, bend, pi, u_sq = _columns(u, v, ops, cfg)
+    pi0, pi1 = split_from_potential(pi, u_sq, cfg, cert)
     E = kin + bend + pi0
     return E, E + pi1
+
+
+def rates(u, v, ops: DiscreteOperators, cfg: PlateConfig):
+    """(g(||v||_0) ||v||_0^2, (u_y, v)) per row of stacks u, v: the damping
+    rate and the flux, the integrands of the energy identity at u_t = v."""
+    sp2 = ops.l2_norm_sq(v)
+    return damping_gains(np.sqrt(sp2), cfg) * sp2, bilinear_form(ops.dy_blocks, u, v)
+
+
+def build_ledger(times, us, vs, damp, flux, ops: DiscreteOperators, cfg: PlateConfig,
+                 cert: SourceCertificate) -> EnergyLedger:
+    """The energy ledger of one member's snapshots, given the time integrals
+    of its damping rate and of -beta times its flux.  Raises EnergyError
+    at its first bad snapshot, the error's `row`: the first with a
+    non-finite entry, or an earlier one whose Pi0 is negative beyond
+    roundoff."""
+    def finite_rows(x):     # the rows before the first non-finite one
+        return int(np.argmin(np.isfinite(np.append(x, np.inf))))
+
+    kin, bend, pi, u_sq = in_row_blocks(ops, lambda u, v: _columns(u, v, ops, cfg), us, vs)
+    # a non-finite entry makes its row's sum non-finite; the split checks the rows before it
+    end = finite_rows(kin + bend + pi + u_sq + damp + flux)
+    pi0, pi1 = split_from_potential(pi[:end], u_sq[:end], cfg, cert)
+    if end == len(times):
+        E = kin + bend + pi0
+        Etot = E + pi1
+        residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])
+        end = finite_rows(residual)     # every entry of its row and of row 0 feeds it
+    if end < len(times):
+        exc = EnergyError("an entry is not finite")
+        exc.row = end
+        raise exc
+    return EnergyLedger(t=times, kinetic=kin, bending=bend, Pi=pi, Pi0=pi0, Pi1=pi1,
+                        E=E, Etot=Etot, damping_integral=damp, flux_integral=flux,
+                        identity_residual=residual)
 
 
 def poincare_ratio(u, ops: DiscreteOperators) -> float:

@@ -34,8 +34,9 @@ not a running sum), and `run` is its one-member case.  A member
 ends with its Trajectory or with the IntegratorError that stopped it (a
 failed step, or a ledger that cannot be built), which carries the
 snapshots recorded before the failure; this module writes no files.
-The ledger's damping and flux integrals are the per-step trapezoid rule,
-evaluated per block of buffered steps in at most 2 ROW_BLOCK_BYTES.
+The ledger's damping and flux integrals are the per-step trapezoid rule
+of `energy.rates`, in blocks of at most 2 ROW_BLOCK_BYTES of buffered
+steps, and `energy.build_ledger` builds the ledger from them.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import energy as energy_mod
-from .discretization import (DiscreteOperators, bilinear_form, block_eigh, block_matvec,
-                             block_vecmat)
+from .discretization import DiscreteOperators, block_eigh, block_matvec, block_vecmat
 from .model import (PlateConfig, SourceCertificate, State, certify_source, ROW_BLOCK_BYTES,
-                    damping_gains, force_load, horner, in_row_blocks, solve_stationary)
+                    damping_gains, force_load, horner, solve_stationary)
 
 
 class IntegratorError(RuntimeError):
@@ -383,14 +383,14 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     certified; `partial` is None) ends every member.  Initial conditions
     are materialised with plan.seed and must share their start time t0.
     Step k ends at t0 + k dt, the time the next step's failure names, and
-    the snapshot times are t0 + dt * plan.snapshot_steps().  The damping
-    and flux time integrals are the per-step trapezoid rule, so each
-    ledger's identity residual is scheme-consistent.  They are taken per
-    block of buffered steps: the end states of up to
-    max(1, ROW_BLOCK_BYTES // (8 S n)) steps, at most 2 ROW_BLOCK_BYTES
-    for u and v, get their integrands in one call, and one cumulative sum
-    adds the increments in step order, with the bits of per-step sums; the
-    snapshots among them are filled at the same time.
+    the snapshot times, each member's own array, are t0 + dt *
+    plan.snapshot_steps().  The time integrals of `energy.rates` are the
+    per-step trapezoid rule, so each ledger's identity residual is
+    scheme-consistent.  They are taken per block of buffered steps: the
+    end states of up to max(1, ROW_BLOCK_BYTES // (8 S n)) steps, at most
+    2 ROW_BLOCK_BYTES for u and v, get their integrands in one call, and
+    one cumulative sum adds the increments in step order, with the bits of
+    per-step sums; the snapshots among them are filled at the same time.
     """
     try:
         cert = cert or certify_source(cfg)
@@ -416,14 +416,8 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
     block = max(1, ROW_BLOCK_BYTES // (8 * S * n))
     ub, vb = np.empty((2, block, S, n))     # end states of the buffered steps
+    # the ledger stores the time integrals of the damping rate and of -beta times the flux
     coeffs = (0.5 * plan.dt, -cfg.beta * 0.5 * plan.dt)
-
-    def integrands(u, v):
-        # damping g(||v||) ||v||^2 and (u_y, u_t) per row; the ledger
-        # stores -beta times the time integral of the second
-        sp2 = ops.l2_norm_sq(v)
-        return (damping_gains(np.sqrt(sp2), cfg) * sp2,
-                bilinear_form(ops.dy_blocks, u, v))
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]), t0)
     us[:, 0], vs[:, 0] = state.u, state.v
@@ -434,7 +428,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         """Add the trapezoid increments of the b buffered steps that end at
         step k, each in turn, and fill the snapshots among them."""
         nonlocal last, totals
-        now = integrands(ub[:b].reshape(-1, n), vb[:b].reshape(-1, n))
+        now = energy_mod.rates(ub[:b].reshape(-1, n), vb[:b].reshape(-1, n), ops, cfg)
         sums = []
         for c, x0, x, acc in zip(coeffs, last, now, totals):
             x = np.concatenate([x0, x]).reshape(b + 1, S)
@@ -450,7 +444,7 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     b = 0                                   # steps in the buffer
     # an overflow or a NaN row is a member's failure, reported by its message
     with np.errstate(over="ignore", invalid="ignore"):
-        last = integrands(state.u, state.v)     # at the step before the buffer
+        last = energy_mod.rates(state.u, state.v, ops, cfg)   # at the step before the buffer
         for k in range(1, n_steps + 1):
             state, failed, its = step(state, cache)
             state.t = t0 + k * plan.dt
@@ -472,13 +466,15 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
         for m in range(S):
             meta = {"plan": plan, "Mx": ops.basis.Mx, "Ny": ops.basis.Ny}
             if m not in errors:
+                own = times.copy()      # the member's times, shared by its ledger
                 try:
-                    ledger = _build_ledger(times, us[m], vs[m], damp[m], flux[m], ops, cfg, cert)
+                    ledger = energy_mod.build_ledger(own, us[m], vs[m], damp[m], flux[m],
+                                                     ops, cfg, cert)
                 except energy_mod.EnergyError as exc:
                     errors[m] = (f"energy ledger fails at t = {times[exc.row]}: {exc}", exc.row)
                 else:
                     meta["fp_iterations"] = {k: c for k, c in enumerate(fp_hist[m]) if c}
-                    out.append(Trajectory(times=times.copy(), us=us[m], vs=vs[m], ledger=ledger,
+                    out.append(Trajectory(times=own, us=us[m], vs=vs[m], ledger=ledger,
                                           meta=meta))
                     continue
             msg, end = errors[m]
@@ -500,32 +496,3 @@ def run(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initial,
         raise out
     return out
 
-
-def _build_ledger(times, us, vs, damp, flux, ops, cfg, cert) -> energy_mod.EnergyLedger:
-    """The energy ledger of one member's snapshots.  Raises EnergyError at
-    its first bad snapshot, the error's `row`: the first with a non-finite
-    entry, or an earlier one whose Pi0 is negative beyond roundoff."""
-    def columns(u, v):
-        return (0.5 * ops.l2_norm_sq(v), 0.5 * ops.bending_norm_sq(u),
-                energy_mod.potential_energy(u, ops, cfg), ops.l2_norm_sq(u))
-
-    def finite_rows(x):     # the rows before the first non-finite one
-        return int(np.argmin(np.isfinite(np.append(x, np.inf))))
-
-    kin, bend, pi, u_sq = in_row_blocks(ops, columns, us, vs)
-    # a non-finite entry makes its row's sum non-finite; the split checks the rows before it
-    end = finite_rows(kin + bend + pi + u_sq + damp + flux)
-    pi0, pi1 = energy_mod.split_from_potential(pi[:end], u_sq[:end], cfg, cert)
-    if end == len(times):
-        E = kin + bend + pi0
-        Etot = E + pi1
-        residual = (Etot - Etot[0]) + (damp - damp[0]) - (flux - flux[0])
-        end = finite_rows(residual)     # every entry of its row and of row 0 feeds it
-    if end < len(times):
-        exc = energy_mod.EnergyError("an entry is not finite")
-        exc.row = end
-        raise exc
-    return energy_mod.EnergyLedger(t=times, kinetic=kin, bending=bend, Pi=pi,
-                                   Pi0=pi0, Pi1=pi1, E=E, Etot=Etot,
-                                   damping_integral=damp, flux_integral=flux,
-                                   identity_residual=residual)

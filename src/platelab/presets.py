@@ -102,10 +102,6 @@ def config_text(name: str) -> str:
     elif cfg.source.kind == "cubic_minus_load":
         lines.append("source = cubic_minus_load")
         lines.append(f"load = {cfg.source.load!r}")
-    else:
-        lines.append("source = custom")
-        lines.append("source_table_s = " + " ".join(repr(s) for s in cfg.source.table_s))
-        lines.append("source_table_f = " + " ".join(repr(f) for f in cfg.source.table_f))
     if sum(cfg.damping_coeffs) == 0.0:
         lines.append("allow_undamped = true")
     lines += [

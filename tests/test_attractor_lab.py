@@ -11,8 +11,7 @@ from conftest import traced_peak
 
 from platelab import attractor_lab
 from platelab.attractor_lab import (ExperimentError, PairStats, SweepPlan, _entry_time,
-                                    _sample_seed, _state_norms,
-                                    correlation_dimension, dissipativity_sweep,
+                                    _sample_seed, correlation_dimension, dissipativity_sweep,
                                     make_nearby_pair, quasistability_pairs,
                                     regularity_probe, stationary_convergence,
                                     tail_points, tail_start)
@@ -88,7 +87,7 @@ class TestSweep:
             for j in range(plan.samples_per_radius):
                 solo = run(ops12, cfg, plan.sim_plan(_sample_seed(plan.seed, i, j)),
                            ("random", radius))
-                norms = _state_norms(solo, ops12)
+                norms = np.sqrt(ops12.state_norm_sq(solo.us, solo.vs))
                 tail = norms[tail_start(solo.times, plan.tail_fraction):]
                 assert rep.tail_sups[i][j] == np.max(tail)
                 assert rep.entry_times[i][j] == _entry_time(norms, solo.times, 0.5)

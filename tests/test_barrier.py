@@ -14,7 +14,7 @@ from platelab import barrier as bar
 from platelab.attractor_lab import _sample_seed
 from platelab.discretization import make_operators
 from platelab.integrator import SimPlan, initial_state, run
-from platelab.model import PlateConfig, SourceSpec, certify_source, force_load
+from platelab.model import PlateConfig, SourceSpec, certify_source, damping_gains, force_load
 from platelab.presets import make
 
 from conftest import random_coeffs
@@ -239,6 +239,21 @@ def fitted_setup(ops12):
     traj = run(ops12, cfg, plan, ("stationary_kick", 0.5), cert)
     bc = bar.fit_barrier_constants([traj], ops12, cfg, cert)
     return cfg, cert, traj, bc
+
+
+class TestFit:
+    def test_velocity_control_without_linear_damping(self, ops12):
+        # b_0 = 0: c1 = 1, and c0 is the largest excess of ||u_t||_0^2 over
+        # (D u_t, u_t) on every snapshot of every trajectory
+        cfg = PlateConfig(alpha=0.0, delta=1.0, kappa=2.0, damping_coeffs=(0.0, 0.0, 1.0))
+        cert = certify_source(cfg)
+        trajs = [run(ops12, cfg, SimPlan(dt=1e-2, T=1.0, snapshot_every=5, seed=seed),
+                     ("random", radius), cert) for seed, radius in ((1, 0.5), (2, 2.0))]
+        bc = bar.fit_barrier_constants(trajs, ops12, cfg, cert)
+        sp2 = np.concatenate([ops12.l2_norm_sq(traj.vs) for traj in trajs])
+        excess = sp2 - damping_gains(np.sqrt(sp2), cfg) * sp2
+        assert bc.c1 == 1.0
+        assert bc.c0 == max(0.0, float(np.max(excess))) > 0.0
 
 
 class TestDecayAudit:

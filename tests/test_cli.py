@@ -594,12 +594,19 @@ t = 1
         assert sum(hist.values()) == 2 * 2 * 200                # 2 pairs, 200 steps each
 
     def test_plots_flag_writes_svg(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_SIM)
-        out = tmp_path / "runp"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--plots"]) == 0
-        svg = (out / "ledger.svg").read_text()
-        assert svg.startswith("<svg") and "config_hash=" in svg
+        # every subcommand that takes --plots draws its SVG, stamped with the config hash
+        for command, extra, name in (
+                ("simulate", "", "ledger.svg"),
+                ("sweep", "[sweep]\nradii = 0.5 1\nsamples_per_radius = 1\nt = 0.1\n"
+                          "dt = 0.01\n", "sweep.svg"),
+                ("pairs", "[pairs]\nn_pairs = 2\nt = 0.1\ndt = 0.01\n", "pairs.svg")):
+            out = tmp_path / command
+            cfg = write_cfg(tmp_path, SMALL_SIM + extra, f"{command}.cfg")
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--plots"]) in (0, 4), command
+            chash = json.loads((out / "manifest.json").read_text())["config_hash"]
+            svg = (out / name).read_text()
+            assert svg.startswith("<svg") and f"config_hash={chash}" in svg, command
 
     def test_plots_flag_only_where_plots_exist(self, capsys):
         # barrier, dimension and stationary draw nothing, so argparse rejects it

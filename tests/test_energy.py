@@ -221,14 +221,14 @@ class TestSnapshotStacks:
         # reads its stacks in row blocks holds one block plus a few floats
         # per snapshot (its per-row columns), so 4 times the snapshots add
         # at most 32 floats a snapshot and no peak reaches one stack.
-        from platelab import barrier, integrator, presets
+        from platelab import barrier, energy, integrator, presets
         from platelab.attractor_lab import _fit_pair, regularity_probe
         from platelab.discretization import make_operators
 
         ops = make_operators(16, 16, dom)
         cfg = presets.make("general")[0]
         cert = certify_source(cfg)
-        build = integrator._build_ledger
+        build = energy.build_ledger
         peaks, ledger_peaks = {}, []
 
         def spy(*args):
@@ -236,7 +236,7 @@ class TestSnapshotStacks:
             ledger_peaks.append(traced_peak(lambda: out.append(build(*args))))
             return out[0]
 
-        monkeypatch.setattr(integrator, "_build_ledger", spy)
+        monkeypatch.setattr(energy, "build_ledger", spy)
         for steps in (800, 3200):
             ledger_peaks.clear()
             plan = integrator.SimPlan(dt=1e-3, T=steps * 1e-3, snapshot_every=1, seed=1)

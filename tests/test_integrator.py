@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platelab import integrator, presets
+from platelab import energy, integrator, presets
 from platelab.discretization import bilinear_form, make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
@@ -412,8 +412,8 @@ class TestEnsemble:
         # member at amplitude 15 fails during the run
         monkeypatch.setattr(integrator, "ROW_BLOCK_BYTES", 7 * 8 * 3 * 6)
         flushes = []
-        monkeypatch.setattr(integrator, "bilinear_form",
-                            lambda *a: flushes.append(1) or bilinear_form(*a))
+        rates = energy.rates
+        monkeypatch.setattr(energy, "rates", lambda *a: flushes.append(1) or rates(*a))
         ops = make_operators(3, 2, dom)
         cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
         plan = SimPlan(dt=0.02, T=1.2, snapshot_every=every)
@@ -449,6 +449,15 @@ class TestEnsemble:
         for m in (0, 2):
             assert np.array_equal(out[m].ledger.damping_integral, np.array(damp)[snaps, m])
             assert np.array_equal(out[m].ledger.flux_integral, np.array(flux)[snaps, m])
+
+    def test_members_own_their_times(self, ops12):
+        # a member's ledger shares that member's times and no other member's
+        plan = SimPlan(dt=1e-2, T=0.1)
+        a, b = run_ensemble(ops12, cfg_with(**GENERAL), plan,
+                            [("mode", 1, 0, 0.5), ("mode", 2, 1, 0.3)])
+        assert a.ledger.t is a.times and b.ledger.t is b.times
+        a.ledger.t[0] = 99.0
+        assert b.times[0] == b.ledger.t[0] == 0.0
 
     def test_setup_failure_ends_every_member(self, dom):
         # buckling load alpha = 3 puts a mode at stiffness -2; dt = 3 is too

@@ -276,6 +276,22 @@ class TestStationary:
               - force_load(u - h * w, ops12, cfg)) / (2 * h)
         assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5)
 
+    def test_custom_source_jacobian_and_equilibrium(self, ops12):
+        # the spline's derivative feeds the Jacobian; kappa = 0 leaves no kink
+        table = np.linspace(-4, 4, 17)
+        cfg = cfg_with(alpha=0.5, delta=1.0, beta=0.7,
+                       source=SourceSpec(kind="custom", table_s=tuple(table),
+                                         table_f=tuple(table ** 3 + 0.5 * np.sin(3 * table) - 1)))
+        u = random_coeffs(ops12, 11, scale=5.0)
+        J = force_jacobian(u, ops12, cfg)
+        w = np.random.default_rng(5).standard_normal(ops12.n)
+        h = 1e-6
+        fd = (force_load(u + h * w, ops12, cfg)
+              - force_load(u - h * w, ops12, cfg)) / (2 * h)
+        assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5)
+        res = solve_stationary(cfg, ops12)
+        assert res.converged and res.residual <= 1e-10
+
 
 class TestJacobianAssembly:
     """The in-place sine-block assembly against a dense one from the
