@@ -225,7 +225,7 @@ def fit_barrier_constants(trajectories, ops: DiscreteOperators, cfg: PlateConfig
     kin, bend, E, pi0 = (np.concatenate([getattr(traj.ledger, f) for traj in trajectories])
                          for f in ("kinetic", "bending", "E", "Pi0"))
     sp2, bend2 = 2.0 * kin, 2.0 * bend                          # ||u_t||_0^2, a(u, u)
-    du_u = damping_gains(np.sqrt(sp2), cfg) * vu                # (D u_t, u)
+    du_u = damping_gains(np.sqrt(sp2), cfg) * vu    # (D u_t, u); rates took the gain for ddot
     flow_u, flow_ut = -cfg.beta * uy_u, -cfg.beta * uy_ut       # (N(u), u), (N(u), u_t)
 
     # (A1)-type velocity control

@@ -594,16 +594,17 @@ t = 1
         assert sum(hist.values()) == 2 * 2 * 200                # 2 pairs, 200 steps each
 
     def test_plots_flag_writes_svg(self, tmp_path):
-        # every subcommand that takes --plots draws its SVG, stamped with the config hash
-        for command, extra, name in (
-                ("simulate", "", "ledger.svg"),
+        # every subcommand that takes --plots draws its SVG, stamped with the config hash;
+        # the sweep and the pairs plans are too short to pass, and draw their FAIL too
+        for command, extra, name, code in (
+                ("simulate", "", "ledger.svg", 0),
                 ("sweep", "[sweep]\nradii = 0.5 1\nsamples_per_radius = 1\nt = 0.1\n"
-                          "dt = 0.01\n", "sweep.svg"),
-                ("pairs", "[pairs]\nn_pairs = 2\nt = 0.1\ndt = 0.01\n", "pairs.svg")):
+                          "dt = 0.01\n", "sweep.svg", 4),
+                ("pairs", "[pairs]\nn_pairs = 2\nt = 0.1\ndt = 0.01\n", "pairs.svg", 4)):
             out = tmp_path / command
             cfg = write_cfg(tmp_path, SMALL_SIM + extra, f"{command}.cfg")
             assert main([command, "--config", str(cfg), "--out", str(out),
-                         "--plots"]) in (0, 4), command
+                         "--plots"]) == code, command
             chash = json.loads((out / "manifest.json").read_text())["config_hash"]
             svg = (out / name).read_text()
             assert svg.startswith("<svg") and f"config_hash={chash}" in svg, command

@@ -21,6 +21,11 @@ def cfg_with(**kw):
     return PlateConfig(**kw)
 
 
+KNOTS = np.linspace(-4, 4, 17)
+SPLINE = SourceSpec(kind="custom", table_s=tuple(KNOTS),
+                    table_f=tuple(KNOTS ** 3 + 0.5 * np.sin(3 * KNOTS) - 1))
+
+
 class TestDampingGain:
     def test_at_zero_returns_b0(self):
         cfg = cfg_with(damping_coeffs=(0.7, 0.0, 2.0))
@@ -265,31 +270,21 @@ class TestStationary:
         assert np.max(np.abs(-gram - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_jacobian_matches_finite_differences(self, ops12):
-        cfg = cfg_with(alpha=0.5, delta=1.0, kappa=2.0, beta=0.7,
-                       source=SourceSpec(kind="cubic_minus_load", load=1.0))
-        u = random_coeffs(ops12, 11, scale=0.6)
-        J = force_jacobian(u, ops12, cfg)
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal(ops12.n)
-        h = 1e-6
-        fd = (force_load(u + h * w, ops12, cfg)
-              - force_load(u - h * w, ops12, cfg)) / (2 * h)
-        assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5)
+        # the custom spline runs its derivative; kappa = 0 leaves it no kink
+        for kappa, source, scale in ((2.0, SourceSpec(kind="cubic_minus_load", load=1.0), 0.6),
+                                     (0.0, SPLINE, 5.0)):
+            cfg = cfg_with(alpha=0.5, delta=1.0, kappa=kappa, beta=0.7, source=source)
+            u = random_coeffs(ops12, 11, scale=scale)
+            J = force_jacobian(u, ops12, cfg)
+            rng = np.random.default_rng(5)
+            w = rng.standard_normal(ops12.n)
+            h = 1e-6
+            fd = (force_load(u + h * w, ops12, cfg)
+                  - force_load(u - h * w, ops12, cfg)) / (2 * h)
+            assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5), source.kind
 
-    def test_custom_source_jacobian_and_equilibrium(self, ops12):
-        # the spline's derivative feeds the Jacobian; kappa = 0 leaves no kink
-        table = np.linspace(-4, 4, 17)
-        cfg = cfg_with(alpha=0.5, delta=1.0, beta=0.7,
-                       source=SourceSpec(kind="custom", table_s=tuple(table),
-                                         table_f=tuple(table ** 3 + 0.5 * np.sin(3 * table) - 1)))
-        u = random_coeffs(ops12, 11, scale=5.0)
-        J = force_jacobian(u, ops12, cfg)
-        w = np.random.default_rng(5).standard_normal(ops12.n)
-        h = 1e-6
-        fd = (force_load(u + h * w, ops12, cfg)
-              - force_load(u - h * w, ops12, cfg)) / (2 * h)
-        assert np.allclose(J @ w, fd, atol=1e-5, rtol=1e-5)
-        res = solve_stationary(cfg, ops12)
+    def test_custom_source_equilibrium(self, ops12):
+        res = solve_stationary(cfg_with(alpha=0.5, delta=1.0, beta=0.7, source=SPLINE), ops12)
         assert res.converged and res.residual <= 1e-10
 
 
