@@ -211,7 +211,7 @@ def quasistability_pairs(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan
 
 def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairStats:
     times = t1.times
-    m = len(times)
+    mid = tail_start(times, 0.5)        # the late half: the d-fit window and late rate
 
     def columns(u1, v1, u2, v2):
         du = u1 - u2
@@ -227,8 +227,8 @@ def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairSta
                          violations=0, certified=True, note="identical pair")
 
     horizon = float(times[-1]) if times[-1] > 0 else 1.0
-    tail = lower[m // 2:]
-    ratios = sep[m // 2:][tail > 0] / tail[tail > 0]
+    tail = lower[mid:]
+    ratios = sep[mid:][tail > 0] / tail[tail > 0]
     d_cands = [0.0]
     if ratios.size:
         d_cands += [float(q) * 1.0001 for q in np.quantile(ratios, [0.0, 0.5, 1.0])]
@@ -255,13 +255,12 @@ def _fit_pair(ops: DiscreteOperators, t1: Trajectory, t2: Trajectory) -> PairSta
     if best is None:
         return PairStats(times=times, separation=sep, lower_order=lower,
                          fitted_rate=0.0, fitted_C=math.inf, fitted_d=0.0,
-                         violations=m, certified=False,
+                         violations=len(times), certified=False,
                          note="no exponential fit with positive rate")
     omega, C, d = best
     bound = C * sep0 * np.exp(-omega * times) + d * lower
     violations = int(np.sum(sep > bound * (1.0 + 1e-9) + 1e-14 * sep0))
     tail_vanished = sep[-1] <= 1e-6 * sep0
-    mid = m // 2
     if sep[-1] <= 0.0 or times[-1] <= times[mid]:
         late_rate = math.inf if tail_vanished else 0.0
     else:

@@ -83,6 +83,17 @@ def main(argv=None) -> int:
 # shared setup
 # ---------------------------------------------------------------------------
 
+def _out_dir(path, overwrite: bool) -> Path:
+    """The output directory at path: absent, empty, or reused with --overwrite."""
+    out = Path(path)
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigError([f"output path {out} is not a directory"])
+    if out.exists() and any(out.iterdir()) and not overwrite:
+        raise ConfigError([f"output directory {out} is not empty "
+                           "(pass --overwrite to reuse it)"])
+    return out
+
+
 def _prepare(args, subcommand: str):
     parsed = parse_config(args.config, seed_override=args.seed)
     if subcommand == "dimension":
@@ -91,10 +102,7 @@ def _prepare(args, subcommand: str):
         if problems := attractor_lab.dimension_shortfalls(points, dim["min_points"],
                                                           dim["theiler"]):
             raise ConfigError([f"[dimension] {p} of the [sim] run" for p in problems])
-    out_dir = Path(args.out or f"out_{subcommand}")
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
-        raise ConfigError([f"output directory {out_dir} is not empty "
-                           "(pass --overwrite to reuse it)"])
+    out_dir = _out_dir(args.out or f"out_{subcommand}", args.overwrite)
     # a basis that cannot be allocated leaves no output directory
     ops = make_operators(parsed.mx, parsed.ny, parsed.cfg.dom, parsed.oversample)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +221,7 @@ def cmd_barrier(args) -> int:
 
 
 def _barrier_toy(args) -> int:
+    out = _out_dir(args.out, args.overwrite) if args.out else None
     bc = barrier_mod.toy_constants()
     sigma = barrier_mod.solve_barrier_scale(1.0, bc)
     eps = 1.0 / sigma
@@ -221,8 +230,7 @@ def _barrier_toy(args) -> int:
     bounds = {fmt_float(R): barrier_mod.ultimate_bound(bc, R) for R in (1.0, 10.0, 100.0)}
     for R, (kr, vstar) in bounds.items():
         print(f"R = {R}: K_R = {fmt_float(kr)}, V* = {fmt_float(vstar)}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "barrier_toy.json", {
             "sigma_E1": sigma, "eps_E1": eps,

@@ -35,8 +35,9 @@ ends with its Trajectory or with the IntegratorError that stopped it (a
 failed step, or a ledger that cannot be built), which carries the
 snapshots recorded before the failure; this module writes no files.
 The ledger's damping and flux integrals are the per-step trapezoid rule
-of `energy.rates`, in blocks of at most 2 ROW_BLOCK_BYTES of buffered
-steps, and `energy.build_ledger` builds the ledger from them.
+of `energy.rates`, taken in one pass over blocks of buffered steps (row 0
+of the buffer holds the state they start from; at most 2 (ROW_BLOCK_BYTES
++ 8 S n) bytes), and `energy.build_ledger` builds the ledger from them.
 """
 
 from __future__ import annotations
@@ -386,11 +387,13 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     the snapshot times, each member's own array, are t0 + dt *
     plan.snapshot_steps().  The time integrals of `energy.rates` are the
     per-step trapezoid rule, so each ledger's identity residual is
-    scheme-consistent.  They are taken per block of buffered steps: the
-    end states of up to max(1, ROW_BLOCK_BYTES // (8 S n)) steps, at most
-    2 ROW_BLOCK_BYTES for u and v, get their integrands in one call, and
-    one cumulative sum adds the increments in step order, with the bits of
-    per-step sums; the snapshots among them are filled at the same time.
+    scheme-consistent.  They are taken per block of b <= max(1,
+    ROW_BLOCK_BYTES // (8 S n)) steps, which ends when full, at the last
+    step or at the step where the last member fails.  Row 0 of its buffer
+    holds the state the block starts from, rows 1..b the steps' end states
+    (at most 2 (ROW_BLOCK_BYTES + 8 S n) bytes for u and v); one call gives
+    their integrands, one cumulative sum adds the increments in step order
+    with the bits of per-step sums, and the snapshots among them are filled.
     """
     try:
         cert = cert or certify_source(cfg)
@@ -410,41 +413,22 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
     S, n = len(starts), ops.n
     t0 = starts[0].t
     times = t0 + plan.dt * steps
-    us, vs = np.empty((S, n_snap, n)), np.empty((S, n_snap, n))
-    damp, flux = np.empty((S, n_snap)), np.empty((S, n_snap))
+    snaps = np.empty((2, S, n_snap, n))     # u and v of every member's snapshots
+    integ = np.zeros((2, S, n_snap))        # their damping and flux integrals
     errors = {}                     # member -> (message, the snapshots it keeps)
     fp_hist = [[0] * (plan.fp_maxiter + 1) for _ in range(S)]
     block = max(1, ROW_BLOCK_BYTES // (8 * S * n))
-    ub, vb = np.empty((2, block, S, n))     # end states of the buffered steps
+    # row 0: the state the buffered steps start from; row b: the end of the b-th
+    buf = np.empty((2, block + 1, S, n))
     # the ledger stores the time integrals of the damping rate and of -beta times the flux
-    coeffs = (0.5 * plan.dt, -cfg.beta * 0.5 * plan.dt)
+    coeffs = np.array([0.5 * plan.dt, -cfg.beta * 0.5 * plan.dt])[:, None, None]
+    acc = integ[:, :, 0]                    # the integrals at the step before the buffer
 
     state = State(np.array([st.u for st in starts]), np.array([st.v for st in starts]), t0)
-    us[:, 0], vs[:, 0] = state.u, state.v
-    damp[:, 0] = flux[:, 0] = 0.0
-    totals = (damp[:, 0], flux[:, 0])
-
-    def flush(k, b):
-        """Add the trapezoid increments of the b buffered steps that end at
-        step k, each in turn, and fill the snapshots among them."""
-        nonlocal last, totals
-        now = energy_mod.rates(ub[:b].reshape(-1, n), vb[:b].reshape(-1, n), ops, cfg)
-        sums = []
-        for c, x0, x, acc in zip(coeffs, last, now, totals):
-            x = np.concatenate([x0, x]).reshape(b + 1, S)
-            inc = c * (x[:-1] + x[1:])
-            sums.append(np.cumsum(np.concatenate([acc[None], inc]), axis=0))
-        last = tuple(x[-S:] for x in now)
-        totals = tuple(x[-1] for x in sums)
-        lo, hi = np.searchsorted(steps, (k - b + 1, k + 1))
-        j = steps[lo:hi] - (k - b + 1)
-        us[:, lo:hi], vs[:, lo:hi] = ub[j].swapaxes(0, 1), vb[j].swapaxes(0, 1)
-        damp[:, lo:hi], flux[:, lo:hi] = sums[0][j + 1].T, sums[1][j + 1].T
-
+    snaps[:, :, 0] = buf[:, 0] = state.u, state.v
     b = 0                                   # steps in the buffer
     # an overflow or a NaN row is a member's failure, reported by its message
     with np.errstate(over="ignore", invalid="ignore"):
-        last = energy_mod.rates(state.u, state.v, ops, cfg)   # at the step before the buffer
         for k in range(1, n_steps + 1):
             state, failed, its = step(state, cache)
             state.t = t0 + k * plan.dt
@@ -453,14 +437,22 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             for m, msg in failed.items():
                 if m not in errors:     # a failed (NaN) row fails again at every later step
                     errors[m] = (msg, np.searchsorted(steps, k))    # the snapshots before k
-            if len(errors) == S:
-                flush(k - 1, b)
-                break
-            ub[b], vb[b] = state.u, state.v
             b += 1
-            if b == block or k == n_steps:
-                flush(k, b)
-                b = 0
+            buf[0, b], buf[1, b] = state.u, state.v
+            if b < block and k < n_steps and len(errors) < S:
+                continue
+            # the integrands of rows 0..b, and their trapezoid increments summed in step order
+            x = np.reshape(energy_mod.rates(*buf[:, :b + 1].reshape(2, -1, n), ops, cfg),
+                           (2, b + 1, S))
+            sums = np.cumsum(np.concatenate([acc[:, None], coeffs * (x[:, :-1] + x[:, 1:])],
+                                            axis=1), axis=1)
+            lo, hi = np.searchsorted(steps, (k - b + 1, k + 1))
+            j = steps[lo:hi] - (k - b)              # the snapshots' rows of the buffer
+            snaps[:, :, lo:hi] = buf[:, j].swapaxes(1, 2)
+            integ[:, :, lo:hi] = sums[:, j].swapaxes(1, 2)
+            buf[:, 0], acc, b = buf[:, b], sums[:, -1], 0
+            if len(errors) == S:
+                break
 
         out = []
         for m in range(S):
@@ -468,18 +460,17 @@ def run_ensemble(ops: DiscreteOperators, cfg: PlateConfig, plan: SimPlan, initia
             if m not in errors:
                 own = times.copy()      # the member's times, shared by its ledger
                 try:
-                    ledger = energy_mod.build_ledger(own, us[m], vs[m], damp[m], flux[m],
-                                                     ops, cfg, cert)
+                    ledger = energy_mod.build_ledger(own, *snaps[:, m], *integ[:, m], ops, cfg,
+                                                     cert)
                 except energy_mod.EnergyError as exc:
                     errors[m] = (f"energy ledger fails at t = {times[exc.row]}: {exc}", exc.row)
                 else:
                     meta["fp_iterations"] = {k: c for k, c in enumerate(fp_hist[m]) if c}
-                    out.append(Trajectory(times=own, us=us[m], vs=vs[m], ledger=ledger,
-                                          meta=meta))
+                    out.append(Trajectory(own, *snaps[:, m], ledger=ledger, meta=meta))
                     continue
             msg, end = errors[m]
-            out.append(IntegratorError(msg, Trajectory(times=times[:end].copy(), us=us[m, :end],
-                                                       vs=vs[m, :end], ledger=None, meta=meta)))
+            out.append(IntegratorError(msg, Trajectory(times[:end].copy(), *snaps[:, m, :end],
+                                                       ledger=None, meta=meta)))
     return out
 
 

@@ -296,6 +296,27 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--overwrite"]) == 0
 
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_file_as_output_directory_exits_2(self, tmp_path, capsys, under, overwrite):
+        cfg = write_cfg(tmp_path, SMALL_SIM)
+        out = tmp_path / "run"
+        out.write_text("not a directory")
+        for command in (["simulate", "--config", str(cfg)], ["barrier", "--toy"]):
+            assert main([*command, "--out", str(out / under), *overwrite]) == 2
+            assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_barrier_toy_obeys_the_overwrite_guard(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        out.mkdir()
+        (out / "other.txt").write_text("kept")
+        assert main(["barrier", "--toy", "--out", str(out)]) == 2
+        assert "not empty" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["other.txt"]
+        assert main(["barrier", "--toy", "--out", str(out), "--overwrite"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["barrier_toy.json", "other.txt"]
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("damping = 1.0 0.0",
                                                   "damping = 0.0 0.0"))

@@ -12,7 +12,8 @@ from platelab.discretization import bilinear_form, make_operators
 from platelab.integrator import (IntegratorError, SimPlan, SolverCache, State,
                                  initial_state, run, run_ensemble, solve_midpoint_speed,
                                  step)
-from platelab.model import PlateConfig, SourceSpec, damping_gains, force_load
+from platelab.model import (PlateConfig, SourceCertificate, SourceSpec, damping_gains,
+                            force_load)
 
 
 def cfg_with(**kw):
@@ -419,7 +420,7 @@ class TestEnsemble:
         plan = SimPlan(dt=0.02, T=1.2, snapshot_every=every)
         inits = [("mode", 1, 0, 0.5), ("mode", 1, 0, 15.0), ("mode", 2, 1, 0.3)]
         out = run_ensemble(ops, cfg, plan, inits)
-        assert len(flushes) == 1 + 9       # the start, then one per block
+        assert len(flushes) == 9       # one per block, whose first row is its start
 
         def integrands(st):
             sp2 = ops.l2_norm_sq(st.v)
@@ -449,6 +450,49 @@ class TestEnsemble:
         for m in (0, 2):
             assert np.array_equal(out[m].ledger.damping_integral, np.array(damp)[snaps, m])
             assert np.array_equal(out[m].ledger.flux_integral, np.array(flux)[snaps, m])
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("inits", [
+        [("mode", 1, 0, 0.5), ("mode", 1, 0, 15.0), ("mode", 2, 1, 0.3)],
+        [("mode", 1, 0, 15.0)],
+    ], ids=["one-fails", "all-fail"])
+    def test_member_bits_independent_of_block_size(self, dom, monkeypatch, inits, block,
+                                                   every):
+        # the member at amplitude 15 fails at step 54 of 60, inside the
+        # block 50..56 of 7 steps; the default block holds all 60 steps
+        ops = make_operators(3, 2, dom)
+        cfg = cfg_with(delta=1.0, beta=2.0, damping_coeffs=(-2.0, 0.0))
+        plan = SimPlan(dt=0.02, T=1.2, snapshot_every=every)
+        default = run_ensemble(ops, cfg, plan, inits)
+        monkeypatch.setattr(integrator, "ROW_BLOCK_BYTES", block * 8 * len(inits) * ops.n)
+        out = run_ensemble(ops, cfg, plan, inits)
+        for x, a, b in zip(inits, out, default):
+            if x[3] < 15.0:
+                assert_same_bits(a, b)
+                continue
+            assert isinstance(a, IntegratorError) and str(a) == str(b)
+            assert len(a.partial) == np.count_nonzero(plan.snapshot_steps() < 54)
+            assert np.array_equal(a.partial.times, b.partial.times)
+            assert np.array_equal(a.partial.us, b.partial.us)
+            assert np.array_equal(a.partial.vs, b.partial.vs)
+
+    def test_no_members_no_runs(self, ops12):
+        assert run_ensemble(ops12, cfg_with(**GENERAL), SimPlan(dt=1e-2, T=0.1), []) == []
+
+    def test_members_must_share_their_start_time(self, ops12):
+        cfg = cfg_with(**GENERAL)
+        late = initial_state(("mode", 1, 0, 0.5), ops12, cfg)
+        late.t = 1.0
+        with pytest.raises(ValueError, match="share their start time"):
+            run_ensemble(ops12, cfg, SimPlan(dt=1e-2, T=0.1), [("mode", 2, 1, 0.3), late])
+
+    def test_uncertified_source_ends_every_member(self, ops12):
+        cert = SourceCertificate(ok=False, message="no bound")
+        out = run_ensemble(ops12, cfg_with(**GENERAL), SimPlan(dt=1e-2, T=0.1),
+                           [("mode", 1, 0, 0.5), ("mode", 2, 1, 0.3)], cert)
+        assert [str(err) for err in out] == ["source certificate failed: no bound"] * 2
+        assert all(isinstance(err, IntegratorError) and err.partial is None for err in out)
 
     def test_members_own_their_times(self, ops12):
         # a member's ledger shares that member's times and no other member's
