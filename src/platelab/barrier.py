@@ -153,8 +153,11 @@ def solve_barrier_scale(E_level: float, bc: BarrierConstants) -> float:
         return 2.0 / bc.d3
 
     def gap(sig):
-        lhs = (1.0 + (bc.C2 / bc.C1) * E_level + 2.0 * bc.c / bc.C1
-               + bc.d0 * (1.0 + sig * bc.b(bc.d1 * sig))) ** bc.gamma
+        try:
+            lhs = (1.0 + (bc.C2 / bc.C1) * E_level + 2.0 * bc.c / bc.C1
+                   + bc.d0 * (1.0 + sig * bc.b(bc.d1 * sig))) ** bc.gamma
+        except OverflowError:   # a left side past every float is the larger side
+            return np.inf
         return lhs - 0.5 * bc.d3 * sig
 
     lo, hi = 1e-8, 1.0

@@ -104,13 +104,6 @@ class QuadGrid:
     ly: np.ndarray = field(repr=False)
     dly: np.ndarray = field(repr=False)
     d2ly: np.ndarray = field(repr=False)
-    # outer product of the 1-D weights, built once (read-only)
-    _w2d: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        w2d = np.outer(self.x_weights, self.y_weights)
-        w2d.setflags(write=False)
-        object.__setattr__(self, "_w2d", w2d)
 
     @property
     def weight_sum(self) -> float:
@@ -120,8 +113,12 @@ class QuadGrid:
     def n_nodes(self) -> int:
         return self.x_nodes.size * self.y_nodes.size
 
-    def weights_2d(self) -> np.ndarray:
-        return self._w2d
+    @cached_property
+    def w2d(self) -> np.ndarray:
+        """Outer product of the 1-D weights, built on first use (read-only)."""
+        w2d = np.outer(self.x_weights, self.y_weights)
+        w2d.setflags(write=False)
+        return w2d
 
     def eval_coeffs(self, coeffs) -> np.ndarray:
         """Nodal values of the field on the (nx, ny) grid.  A stack of
@@ -136,13 +133,13 @@ class QuadGrid:
         `values` has shape (nx, ny); returns a length-n load vector.  A
         stack of grids (m, nx, ny) gives a stack of load vectors (m, n).
         """
-        w = self._w2d * values
+        w = self.w2d * values
         return (self.sx @ w @ self.ly.T).reshape(values.shape[:-2] + (-1,))
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal values (nx, ny), or per grid of a stack (m, nx, ny)."""
         flat = values.reshape(values.shape[:-2] + (-1,))
-        return np.vecdot(flat, self._w2d.ravel())
+        return np.vecdot(flat, self.w2d.ravel())
 
 
 def quadrature_grid(basis: Basis, oversample: int = 3) -> QuadGrid:
@@ -241,7 +238,6 @@ class DiscreteOperators:
     mu: np.ndarray = field(repr=False)
     phi_blocks: np.ndarray = field(repr=False)
     modal_order: np.ndarray = field(repr=False)
-    lambda_min: float = 0.0
 
     M = cached_property(lambda self: np.diag(self.m_diag))
     Gx = cached_property(lambda self: np.diag(self.gx_diag))
@@ -250,6 +246,7 @@ class DiscreteOperators:
     phi = cached_property(lambda self: block_dense(self.phi_blocks)[:, self.modal_order])
     basis = property(lambda self: self.grid.basis)
     dom = property(lambda self: self.grid.basis.dom)
+    lambda_min = property(lambda self: float(self.mu[0]))
 
     @property
     def n(self) -> int:
@@ -317,7 +314,7 @@ def build_operators(grid: QuadGrid) -> DiscreteOperators:
                              gx_diag=(xc[:, 0] * np.diag(Y_ll)).ravel(), k_blocks=K,
                              dy_blocks=xs * y_gram(grid.dly, grid.ly),
                              mu=mu_blocks.ravel()[order], phi_blocks=phi_blocks,
-                             modal_order=order, lambda_min=float(mu_blocks.min()))
+                             modal_order=order)
 
 
 def make_operators(Mx: int, Ny: int, dom: DomainSpec | None = None,

@@ -7,10 +7,12 @@ Total energy along the flow:
             + int F0~(u).
 
 The split Pi = Pi0 + Pi1 takes Pi1(u) = -c ||u||_0^2 - (b |Omega| + pad)
-with (c, b) from the source certificate.  The additive pad is alpha^2 /
-delta when delta > 0 (the choice that provably keeps Pi0 >= 0 by
-absorbing the negative alpha term into the quartic), alpha^2 / 4
-otherwise; `split_potential` asserts nonnegativity at runtime.
+with (c, b) from the source certificate and |Omega| the area of `ops.dom`,
+the domain of the grid every norm and quadrature here integrates on;
+`PlateConfig.dom` is only the domain a caller builds operators on.  The
+additive pad is alpha^2 / delta when delta > 0 (the choice that provably
+keeps Pi0 >= 0 by absorbing the negative alpha term into the quartic),
+alpha^2 / 4 otherwise; `split_potential` asserts nonnegativity at runtime.
 
 The positive energy is E = kinetic + bending + Pi0, and the balance
 that trajectories are audited against is
@@ -52,9 +54,6 @@ class EnergyLedger:
     flux_integral: np.ndarray
     identity_residual: np.ndarray
 
-    def __len__(self):
-        return len(self.t)
-
     def rows(self):
         for i in range(len(self.t)):
             yield tuple(getattr(self, c)[i] for c in LEDGER_COLUMNS)
@@ -93,14 +92,15 @@ def split_potential(u, ops: DiscreteOperators, cfg: PlateConfig,
     certified (c, b) need refitting with larger constants, or, with delta
     = 0 < alpha, ||u_x||^2 exceeds alpha/2.
     """
-    return split_from_potential(potential_energy(u, ops, cfg), ops.l2_norm_sq(u), cfg, cert)
+    return split_from_potential(potential_energy(u, ops, cfg), ops.l2_norm_sq(u), ops, cfg, cert)
 
 
-def split_from_potential(pi, u_sq, cfg: PlateConfig, cert: SourceCertificate):
+def split_from_potential(pi, u_sq, ops: DiscreteOperators, cfg: PlateConfig,
+                         cert: SourceCertificate):
     """`split_potential` for Pi and ||u||_0^2 already evaluated at u; checks
     every row, and an EnergyError's `row` is the first that fails."""
     pad = potential_split_pad(cfg)
-    pi1 = -cert.c * u_sq - (cert.b * cfg.dom.area + pad)
+    pi1 = -cert.c * u_sq - (cert.b * ops.dom.area + pad)
     pi0 = pi - pi1
     bad = np.flatnonzero(pi0 < -1e-9 * (1.0 + np.abs(pi)))
     if bad.size:
@@ -124,7 +124,7 @@ def total_energy(u, v, ops: DiscreteOperators, cfg: PlateConfig,
                  cert: SourceCertificate):
     """(E, Etot): positive energy and total energy of a state or a stack."""
     kin, bend, pi, u_sq = _columns(u, v, ops, cfg)
-    pi0, pi1 = split_from_potential(pi, u_sq, cfg, cert)
+    pi0, pi1 = split_from_potential(pi, u_sq, ops, cfg, cert)
     E = kin + bend + pi0
     return E, E + pi1
 
@@ -149,7 +149,7 @@ def build_ledger(times, us, vs, damp, flux, ops: DiscreteOperators, cfg: PlateCo
     kin, bend, pi, u_sq = in_row_blocks(ops, lambda u, v: _columns(u, v, ops, cfg), us, vs)
     # a non-finite entry makes its row's sum non-finite; the split checks the rows before it
     end = finite_rows(kin + bend + pi + u_sq + damp + flux)
-    pi0, pi1 = split_from_potential(pi[:end], u_sq[:end], cfg, cert)
+    pi0, pi1 = split_from_potential(pi[:end], u_sq[:end], ops, cfg, cert)
     if end == len(times):
         E = kin + bend + pi0
         Etot = E + pi1
@@ -198,7 +198,7 @@ class SandwichConstants:
 def sandwich_constants(ops: DiscreteOperators, cfg: PlateConfig,
                        cert: SourceCertificate, eta_tilde: float = 0.25) -> SandwichConstants:
     pad = potential_split_pad(cfg)
-    K_pad = cert.b * cfg.dom.area + pad
+    K_pad = cert.b * ops.dom.area + pad
     lam = 1.0 / ops.lambda_min
     candidates = []
     if cert.c == 0.0 or cert.c * lam <= eta_tilde:

@@ -241,17 +241,15 @@ ROW_BLOCK_BYTES = 1 << 18       # one nodal array of a row block: 256 KiB
 def in_row_blocks(ops: DiscreteOperators, f, *stacks):
     """f(*blocks) on row blocks of the equal-length stacks (m, ...), joined.
 
-    f is row-wise and returns one array or a tuple of arrays, each with a
-    row per stack row (per-row columns); so does this, with the bits of
-    one call on the whole stacks.  A block holds max(1, ROW_BLOCK_BYTES //
-    (8 * nodes)) rows, nodes being the quadrature grid's, so that one
-    nodal array of a block stays within ROW_BLOCK_BYTES.
+    f is row-wise and returns a tuple of arrays, each with a row per stack
+    row (per-row columns); so does this, with the bits of one call on the
+    whole stacks.  A block holds max(1, ROW_BLOCK_BYTES // (8 * nodes))
+    rows, nodes being the quadrature grid's, so that one nodal array of a
+    block stays within ROW_BLOCK_BYTES.
     """
     rows = max(1, ROW_BLOCK_BYTES // (8 * ops.grid.n_nodes))
     parts = [f(*(s[i:i + rows] for s in stacks)) for i in range(0, len(stacks[0]), rows)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def acceleration(u, v, ops: DiscreteOperators, cfg: PlateConfig) -> np.ndarray:
@@ -299,7 +297,7 @@ def _subtract_weighted_gram(J: np.ndarray, grid: QuadGrid, nodal_weight: np.ndar
     Mx, Ny = grid.basis.Mx, grid.basis.Ny
     sxx = (grid.sx[:, None, :] * grid.sx[None, :, :]).reshape(Mx * Mx, -1)
     lyy = (grid.ly[:, None, :] * grid.ly[None, :, :]).reshape(Ny * Ny, -1)
-    S = (sxx @ (grid.weights_2d() * nodal_weight)).reshape(Mx, Mx, -1)    # [m, m', y]
+    S = (sxx @ (grid.w2d * nodal_weight)).reshape(Mx, Mx, -1)             # [m, m', y]
     for rows, s in zip(J.reshape(Mx, Ny, Mx, Ny), S):                     # [k, m', k']
         rows -= (s @ lyy.T).reshape(Mx, Ny, Ny).transpose(1, 0, 2)
 
@@ -340,12 +338,11 @@ def certify_source(cfg: PlateConfig) -> SourceCertificate:
     then no (c, b) pair can work as the range grows.  Otherwise returns
     the smallest grid-snapped (c, b) certifying the bound on the samples.
     """
+    if cfg.source.is_zero:
+        return SourceCertificate(ok=True, c=0.0, b=0.0)
     samples, smax = 2001, 10.0
     s = np.linspace(-smax, smax, samples)
     F = cfg.source.antiderivative(s)
-
-    if cfg.source.is_zero:
-        return SourceCertificate(ok=True, c=0.0, b=0.0)
 
     # superquadratic decay check: the c needed to keep F0~ + c s^2 >= 0
     # must not keep growing toward the range edges

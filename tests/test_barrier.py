@@ -151,6 +151,21 @@ class TestSigmaEquation:
         oracle = bisect_oracle(gap, 1e-8, hi)
         assert abs(sigma - oracle) < 1e-8 * max(1.0, oracle)
 
+    @pytest.mark.parametrize("kw", [
+        # (1 + b_exponent) gamma = 2 > 1: the left side overflows a float
+        # before the bracket has doubled 400 times
+        dict(gamma=0.5, d3=2.0, b_exponent=3.0),
+        # (1 + b_exponent) gamma = 1.98 > 1 with a finite left side throughout
+        dict(gamma=0.9, d0=5.0, d3=0.5, b_exponent=1.2),
+    ])
+    def test_unbalanced_constants_fail_the_bracket(self, kw):
+        with pytest.raises(bar.BarrierError, match="bracket expansion failed"):
+            bar.solve_barrier_scale(1.0, bar.BarrierConstants(**kw))
+
+    def test_no_positive_gap_at_zero(self):
+        with pytest.raises(bar.BarrierError, match="no positive gap at sigma -> 0"):
+            bar.solve_barrier_scale(1.0, bar.BarrierConstants(gamma=0.5, d3=1e10))
+
 
 class TestEpsilon:
     def test_reciprocal_of_sigma(self):

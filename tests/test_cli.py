@@ -140,6 +140,23 @@ gap = nan
             parse_config(write_cfg(tmp_path, text))
         assert any("dissipativity" in p for p in err.value.problems)
 
+    def test_source_beyond_the_certificate_grid_rejected(self, tmp_path, capsys):
+        # f0(s) = -2000 s needs c = 1000, above the largest candidate 512
+        knots = np.arange(-10.0, 11.0)
+        text = MINIMAL.replace("source = zero",
+                               f"source = custom\nsource_table_s = {' '.join(map(str, knots))}\n"
+                               f"source_table_f = {' '.join(map(str, -2000.0 * knots))}")
+        cfg = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert err.value.problems == [
+            "[plate] source violates the dissipativity bound: no (c, b) on the candidate "
+            "grid certifies the bound (witness s = -10.0)"]
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no (c, b) on the candidate grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("knots", ["2 1 0 -1 -2", "-2 -1 0 1 1"])
     def test_custom_source_knots_must_increase(self, tmp_path, knots):
         text = MINIMAL.replace("source = zero", f"source = custom\nsource_table_s = {knots}\n"

@@ -1,12 +1,14 @@
 """Potential split, energy sandwich and Poincare checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platelab.energy import (EnergyError, poincare_ratio, potential_energy,
+from platelab.discretization import DomainSpec, make_operators
+from platelab.energy import (LEDGER_COLUMNS, EnergyError, poincare_ratio, potential_energy,
                              potential_split_pad, sandwich_constants,
                              split_potential, total_energy)
 from platelab.model import ROW_BLOCK_BYTES, PlateConfig, SourceSpec, certify_source
@@ -110,6 +112,38 @@ class TestSplit:
         pi0, pi1 = split_potential(us, ops12, cfg, cert)
         fitted = np.max(np.abs(pi1) - analytic.eta_tilde * (ops12.bending_norm_sq(us) + pi0))
         assert max(0.0, fitted) <= analytic.C + 1e-9
+
+    def test_no_route_certifies_a_large_source_constant(self):
+        # on l = 5 the embedding constant 1/lambda_min is 1.007, so c = 1/4
+        # exceeds eta~ / lambda, and delta = 0 rules out the quartic route
+        ops = make_operators(4, 3, DomainSpec(l=5.0))
+        cfg = cfg_with(source=SourceSpec(kind="cubic_minus_load", load=1.0))
+        cert = certify_source(cfg)
+        assert cert.c == 0.25 and cert.c / ops.lambda_min > 0.25
+        with pytest.raises(EnergyError, match="no analytic sandwich certificate"):
+            sandwich_constants(ops, cfg, cert)
+
+
+class TestDomainOwner:
+    def test_energies_read_the_grid_domain_not_the_config(self):
+        # a config left at the default l = 1 on a grid with l = 2 must give
+        # the bits of the config that states the grid's domain
+        from platelab.integrator import SimPlan, run
+
+        ops = make_operators(4, 3, DomainSpec(l=2.0))
+        cfg = cfg_with(delta=1.0, beta=1.0, kappa=2.0, damping_coeffs=(0.5, 0.0, 1.0),
+                       source=SourceSpec(kind="cubic_minus_load", load=1.0))
+        cert = certify_source(cfg)
+        plan = SimPlan(dt=1e-3, T=0.05, snapshot_every=10, seed=0)
+        runs = [(run(ops, c, plan, ("random", 1.0), cert).ledger,
+                 sandwich_constants(ops, c, cert).C)
+                for c in (cfg, dataclasses.replace(cfg, dom=ops.dom))]
+        (led, C), (ref, C_ref) = runs
+        assert cfg.dom != ops.dom
+        assert led.E[0] == pytest.approx(13.2251, abs=1e-4)
+        for name in LEDGER_COLUMNS:
+            assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+        assert C == C_ref
 
 
 class TestTotalEnergy:

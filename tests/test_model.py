@@ -264,7 +264,7 @@ class TestStationary:
         grid = ops12.grid
         w = rng.standard_normal((grid.x_nodes.size, grid.y_nodes.size))
         phi = basis_table(grid)
-        direct = np.einsum("iab,ab,jab->ij", phi, grid.weights_2d() * w, phi)
+        direct = np.einsum("iab,ab,jab->ij", phi, grid.w2d * w, phi)
         gram = np.zeros((ops12.n, ops12.n))
         _subtract_weighted_gram(gram, grid, w)
         assert np.max(np.abs(-gram - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -287,6 +287,19 @@ class TestStationary:
         res = solve_stationary(cfg_with(alpha=0.5, delta=1.0, beta=0.7, source=SPLINE), ops12)
         assert res.converged and res.residual <= 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unreachable_tolerance_stops_at_the_line_search(self, ops12, seed):
+        # tol = 0 lies below the residual's roundoff floor: once no step
+        # lowers the residual, Newton returns its last iterate unconverged
+        from platelab.integrator import initial_state
+        from platelab.presets import make
+
+        cfg = make("general")[0]
+        start = initial_state(("random", 2.0), ops12, cfg, seed).u
+        res = solve_stationary(cfg, ops12, start, tol=0.0)
+        assert not res.converged and res.iterations < 80
+        assert np.all(np.isfinite(res.u)) and 0.0 < res.residual < 1e-12
+
 
 class TestJacobianAssembly:
     """The in-place sine-block assembly against a dense one from the
@@ -302,7 +315,7 @@ class TestJacobianAssembly:
         phi = basis_table(ops.grid)
         vals = np.einsum("iab,i->ab", phi, u)
         wgt = cfg.kappa * (vals > 0.0) + cfg.source.f_prime(vals)
-        J -= np.einsum("iab,ab,jab->ij", phi, ops.grid.weights_2d() * wgt, phi)
+        J -= np.einsum("iab,ab,jab->ij", phi, ops.grid.w2d * wgt, phi)
         return J - cfg.beta * ref["Dy"].T, ref["K"]
 
     @pytest.mark.parametrize("shape", [(4, 3), (5, 4)])
