@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  One that writes an output directory appends its
-    wall time and peak resident memory to run.log as it exits."""
+    wall time and peak resident memory to run.log as it exits, and on a
+    numerical failure saves the snapshots before it to trajectory_partial.json."""
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
@@ -69,6 +70,8 @@ def main(argv=None) -> int:
     except (IntegratorError, DiscretizationError, ModelError,
             barrier_mod.BarrierError, attractor_lab.ExperimentError,
             energy_mod.EnergyError, MemoryError) as exc:
+        if getattr(exc, "partial", None) is not None and hasattr(args, "out_dir"):
+            save_trajectory(args.out_dir / "trajectory_partial.json", exc.partial, args.chash)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
@@ -114,7 +117,7 @@ def _prepare(args, subcommand: str):
     }
     chash = write_manifest(out_dir, args.config, parsed.text, subcommand,
                            parsed.plan.seed, certificates)
-    args.out_dir = out_dir
+    args.out_dir, args.chash = out_dir, chash
     return parsed, ops, out_dir, chash
 
 
@@ -124,12 +127,7 @@ def _prepare(args, subcommand: str):
 
 def cmd_simulate(args) -> int:
     parsed, ops, out, chash = _prepare(args, "simulate")
-    try:
-        traj = run(ops, parsed.cfg, parsed.plan, parsed.initial, parsed.cert)
-    except IntegratorError as exc:
-        if exc.partial is not None:
-            save_trajectory(out / "trajectory_partial.json", exc.partial, chash)
-        raise
+    traj = run(ops, parsed.cfg, parsed.plan, parsed.initial, parsed.cert)
     write_csv(out / "ledger.csv", energy_mod.LEDGER_COLUMNS,
               list(traj.ledger.rows()), chash)
     save_trajectory(out / "trajectory.json", traj, chash)

@@ -200,7 +200,7 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
         problems.append(f"--seed must be >= 0, got {seed_override}")
     if not cp.has_section("plate"):
         problems.append("missing required section [plate]")
-    values = {}    # a missing or bad key takes its default, so later checks still run
+    values, failed = {}, set()  # a failed key (missing or bad) takes its default: checks go on
     for section, keys in SCHEMA.items():
         stated = cp[section] if cp.has_section(section) else {}
         problems += [f"unknown key {k!r} in [{section}]" for k in stated if k not in keys]
@@ -211,30 +211,33 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> ParsedCo
                 if row.required:
                     problems.append(f"[{section}] missing required key {key!r} "
                                     "(physical parameters have no silent defaults)")
+                    failed.add((section, key))
                 continue
             raw = stated[key]
             try:
                 value = row.conv(raw)
             except (TypeError, ValueError, IndexError) as exc:
                 problems.append(f"[{section}] {key} = {raw!r}: {exc}")
+                failed.add((section, key))
                 continue
             if row.check and not row.check[0](value):
                 problems.append(f"[{section}] {key} {row.check[1]}, got {value}")
+                failed.add((section, key))
                 continue
             out[key] = value
 
     plate = values["plate"]
-    if plate["source"] == "cubic_minus_load" and not cp.has_option("plate", "load"):
-        problems.append("[plate] source = cubic_minus_load requires `load`")
     if sum(plate["damping"]) == 0.0 and not plate["allow_undamped"]:
         problems.append("[plate] damping coefficients are all zero (the damping gain must "
                         "satisfy b_0 + b_q > 0; set allow_undamped for control experiments)")
     try:
-        source = SourceSpec(kind=plate["source"], load=plate["load"] or 0.0,
-                            table_s=plate["source_table_s"] or (),
-                            table_f=plate["source_table_f"] or ())
+        source = SourceSpec(kind=plate["source"], load=plate["load"],
+                            table_s=plate["source_table_s"], table_f=plate["source_table_f"])
     except ModelError as exc:
-        problems.append(f"[plate] {exc}")
+        # a missing or bad source key is already its own problem
+        if not failed & {("plate", k) for k in ("source", "load", "source_table_s",
+                                                 "source_table_f")}:
+            problems.append(f"[plate] {exc}")
         source = SourceSpec()
     try:
         dom = DomainSpec(**values["domain"])

@@ -36,7 +36,8 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Internal restoring source f0.
+    """Internal restoring source f0.  Each kind takes exactly the parameters
+    it reads, and every other parameter must stay None:
 
     kind 'zero':             f0 = 0
     kind 'cubic_minus_load': f0(s) = s^3 - load  (hardening spring minus a
@@ -46,13 +47,19 @@ class SourceSpec:
     """
 
     kind: str = "zero"
-    load: float = 0.0
-    table_s: tuple[float, ...] = ()
-    table_f: tuple[float, ...] = ()
+    load: float | None = None
+    table_s: tuple[float, ...] | None = None
+    table_f: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "cubic_minus_load", "custom"):
+        reads = {"zero": (), "cubic_minus_load": ("load",),
+                 "custom": ("table_s", "table_f")}.get(self.kind)
+        if reads is None:
             raise ModelError(f"unknown source kind {self.kind!r}")
+        stated = tuple(p for p in ("load", "table_s", "table_f") if getattr(self, p) is not None)
+        if stated != reads:
+            raise ModelError(f"{self.kind} source takes {' and '.join(reads) or 'no parameter'}, "
+                             f"got {', '.join(stated) or 'none'}")
         if self.kind == "custom":
             if len(self.table_s) < 4:
                 raise ModelError("custom source needs at least 4 table points")

@@ -96,12 +96,11 @@ def config_text(name: str) -> str:
         f"beta = {cfg.beta!r}",
         f"kappa = {cfg.kappa!r}",
         "damping = " + " ".join(repr(b) for b in cfg.damping_coeffs),
+        f"source = {cfg.source.kind}",
     ]
-    if cfg.source.kind == "zero":
-        lines.append("source = zero")
-    elif cfg.source.kind == "cubic_minus_load":
-        lines.append("source = cubic_minus_load")
-        lines.append(f"load = {cfg.source.load!r}")
+    lines += [f"{key} = " + " ".join(map(str, v if isinstance(v, tuple) else (v,)))
+              for key, v in (("load", cfg.source.load), ("source_table_s", cfg.source.table_s),
+                             ("source_table_f", cfg.source.table_f)) if v is not None]
     if sum(cfg.damping_coeffs) == 0.0:
         lines.append("allow_undamped = true")
     lines += [

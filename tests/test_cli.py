@@ -4,16 +4,16 @@ import configparser
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platelab import attractor_lab, cli
+from platelab import attractor_lab, cli, integrator
 from platelab.cli import main
 from platelab.config import SCHEMA, ConfigError, parse_config
-from platelab.presets import config_text, make, preset_names
+from platelab.presets import PRESETS, config_text, make, preset_names
 from platelab.reporting import fmt_float, load_trajectory, to_json
 
 
@@ -26,6 +26,9 @@ kappa = 2.0
 damping = 1.0 0.0
 source = zero
 """
+
+
+TABLES = "source_table_s = -2 -1 0 1 2\nsource_table_f = -8 -1 0 1 8"
 
 
 # raw values that are empty, non-finite, out of range, huge, of the wrong
@@ -171,6 +174,35 @@ gap = nan
             parse_config(write_cfg(tmp_path, text))
         assert err.value.problems == ["[plate] load = 'nan': must be finite"]
 
+    @pytest.mark.parametrize("source, problem", [
+        ("zero\nload = 5.0", "zero source takes no parameter, got load"),
+        ("zero\n" + TABLES, "zero source takes no parameter, got table_s, table_f"),
+        ("cubic_minus_load\nload = 1.0\n" + TABLES,
+         "cubic_minus_load source takes load, got load, table_s, table_f"),
+        ("custom\nload = 1.0\n" + TABLES,
+         "custom source takes table_s and table_f, got load, table_s, table_f"),
+        ("cubic_minus_load", "cubic_minus_load source takes load, got none"),
+        ("custom", "custom source takes table_s and table_f, got none"),
+    ], ids=["zero-load", "zero-tables", "cubic-tables", "custom-load", "cubic-no-load",
+            "custom-no-tables"])
+    def test_source_takes_exactly_its_parameters(self, tmp_path, capsys, source, problem):
+        """A source parameter its kind does not read, or one it reads left
+        out, is one [plate] problem, and the run writes nothing."""
+        cfg = write_cfg(tmp_path, MINIMAL.replace("source = zero", f"source = {source}"))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config invalid:\n  - [plate] {problem}\n"
+        assert not out.exists()
+
+    def test_missing_source_reported_once(self, tmp_path):
+        # the default kind, zero, does not read `load`, but the one mistake is
+        # the missing key
+        text = MINIMAL.replace("source = zero", "load = 5.0")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == ["[plate] missing required key 'source' "
+                                      "(physical parameters have no silent defaults)"]
+
     @pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items()
                                               for k in keys])
     def test_no_value_escapes_config_error(self, tmp_path, section, key):
@@ -218,8 +250,9 @@ gap = nan
 
     def test_docs_match_schema(self, tmp_path):
         """docs/config.md lists every schema key, under its section, with the
-        table's doc line and default, and lists no other key; its example
-        blocks form a valid config."""
+        table's doc line and default, and lists no other key; each example
+        block that states [plate] is a valid config, and so is the first one
+        with each block of experiment sections."""
         text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
         documented, section = {}, None
@@ -242,7 +275,8 @@ gap = nan
                 assert tag == "no default", name
             else:
                 assert raw is not None and key.conv(raw) == key.default, name
-        parse_config(write_cfg(tmp_path, "".join(blocks)))
+        for block in blocks:
+            parse_config(write_cfg(tmp_path, block if "[plate]" in block else blocks[0] + block))
 
 
 SMALL_SIM = MINIMAL + """
@@ -727,6 +761,49 @@ initial = mode 1 0 60.0
         assert load_trajectory(out / "trajectory_partial.json")["snapshots"] == []
         assert not (out / "ledger.csv").exists()
 
+    @pytest.mark.parametrize("command", ["barrier", "dimension", "pairs", "stationary"])
+    def test_failed_run_keeps_its_partial(self, tmp_path, capsys, monkeypatch, command):
+        # a step of 0.5 from radius 50 defeats the fixed point at once; the
+        # partial is the first failed member's run, in member order (beta = 0
+        # so that stationary runs)
+        text = config_text("general").replace("mx = 8", "mx = 3").replace("ny = 8", "ny = 2")
+        text = text.replace("beta = 1.0", "beta = 0.0")
+        text = text.replace("dt = 0.001", "dt = 0.5").replace("T = 5.0", "T = 25.0")
+        text = text.replace("initial = stationary_kick 0.2", "initial = random 50.0") + """
+[barrier]
+dt = 0.5
+[dimension]
+min_points = 20
+theiler = 1
+[pairs]
+n_pairs = 2
+radius = 50.0
+dt = 0.5
+[stationary]
+samples = 2
+radius = 50.0
+dt = 0.5
+"""
+        ended = []
+        for module in (integrator, attractor_lab):
+            def recording(*args, _run=module.run_ensemble, **kwargs):
+                ended.append(_run(*args, **kwargs))
+                return ended[-1]
+            monkeypatch.setattr(module, "run_ensemble", recording)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "fixed point did not converge" in capsys.readouterr().err
+        (results,) = ended
+        first = next(r for r in results if isinstance(r, integrator.IntegratorError))
+        partial = load_trajectory(out / "trajectory_partial.json")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert partial["config_hash"] == manifest["config_hash"]
+        assert partial["n_snapshots"] == len(first.partial) >= 1
+        for snap, t, u, v in zip(partial["snapshots"], first.partial.times, first.partial.us,
+                                 first.partial.vs):
+            assert (snap["t"], snap["u"], snap["v"]) == (t, u.tolist(), v.tolist())
+
     def test_ledger_failure_ends_only_its_member(self, tmp_path):
         # with delta = 0 the Berger pad alpha^2/4 cannot bound -alpha/2
         # ||u_x||^2 at radius 3, so that member's Pi0 is negative; the
@@ -832,6 +909,17 @@ class TestReporting:
             assert parsed.oversample == oversample, name
             assert parsed.plan == plan, name
             assert parsed.initial == initial, name
+
+    def test_config_text_renders_a_custom_source(self, tmp_path, monkeypatch):
+        from test_model import SPLINE
+
+        general = PRESETS["general"]
+        monkeypatch.setitem(PRESETS, "spline", dict(general, cfg=replace(general["cfg"],
+                                                                          source=SPLINE)))
+        parsed = parse_config(write_cfg(tmp_path, config_text("spline")))
+        cfg, basis, oversample, plan, initial = make("spline")
+        assert (parsed.cfg, (parsed.mx, parsed.ny), parsed.oversample, parsed.plan,
+                parsed.initial) == (cfg, basis, oversample, plan, initial)
 
     @pytest.mark.parametrize("n_snap, n", [(0, 12), (1, 12), (4, 12), (1, 15), (4, 15)])
     def test_saved_trajectory_has_the_bytes_of_the_whole_object(self, tmp_path, n_snap, n):
