@@ -161,7 +161,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "snapshot_every": Key(int, 5, "steps per snapshot", _COUNT),
         "levels": Key(_tuple_of(_finite), (1.0, 10.0, 100.0),
                       "initial levels of the ultimate bound",
-                      (lambda ls: min(ls, default=0) >= 0, "must all be >= 0")),
+                      (lambda ls: min(ls, default=-1) >= 0
+                       and all(a < b for a, b in zip(ls, ls[1:])),
+                       "must be one or more nonnegative, strictly increasing levels")),
     },
 }
 

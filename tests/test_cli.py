@@ -4,16 +4,16 @@ import configparser
 import json
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platelab import attractor_lab, cli, integrator
+from platelab import attractor_lab, cli, integrator, presets
 from platelab.cli import main
 from platelab.config import SCHEMA, ConfigError, parse_config
-from platelab.presets import PRESETS, config_text, make, preset_names
+from platelab.presets import config_text, make, preset_names
 from platelab.reporting import fmt_float, load_trajectory, to_json
 
 
@@ -389,6 +389,8 @@ class TestSubcommands:
         ("sweep", "radii", ""),            # ... or fail with R0 = inf
         ("pairs", "gap", "0"),             # ... or pass on identical pairs
         ("barrier", "levels", "-1 10"),
+        ("barrier", "levels", "1 1.0 10"),  # one report entry per level
+        ("barrier", "levels", ""),
         ("sim", "fp_maxiter", "0"),
         ("sim", "initial", "mode 5 0 1.0"),    # outside the 3 x 2 basis
         ("dimension", "min_points", "100000"),  # more than the [sim] run's tail holds
@@ -402,7 +404,7 @@ class TestSubcommands:
         command = "simulate" if section == "sim" else section
         assert main([command, "--config", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == 2
-        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert capsys.readouterr().err.count(f"[{section}] {key}") == 1
         assert not out.exists()
 
     def test_negative_seed_flag_exits_before_output(self, tmp_path, capsys):
@@ -900,26 +902,21 @@ class TestReporting:
         assert parsed["s"] == "x\"y\n"
 
     def test_preset_configs_parse(self, tmp_path):
+        # each preset is its config file, read through the one config gate
+        folder = Path(presets.__file__).with_name("preset_configs")
+        assert preset_names() == ["chaotic", "conservative", "general", "gradient",
+                                  "periodic", "point"]
+        assert sorted(p.name for p in folder.iterdir()) == [f"{n}.cfg" for n in preset_names()]
         for name in preset_names():
-            parsed = parse_config(write_cfg(tmp_path, config_text(name),
-                                            f"{name}.cfg"))
-            cfg, basis, oversample, plan, initial = make(name)
-            assert parsed.cfg == cfg, name
-            assert (parsed.mx, parsed.ny) == basis, name
-            assert parsed.oversample == oversample, name
-            assert parsed.plan == plan, name
-            assert parsed.initial == initial, name
+            assert config_text(name).encode("utf-8") == (folder / f"{name}.cfg").read_bytes()
+            parsed = parse_config(write_cfg(tmp_path, config_text(name), f"{name}.cfg"))
+            assert make(name) == (parsed.cfg, (parsed.mx, parsed.ny), parsed.oversample,
+                                  parsed.plan, parsed.initial), name
 
-    def test_config_text_renders_a_custom_source(self, tmp_path, monkeypatch):
-        from test_model import SPLINE
-
-        general = PRESETS["general"]
-        monkeypatch.setitem(PRESETS, "spline", dict(general, cfg=replace(general["cfg"],
-                                                                          source=SPLINE)))
-        parsed = parse_config(write_cfg(tmp_path, config_text("spline")))
-        cfg, basis, oversample, plan, initial = make("spline")
-        assert (parsed.cfg, (parsed.mx, parsed.ny), parsed.oversample, parsed.plan,
-                parsed.initial) == (cfg, basis, oversample, plan, initial)
+    @pytest.mark.parametrize("reader", [make, config_text])
+    def test_unknown_preset_names_the_choices(self, reader):
+        with pytest.raises(KeyError, match=r"unknown preset 'flutter'; choices: \[.*'general'"):
+            reader("flutter")
 
     @pytest.mark.parametrize("n_snap, n", [(0, 12), (1, 12), (4, 12), (1, 15), (4, 15)])
     def test_saved_trajectory_has_the_bytes_of_the_whole_object(self, tmp_path, n_snap, n):
